@@ -10,16 +10,19 @@ with m(.) the attention multipliers. Emission normalization makes the
 metric length-asymmetric on purpose: a short text activates a long
 superset document more strongly than the reverse.
 
-All reductions use math.fsum, so activation values are exactly rounded
-and therefore bit-identical regardless of ingestion order, of how the
-word range is partitioned across workers, and of save/load cycles.
-Intermediate sentence/paragraph nodes never modulate cross-document
-activation; they are consulted only to attribute contributions (trace).
+Each word's postings are split by term frequency: article ordinals
+where tf == 1, whose term is the word factor itself, and (ordinal, tf)
+pairs for the rest. Collection appends every term to a dense per-article
+list and reduces each list with math.fsum. Because fsum is exactly
+rounded, activation values are bit-identical regardless of ingestion
+order, of the order or partition of the summed terms, and of save/load
+cycles. Intermediate sentence/paragraph nodes never modulate
+cross-document activation; they are consulted only to attribute
+contributions (trace).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
@@ -28,6 +31,8 @@ from .ingest import DEFAULT_RULES, TokenizationRules, tokenize
 from .kb import WORD, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
+
+_NO_POSTINGS: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ())
 
 
 @dataclass(slots=True)
@@ -113,40 +118,30 @@ def collect(
 ) -> dict[int, float]:
     """Collect word activation up to the article layer via posting lists.
 
-    Articles with zero activation are absent from the map.
+    Articles with zero activation are absent from the map. The sum is
+    exact, so no split of the terms could change it: workers is accepted
+    for compatibility and the collection runs in one pass.
     """
     if attention is None:
         attention = kb.attention_snapshot()
     factors = _word_factors(kb, emission, attention)
-
-    if workers > 1 and len(factors) > 1:
-        chunk = (len(factors) + workers - 1) // workers
-        parts = [factors[i : i + chunk] for i in range(0, len(factors), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda p: _gather_terms(kb, p), parts))
-        terms: dict[int, list[float]] = {}
-        for partial in partials:
-            for article_id, values in partial.items():
-                terms.setdefault(article_id, []).extend(values)
-    else:
-        terms = _gather_terms(kb, factors)
+    order = kb.article_order
+    terms: list[list[float]] = [[] for _ in order]
+    for word_id, factor in factors:
+        ones, multi = kb.postings.get(word_id, _NO_POSTINGS)
+        for ordinal in ones:
+            terms[ordinal].append(factor)
+        for ordinal, tf in multi:
+            terms[ordinal].append(factor * tf)
 
     articles = {}
-    for article_id, values in terms.items():
-        activation = fsum(values) * attention.get(article_id, 1.0)
-        if activation != 0.0:
-            articles[article_id] = activation
+    for ordinal, values in enumerate(terms):
+        if values:
+            article_id = order[ordinal]
+            activation = fsum(values) * attention.get(article_id, 1.0)
+            if activation != 0.0:
+                articles[article_id] = activation
     return articles
-
-
-def _gather_terms(
-    kb: KnowledgeBase, factors: list[tuple[int, float]]
-) -> dict[int, list[float]]:
-    terms: dict[int, list[float]] = {}
-    for word_id, factor in factors:
-        for article_id, tf in kb.postings.get(word_id, ()):
-            terms.setdefault(article_id, []).append(factor * tf)
-    return terms
 
 
 def collect_on_bag(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,13 +25,14 @@ from .ingest import (
     build_corpus,
     read_corpus_dir,
     read_corpus_jsonl,
+    read_utf8,
 )
 from .kb import WORD, KnowledgeBase, load_index, render_real, save_index
 from .scl import ExitCriteria, apply_rules, watch_read
-from .similarity import QueryScorer, combine, normalize, results_to_tsv
+from .similarity import QueryScorer, check_cut, combine, normalize, results_to_tsv
 
 EXIT_UNREADABLE = 1
-EXIT_MALFORMED = 2
+EXIT_MALFORMED = 2  # also a flag out of range, the code argparse uses for usage errors
 EXIT_NO_DOCUMENTS = 3
 EXIT_UNSCORABLE = 4
 EXIT_UNKNOWN_ID = 5
@@ -59,14 +61,36 @@ def _coords(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected X,Y, got {value!r}") from exc
 
 
+# "--start -5,3": argparse would take the negative coordinate for a flag
+_COORD_FLAGS = ("--start", "--target")
+_COORD_RE = re.compile(r"-?\d+,-?\d+")
+
+
+def _join_coords(argv: list[str]) -> list[str]:
+    """Rewrite "--start X,Y" as "--start=X,Y" so that X may be negative."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _COORD_FLAGS and _COORD_RE.fullmatch(arg):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _load_kb(path: str) -> KnowledgeBase:
     return load_index(path)
 
 
 def _read_doc(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text("utf-8")
+    if path != "-":
+        return read_utf8(path)
+    try:
+        text = sys.stdin.read()
+        # under the C locale, stdin decodes stray bytes to lone surrogates
+        text.encode("utf-8")
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
+        raise OSError(f"standard input is not UTF-8 text ({exc.reason})") from exc
+    return text
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -105,7 +129,7 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
     if path is None:
         return None
     try:
-        rules = json.loads(Path(path).read_text("utf-8"))
+        rules = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     if not isinstance(rules, dict) or not all(
@@ -119,6 +143,10 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    try:
+        check_cut(args.candidates, args.top)
+    except ValueError:
+        return _fail(EXIT_MALFORMED, "need --candidates >= --top >= 1")
     kb = _open_index(args)
     if isinstance(kb, int):
         return kb
@@ -149,11 +177,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         for label in labels:
             print(f"watch\t{label}\t{render_real(values[label])}")
 
-    results = [
-        scorer.score(c) for c in scorer.candidates(args.candidates, not args.include_self)
-    ]
-    results.sort(key=lambda result: (-result.percent, result.label))
-    results = results[: args.top]
+    results = scorer.top(args.candidates, args.top, not args.include_self)
     if args.tsv:
         if results:
             print(results_to_tsv(results))
@@ -165,13 +189,16 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _resolve_source(kb: KnowledgeBase, ref: str) -> int | str | None:
-    """An ID|PATH argument: article label first, then readable file."""
+    """An ID|PATH argument: article label first, then readable file.
+
+    Raises OSError for a file that cannot be read as UTF-8 text.
+    """
     article_id = kb.article_id(ref)
     if article_id is not None:
         return article_id
     path = Path(ref)
     if path.is_file():
-        return path.read_text("utf-8")
+        return read_utf8(ref)
     return None
 
 
@@ -191,8 +218,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     kb = _open_index(args)
     if isinstance(kb, int):
         return kb
-    side_a = _resolve_source(kb, args.a)
-    side_b = _resolve_source(kb, args.b)
+    try:
+        side_a = _resolve_source(kb, args.a)
+        side_b = _resolve_source(kb, args.b)
+    except OSError as exc:
+        return _fail(EXIT_UNREADABLE, f"cannot read source: {exc}")
     if side_a is None:
         return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.a!r}")
     if side_b is None:
@@ -218,7 +248,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     kb = _open_index(args)
     if isinstance(kb, int):
         return kb
-    source = _resolve_source(kb, args.source)
+    try:
+        source = _resolve_source(kb, args.source)
+    except OSError as exc:
+        return _fail(EXIT_UNREADABLE, f"cannot read source: {exc}")
     if source is None:
         return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.source!r}")
     destination = kb.article_id(args.dest)
@@ -299,7 +332,7 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
 
 def _read_demo(path: str) -> list[tuple[int, int]]:
     states = []
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -391,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_coords(argv))
     return args.handler(args)
 
 

@@ -9,10 +9,10 @@ segments the same way.
 
 from __future__ import annotations
 
-import math
+import io
 import json
+import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -175,26 +175,19 @@ def build_corpus(
 ) -> tuple[KnowledgeBase, list[str]]:
     """Build a weighted knowledge base from a document collection.
 
-    Documents may be segmented in parallel; graph insertion happens in a
-    single sequential pass ordered by document id, so neither the input
-    order nor the worker count can change the result. Documents that are
+    Documents are segmented and inserted in one sequential pass ordered
+    by document id, so the input order cannot change the result; workers
+    is accepted for compatibility and changes nothing. Documents that are
     empty after segmentation are skipped; their ids are returned.
     """
     ordered = sorted(docs, key=lambda doc: doc.id)
     for left, right in zip(ordered, ordered[1:]):
         if left.id == right.id:
             raise DuplicateDocumentError(f"document {left.id!r} appears twice")
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            segmented_docs = list(
-                pool.map(lambda doc: segment(doc.body, rules), ordered)
-            )
-    else:
-        segmented_docs = [segment(doc.body, rules) for doc in ordered]
-
     kb = KnowledgeBase()
     skipped = []
-    for doc, segmented in zip(ordered, segmented_docs):
+    for doc in ordered:
+        segmented = segment(doc.body, rules)
         if not segmented:
             skipped.append(doc.id)
             continue
@@ -204,6 +197,14 @@ def build_corpus(
     return kb, skipped
 
 
+def read_utf8(path: str | Path) -> str:
+    """A file's text; raises OSError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_corpus_dir(path: str) -> list[RawDocument]:
     """Read a directory of *.txt files; the file stem is the document id."""
     root = Path(path)
@@ -211,15 +212,24 @@ def read_corpus_dir(path: str) -> list[RawDocument]:
         raise OSError(f"{path!r} is not a readable directory")
     docs = []
     for file in sorted(root.glob("*.txt")):
-        docs.append(RawDocument(id=file.stem, body=file.read_text("utf-8")))
+        docs.append(RawDocument(id=file.stem, body=read_utf8(file)))
     return docs
 
 
 def read_corpus_jsonl(path: str) -> list[RawDocument]:
-    """Read a JSONL corpus: one {"id","title"?,"text"} object per line."""
+    """Read a JSONL corpus: one {"id","title"?,"text"} object per line.
+
+    A line that is not UTF-8 raises OSError with its line number.
+    """
+    data = Path(path).read_bytes()
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise OSError(f"{path}: line {line_no} is not UTF-8 text ({exc.reason})") from exc
     docs = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with io.StringIO(content, newline=None) as handle:
         for line_no, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue

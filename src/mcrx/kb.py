@@ -66,7 +66,10 @@ class KnowledgeBase:
         self.attention: dict[int, float] = {}
         self.df: dict[int, int] = {}
         self.total_tokens = 0
-        self.postings: dict[int, list[tuple[int, int]]] = {}
+        # article ordinal -> article node id, in insertion order
+        self.article_order: list[int] = []
+        # word id -> (ordinals where tf == 1, (ordinal, tf) pairs where tf > 1)
+        self.postings: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
         self.article_len: dict[int, int] = {}
         self.titles: dict[int, str] = {}
@@ -165,9 +168,17 @@ class KnowledgeBase:
         self.article_bags[article_id] = bag
         self.article_len[article_id] = length
         self.total_tokens += length
+        ordinal = len(self.article_order)
+        self.article_order.append(article_id)
         for word_id, count in bag.items():
             self.df[word_id] = self.df.get(word_id, 0) + 1
-            self.postings.setdefault(word_id, []).append((article_id, count))
+            entry = self.postings.get(word_id)
+            if entry is None:
+                entry = self.postings[word_id] = ([], [])
+            if count == 1:
+                entry[0].append(ordinal)
+            else:
+                entry[1].append((ordinal, count))
 
     def _accumulate_bag(self, node_id: int, factor: int, bag: dict[int, int]) -> None:
         node = self.nodes[node_id]

@@ -3,7 +3,9 @@
 Everything here is written from the definitions, not from the library
 code paths: dense loops over whole documents instead of posting lists,
 plain accumulation instead of exact summation, and a queue-based BFS
-instead of the best-first planner.
+instead of the best-first planner. The one exception is reference_rank,
+which composes the library's own emit and collect_on_bag per article so
+that rank can be compared with it bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
+
+from mcrx.activation import collect_on_bag, emit
+from mcrx.errors import UnscorableQueryError
+from mcrx.similarity import combine, normalize
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -87,6 +93,39 @@ def dense_rank(bags, weights, query_tokens, k=100, word_att=None, doc_att=None):
         rows.append((doc_id, 100.0 * raw / self_raw, s_value, t_value))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows
+
+
+def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
+    """rank() as a pipeline of per-article passes and full sorts.
+
+    Forward: emit once, collect_on_bag on every article bag, times the
+    article's multiplier. Candidates: every activated article sorted by
+    (-forward, label), cut at k, self removed after the cut. Reverse: a
+    fresh emission per candidate collected on the query bag. Returns
+    (label, percent, raw, reverse, forward) rows, best n by percent.
+    """
+    attention = kb.attention_snapshot() if attention is None else dict(attention)
+    emission = emit(kb, query)
+    forward = {}
+    for article_id, bag in kb.article_bags.items():
+        value = collect_on_bag(kb, emission, bag, attention) * attention.get(article_id, 1.0)
+        if value != 0.0:
+            forward[article_id] = value
+    self_activation = collect_on_bag(kb, emission, emission.bag, attention)
+    self_raw = combine(self_activation, self_activation)
+    if self_raw <= 0:
+        raise UnscorableQueryError(emission.unknown_words)
+    nodes = kb.nodes
+    ranked = sorted(forward.items(), key=lambda item: (-item[1], nodes[item[0]].label))[:k]
+    rows = []
+    for article_id, value in ranked:
+        if exclude_self and article_id == query:
+            continue
+        reverse = collect_on_bag(kb, emit(kb, article_id), emission.bag, attention)
+        raw = combine(reverse, value)
+        rows.append((nodes[article_id].label, normalize(raw, self_raw), raw, reverse, value))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows[:n]
 
 
 def bfs_min_actions(effects, start, target, max_depth=12):

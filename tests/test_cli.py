@@ -420,3 +420,91 @@ def test_stats_is_pure_read(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["stats", "--index", str(index)]) == 0
     assert capsys.readouterr().out == first
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--top", "-1"], ["--top", "0"], ["--candidates", "3", "--top", "10"]],
+)
+def test_query_cut_flags_out_of_range_exit_2(tmp_path, capsys, flags):
+    index = build_c2(tmp_path)
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b c")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc), *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+NOT_UTF8 = b"caf\xe9 a b\n"
+
+
+def test_query_non_utf8_doc_exit_1(tmp_path, capsys, monkeypatch):
+    import io
+
+    index = build_c2(tmp_path)
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes(NOT_UTF8)
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    # what a C-locale stdin makes of the same bytes
+    monkeypatch.setattr("sys.stdin", io.StringIO(NOT_UTF8.decode("utf-8", "surrogateescape")))
+    assert main(["query", "--index", str(index), "--doc", "-"]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_compare_non_utf8_file_exit_1(tmp_path, capsys):
+    index = build_c3(tmp_path)
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes(NOT_UTF8)
+    capsys.readouterr()
+    assert main(["compare", "--index", str(index), "--a", str(doc), "--b", "d2"]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_trace_non_utf8_source_exit_1(tmp_path, capsys):
+    index = build_c2(tmp_path)
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes(NOT_UTF8)
+    capsys.readouterr()
+    code = main(
+        ["trace", "--index", str(index), "--source", str(doc), "--dest", "d1", "--level", "sentence"]
+    )
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_build_non_utf8_corpus_exit_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b")
+    (corpus / "d2.txt").write_bytes(NOT_UTF8)
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_bytes(b'{"id":"d1","text":"fine"}\n{"id":"d2","text":"' + NOT_UTF8.strip() + b'"}\n')
+    for source, detail in ((corpus, "d2.txt"), (jsonl, "line 2")):
+        code = main(["build", "--corpus", str(source), "--index", str(tmp_path / "x.mcrx")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert detail in err
+
+
+def test_scl_demo_negative_coordinates(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    code = main(["scl-demo", "--kb", str(kb_path), "--start", "-5,3", "--target", "-4,-1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    sequence = [line for line in out.splitlines() if line.startswith("sequence\t")][0]
+    moves = {"U": (0, 1), "D": (0, -1), "L": (-1, 0), "R": (1, 0)}
+    x, y = -5, 3
+    for action in sequence.split("\t")[1].split():
+        x, y = x + moves[action][0], y + moves[action][1]
+    assert (x, y) == (-4, -1)

@@ -3,12 +3,22 @@ import random
 
 import pytest
 
-from mcrx import QueryScorer, RawDocument, build_corpus, combine, normalize, rank, results_to_tsv
+from mcrx import (
+    QueryScorer,
+    RawDocument,
+    build_corpus,
+    combine,
+    compute_weights,
+    ingest_document,
+    normalize,
+    rank,
+    results_to_tsv,
+)
 from mcrx.errors import EmptyIndexError, UnscorableQueryError
 from mcrx.kb import KnowledgeBase
 
 from conftest import make_kb
-from oracles import corpus_weights, dense_rank, random_corpus, toks
+from oracles import corpus_weights, dense_rank, random_corpus, reference_rank, toks
 
 SELF_RAW_C2 = 0.5730790100370088  # 0.89588... * ln(1 + 0.89588...)
 RAW_D2_C2 = 0.10312757594433569
@@ -175,6 +185,77 @@ def test_rank_matches_dense_oracle():
         assert [r.label for r in got] == [row[0] for row in expected]
         for result, row in zip(got, expected):
             assert result.percent == pytest.approx(row[1], abs=1e-9)
+
+
+def _attention_maps(kb, rng):
+    """No attention, then 0, 0.5 and 3 on words, on articles, and on both."""
+    word_ids = sorted(kb.postings)
+    article_ids = list(kb.article_order)
+    on_words = dict(zip(rng.sample(word_ids, min(3, len(word_ids))), (0.0, 0.5, 3.0)))
+    on_articles = dict(zip(rng.sample(article_ids, min(3, len(article_ids))), (0.0, 0.5, 3.0)))
+    return [{}, on_words, on_articles, {**on_words, **on_articles}]
+
+
+def _cuts(kb, query, attention):
+    """Candidate cuts: tiny, at forward ties, around and above the activated count."""
+    try:
+        forward = QueryScorer(kb, query, attention).forward_map
+    except UnscorableQueryError:
+        return [1, 5], 0
+    values = sorted(forward.values(), reverse=True)
+    # k such that the k-th and (k+1)-th activations tie
+    tied = [i + 1 for i in range(len(values) - 1) if values[i] == values[i + 1]][:2]
+    cuts = {1, 3, max(1, len(values) - 1), max(1, len(values)), len(values) + 5, *tied}
+    return sorted(cuts), len(tied)
+
+
+def _shuffled_kb(docs, rng):
+    """Ingest in random order, so article ordinals do not follow label order."""
+    kb = KnowledgeBase()
+    labels = sorted(docs)
+    rng.shuffle(labels)
+    for label in labels:
+        if toks(docs[label]):
+            ingest_document(kb, RawDocument(label, docs[label]))
+    compute_weights(kb)
+    return kb
+
+
+def test_rank_bit_identical_to_reference_ranker():
+    rng = random.Random(2718)
+    compared = tied_cuts = 0
+    for _ in range(8):
+        docs = random_corpus(rng, max_docs=25, max_vocab=20, max_len=60)
+        # identical texts under other labels: forward ties broken only by label
+        for label in rng.sample(sorted(docs), min(3, len(docs))):
+            docs[f"{label}x"] = docs[label]
+        kb = _shuffled_kb(docs, rng)
+        assert any(tf > 1 for bag in kb.article_bags.values() for tf in bag.values())
+        vocab = sorted({word for text in docs.values() for word in toks(text)})
+        queries = [
+            docs[rng.choice(sorted(docs))],
+            " ".join(rng.choices(vocab, k=3) + ["unknownword"]),
+            *rng.sample(list(kb.article_order), 2),
+        ]
+        for attention in _attention_maps(kb, rng):
+            for query in queries:
+                cuts, tied = _cuts(kb, query, attention)
+                tied_cuts += tied
+                for k in cuts:
+                    for n in sorted({1, min(k, 3), k}):
+                        for exclude_self in (True, False):
+                            try:
+                                expected = reference_rank(kb, query, k, n, exclude_self, attention)
+                            except UnscorableQueryError:
+                                with pytest.raises(UnscorableQueryError):
+                                    rank(kb, query, k, n, exclude_self, attention)
+                                continue
+                            got = rank(kb, query, k, n, exclude_self, attention)
+                            assert [
+                                (r.label, r.percent, r.raw, r.reverse, r.forward) for r in got
+                            ] == expected
+                            compared += 1
+    assert compared > 1000 and tied_cuts > 0
 
 
 def test_tsv_round_trips_losslessly(c2):
