@@ -162,13 +162,12 @@ def run_pass(
     source: Source,
     attention: dict[int, float] | None = None,
     rules: TokenizationRules = DEFAULT_RULES,
-    workers: int = 1,
 ) -> ActivationPass:
     """Emit from a source and collect over the whole corpus."""
     if attention is None:
         attention = kb.attention_snapshot()
     emission = emit(kb, source, rules)
-    articles = collect(kb, emission, attention, workers)
+    articles = collect(kb, emission, attention)
     return ActivationPass(emission, articles, attention)
 
 
@@ -177,10 +176,9 @@ def activate(
     source: Source,
     attention: dict[int, float] | None = None,
     rules: TokenizationRules = DEFAULT_RULES,
-    workers: int = 1,
 ) -> dict[int, float]:
     """Article activation map for a source (emit + collect)."""
-    return run_pass(kb, source, attention, rules, workers).articles
+    return run_pass(kb, source, attention, rules).articles
 
 
 def self_activation(

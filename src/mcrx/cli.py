@@ -77,10 +77,6 @@ def _join_coords(argv: list[str]) -> list[str]:
     return joined
 
 
-def _load_kb(path: str) -> KnowledgeBase:
-    return load_index(path)
-
-
 def _read_doc(path: str) -> str:
     if path != "-":
         return read_utf8(path)
@@ -120,7 +116,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _open_index(args: argparse.Namespace) -> KnowledgeBase | int:
     try:
-        return _load_kb(args.index)
+        return load_index(args.index)
     except (OSError, IndexFormatError, VersionMismatchError) as exc:
         return _fail(EXIT_UNREADABLE, f"cannot load index: {exc}")
 

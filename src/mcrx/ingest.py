@@ -22,7 +22,7 @@ from .errors import (
     DuplicateDocumentError,
     EmptyDocumentError,
 )
-from .kb import ARTICLE, PARAGRAPH, SENTENCE, WORD, KnowledgeBase
+from .kb import KnowledgeBase
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -106,29 +106,32 @@ def ingest_document(
 def ingest_segmented(
     kb: KnowledgeBase, doc: RawDocument, segmented: list[list[list[str]]]
 ) -> int:
-    """Insert a pre-segmented document (the merge half of ingestion)."""
+    """Insert a pre-segmented document (the merge half of ingestion).
+
+    Each sentence becomes its runs of repeated tokens as (word id, count)
+    pairs. A document's new words are created before its sentence nodes.
+    """
+    # checked before any word is added, so a rejected document leaves none
     if kb.article_id(doc.id) is not None:
         raise DuplicateDocumentError(f"document {doc.id!r} already ingested")
     if not segmented:
         raise EmptyDocumentError(f"document {doc.id!r} is empty after segmentation")
-    paragraph_ids = []
-    for sentences in segmented:
-        sentence_ids = []
-        for tokens in sentences:
-            children = [
-                (kb.add_node(WORD, tok), len(list(run)))
-                for tok, run in groupby(tokens)
-            ]
-            sentence_ids.append((kb.add_node(SENTENCE, None, children), 1))
-        paragraph_ids.append((kb.add_node(PARAGRAPH, None, sentence_ids), 1))
-    article_id = kb.add_node(ARTICLE, doc.id, paragraph_ids)
+    add_word = kb.add_word
+    runs = [
+        [
+            tuple([(add_word(tok), len(list(run))) for tok, run in groupby(tokens)])
+            for tokens in sentences
+        ]
+        for sentences in segmented
+    ]
+    article_id = kb.add_article(doc.id, runs)
     if doc.title is not None:
         kb.titles[article_id] = doc.title
     return article_id
 
 
 def compute_weights(kb: KnowledgeBase) -> None:
-    """Assign word weights wt(w) = ln(1 + D/df(w)); 1.0 elsewhere.
+    """Assign word weights wt(w) = ln(1 + D/df(w)).
 
     The +1 smoothing keeps every indexed word strictly positive: a word
     present in every document still weighs ln 2 instead of silently
@@ -137,12 +140,10 @@ def compute_weights(kb: KnowledgeBase) -> None:
     d = kb.article_count
     if d < 1:
         raise ValueError("cannot compute weights on an empty knowledge base")
-    for node in kb.nodes:
-        if node.level != WORD:
-            node.weight = 1.0
-            continue
-        df = kb.df.get(node.id, 0)
-        node.weight = math.log(1.0 + d / df) if df else 0.0
+    nodes = kb.nodes
+    for word_id in kb.word_ids():
+        df = kb.df.get(word_id, 0)
+        nodes[word_id].weight = math.log(1.0 + d / df) if df else 0.0
     kb.weights_computed = True
 
 
@@ -171,14 +172,13 @@ def reconstruct(kb: KnowledgeBase, article_id: int) -> list[list[list[str]]]:
 def build_corpus(
     docs: list[RawDocument],
     rules: TokenizationRules = DEFAULT_RULES,
-    workers: int = 1,
 ) -> tuple[KnowledgeBase, list[str]]:
     """Build a weighted knowledge base from a document collection.
 
     Documents are segmented and inserted in one sequential pass ordered
-    by document id, so the input order cannot change the result; workers
-    is accepted for compatibility and changes nothing. Documents that are
-    empty after segmentation are skipped; their ids are returned.
+    by document id, so the input order cannot change the result.
+    Documents that are empty after segmentation are skipped; their ids
+    are returned.
     """
     ordered = sorted(docs, key=lambda doc: doc.id)
     for left, right in zip(ordered, ordered[1:]):

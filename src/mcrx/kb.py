@@ -1,12 +1,18 @@
 """Layered compositional knowledge base.
 
-Nodes live on contiguous levels (word=0, sentence=1, paragraph=2,
-article=3 by default). Every node is an ordered collection of nodes one
-level below; word nodes are leaves, deduplicated globally by token.
-Children are stored run-length encoded, as an ordered sequence of
-(child id, count) pairs in which the same child may appear in several
-entries, so the original token order survives and top-down regeneration
-reproduces the ingested text exactly.
+Nodes live on four levels: word=0, sentence=1, paragraph=2, article=3.
+Every node is an ordered collection of nodes one level below; word nodes
+are leaves, deduplicated globally by token (add_word). Children are
+stored run-length encoded, as an ordered sequence of (child id, count)
+pairs in which the same child may appear in several entries, so the
+original token order survives and top-down regeneration reproduces the
+ingested text exactly.
+
+Articles enter through one path, add_article, which both ingestion and
+load_index call: it takes the article's paragraphs of sentences of
+(word id, count) runs, creates the sentence, paragraph and article nodes,
+and fills the article's token bag, df and postings from the same runs.
+Links run top-down only; no parent index is kept.
 
 Persistence uses the line-delimited MCRX-1 format, see save_index.
 """
@@ -14,6 +20,8 @@ Persistence uses the line-delimited MCRX-1 format, see save_index.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -54,15 +62,14 @@ class KnowledgeBase:
     """Graph store plus corpus statistics and attention multipliers."""
 
     def __init__(self, levels: tuple[str, ...] = DEFAULT_LEVELS):
-        if len(levels) < 2:
-            raise ValueError("need at least a leaf level and a top level")
+        if len(levels) != 4:
+            raise ValueError("need four level names: word, sentence, paragraph, article")
         self.levels = tuple(levels)
         self.nodes: list[Node] = []
-        self.level_counts = [0] * len(levels)
+        self.level_counts = [0] * 4
         # label -> id, kept for the levels where labels are meaningful
         self._word_ids: dict[str, int] = {}
         self._article_ids: dict[str, int] = {}
-        self._parents: dict[int, dict[int, int]] = {}
         self.attention: dict[int, float] = {}
         self.df: dict[int, int] = {}
         self.total_tokens = 0
@@ -77,7 +84,7 @@ class KnowledgeBase:
 
     @property
     def top_level(self) -> int:
-        return len(self.levels) - 1
+        return ARTICLE
 
     @property
     def article_count(self) -> int:
@@ -95,6 +102,10 @@ class KnowledgeBase:
     def word_id(self, token: str) -> int | None:
         return self._word_ids.get(token)
 
+    def word_ids(self) -> Iterable[int]:
+        """Ids of every word node, in creation order."""
+        return self._word_ids.values()
+
     def article_id(self, label: str) -> int | None:
         return self._article_ids.get(label)
 
@@ -105,80 +116,78 @@ class KnowledgeBase:
         label = self.node(article_id).label
         return self.titles.get(article_id, label or "")
 
-    def add_node(
-        self,
-        level: int,
-        label: str | None = None,
-        children: list[tuple[int, int]] | tuple[tuple[int, int], ...] = (),
-    ) -> int:
-        """Insert a node and return its id.
-
-        Word-level calls with an already-known token return the existing
-        id (words are deduplicated by token). Inserting an article node
-        updates the corpus statistics (df, postings, token totals) from
-        its subtree.
-        """
-        if not 0 <= level <= self.top_level:
-            raise ValueError(f"level {level} out of range")
-        if level == WORD:
-            if label is None:
-                raise ValueError("word nodes require a label")
-            if children:
-                raise LayeringError("word nodes cannot have children")
-            existing = self._word_ids.get(label)
-            if existing is not None:
-                return existing
-        if level == self.top_level:
-            if label is None:
-                raise ValueError("article nodes require a label")
-            if label in self._article_ids:
-                raise DuplicateDocumentError(f"document {label!r} already ingested")
-
-        pairs = []
-        for child_id, count in children:
-            child = self.node(child_id)
-            if child.level != level - 1:
-                raise LayeringError(
-                    f"child {child_id} at level {child.level}, expected {level - 1}"
-                )
-            if count < 1:
-                raise ValueError("child multiplicity must be positive")
-            pairs.append((child_id, int(count)))
-
+    def _new_node(self, level: int, label: str | None, children: tuple) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, level, label, 1.0, tuple(pairs)))
+        self.nodes.append(Node(node_id, level, label, 1.0, children))
         self.level_counts[level] += 1
-        for child_id, count in pairs:
-            acc = self._parents.setdefault(child_id, {})
-            acc[node_id] = acc.get(node_id, 0) + count
-
-        if level == WORD:
-            self._word_ids[label] = node_id
-            self.weights_computed = False
-        elif level == self.top_level:
-            self._article_ids[label] = node_id
-            self._register_article(node_id)
-            self.weights_computed = False
         return node_id
 
-    def _register_article(self, article_id: int) -> None:
+    def add_word(self, token: str) -> int:
+        """Id of the word node for token, created on first sight."""
+        word_id = self._word_ids.get(token)
+        if word_id is None:
+            word_id = self._new_node(WORD, token, ())
+            self._word_ids[token] = word_id
+            self.weights_computed = False
+        return word_id
+
+    def add_article(
+        self,
+        label: str,
+        paragraphs: Sequence[Sequence[Sequence[tuple[int, int]]]],
+    ) -> int:
+        """Insert an article and return its id.
+
+        paragraphs holds sentences of (word id, count) runs. Each
+        paragraph's sentence nodes are created, then the paragraph node;
+        the article node comes last. The article's bag, length, df and
+        postings are filled from the runs in the same pass. Nothing is
+        inserted if a check fails: DuplicateDocumentError for a known
+        label, MissingNodeError for an unknown id, LayeringError for an
+        id that is not a word, ValueError for a count that is not a
+        positive int.
+        """
+        if label in self._article_ids:
+            raise DuplicateDocumentError(f"document {label!r} already ingested")
         bag: dict[int, int] = {}
-        self._accumulate_bag(article_id, 1, bag)
+        for sentences in paragraphs:
+            for runs in sentences:
+                for word_id, count in runs:
+                    if type(count) is not int or count < 1:
+                        raise ValueError(f"word count {count!r} is not a positive int")
+                    bag[word_id] = bag.get(word_id, 0) + count
+        for word_id in bag:
+            if self.node(word_id).level != WORD:
+                raise LayeringError(f"node {word_id} is not a word")
+
+        paragraph_ids = []
+        for sentences in paragraphs:
+            sentence_ids = tuple(
+                (self._new_node(SENTENCE, None, tuple(runs)), 1) for runs in sentences
+            )
+            paragraph_ids.append((self._new_node(PARAGRAPH, None, sentence_ids), 1))
+        article_id = self._new_node(ARTICLE, label, tuple(paragraph_ids))
+        self._article_ids[label] = article_id
+        self.weights_computed = False
+
         length = sum(bag.values())
         self.article_bags[article_id] = bag
         self.article_len[article_id] = length
         self.total_tokens += length
         ordinal = len(self.article_order)
         self.article_order.append(article_id)
+        df = self.df
+        postings = self.postings
         for word_id, count in bag.items():
-            self.df[word_id] = self.df.get(word_id, 0) + 1
-            entry = self.postings.get(word_id)
+            df[word_id] = df.get(word_id, 0) + 1
+            entry = postings.get(word_id)
             if entry is None:
-                entry = self.postings[word_id] = ([], [])
+                entry = postings[word_id] = ([], [])
             if count == 1:
                 entry[0].append(ordinal)
             else:
                 entry[1].append((ordinal, count))
+        return article_id
 
     def _accumulate_bag(self, node_id: int, factor: int, bag: dict[int, int]) -> None:
         node = self.nodes[node_id]
@@ -193,11 +202,6 @@ class KnowledgeBase:
         bag: dict[int, int] = {}
         self._accumulate_bag(self.node(node_id).id, factor, bag)
         return bag
-
-    def parents_of(self, node_id: int) -> tuple[tuple[int, int], ...]:
-        """Aggregated (parent id, total multiplicity) pairs for a node."""
-        self.node(node_id)
-        return tuple(self._parents.get(node_id, {}).items())
 
     def set_attention(self, node_id: int, multiplier: float) -> None:
         """Set a node's attention multiplier; 1.0 restores the default."""
@@ -214,21 +218,15 @@ class KnowledgeBase:
         return dict(self.attention)
 
     def validate(self) -> None:
-        """Full-scan check of layering, transpose and stats invariants."""
-        derived_parents: dict[int, dict[int, int]] = {}
+        """Full-scan check of layering and stats invariants."""
         for node in self.nodes:
-            for child_id, count in node.children:
+            for child_id, _ in node.children:
                 child = self.node(child_id)
                 if child.level != node.level - 1:
                     raise LayeringError(
                         f"edge {node.id}->{child_id} spans levels "
                         f"{node.level}->{child.level}"
                     )
-                acc = derived_parents.setdefault(child_id, {})
-                acc[node.id] = acc.get(node.id, 0) + count
-        stored = {k: v for k, v in self._parents.items() if v}
-        if derived_parents != stored:
-            raise AssertionError("parent index is not the transpose of children")
 
         derived_df: dict[int, int] = {}
         total = 0
@@ -327,8 +325,7 @@ def load_index(path: str) -> KnowledgeBase:
             f"expected format {FORMAT_VERSION!r}, found {version!r}"
         )
     levels = header.get("levels")
-    # article records nest exactly paragraph/sentence/word, so the format
-    # carries four levels even though KnowledgeBase itself is generic
+    # article records nest exactly paragraph/sentence/word
     if not isinstance(levels, list) or len(levels) != 4:
         raise IndexFormatError("header must carry a four-entry level list", 1)
 
@@ -365,6 +362,16 @@ def load_index(path: str) -> KnowledgeBase:
             f"to {kb.total_tokens}",
             1,
         )
+    # save_index refuses stale weights and .17g round-trips, so a saved
+    # weight equals the formula bit for bit; this also rejects NaN/Infinity
+    for word_id, (declared, line) in declared_df.items():
+        node = kb.nodes[word_id]
+        if node.weight != math.log(1.0 + kb.article_count / declared):
+            raise IndexFormatError(
+                f"stored weight {node.weight!r} for {node.label!r} is not "
+                f"ln(1 + D/df)",
+                line,
+            )
     kb.weights_computed = True
     return kb
 
@@ -386,13 +393,13 @@ def _load_word(kb: KnowledgeBase, record: dict, line: int) -> int:
         weight = record["w"]
     except KeyError as exc:
         raise IndexFormatError(f"word record missing {exc.args[0]!r}", line) from exc
-    if not isinstance(token, str) or not isinstance(df, int) or df < 1:
+    if not isinstance(token, str) or type(df) is not int or df < 1:
         raise IndexFormatError("word record has bad tok/df", line)
     if kb.word_id(token) is not None:
         raise IndexFormatError(f"duplicate word record for {token!r}", line)
     if not isinstance(weight, (int, float)) or isinstance(weight, bool):
         raise IndexFormatError("word record has non-numeric weight", line)
-    word_id = kb.add_node(WORD, token)
+    word_id = kb.add_word(token)
     kb.nodes[word_id].weight = float(weight)
     return word_id
 
@@ -400,28 +407,25 @@ def _load_word(kb: KnowledgeBase, record: dict, line: int) -> int:
 def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
     label = record.get("label")
     paragraphs = record.get("paragraphs")
+    title = record.get("title")
     if not isinstance(label, str) or not isinstance(paragraphs, list):
         raise IndexFormatError("article record has bad label/paragraphs", line)
+    if title is not None and not isinstance(title, str):
+        raise IndexFormatError("article title is not a string", line)
+    word_ids = kb._word_ids
     try:
-        paragraph_ids = []
-        for sentences in paragraphs:
-            sentence_ids = []
-            for pairs in sentences:
-                children = []
-                for token, count in pairs:
-                    word_id = kb.word_id(token)
-                    if word_id is None:
-                        raise IndexFormatError(
-                            f"article references unlisted word {token!r}", line
-                        )
-                    children.append((word_id, count))
-                sentence_ids.append((kb.add_node(SENTENCE, None, children), 1))
-            paragraph_ids.append((kb.add_node(PARAGRAPH, None, sentence_ids), 1))
-        article_id = kb.add_node(kb.top_level, label, paragraph_ids)
-    except IndexFormatError:
-        raise
+        runs = [
+            [tuple([(word_ids[tok], count) for tok, count in pairs]) for pairs in sentences]
+            for sentences in paragraphs
+        ]
+        article_id = kb.add_article(label, runs)
+    except KeyError as exc:
+        raise IndexFormatError(
+            f"article references unlisted word {exc.args[0]!r}", line
+        ) from exc
+    except DuplicateDocumentError as exc:
+        raise IndexFormatError(f"duplicate article record for {label!r}", line) from exc
     except (TypeError, ValueError) as exc:
         raise IndexFormatError(f"malformed article structure ({exc})", line) from exc
-    title = record.get("title")
     if title is not None:
         kb.titles[article_id] = title

@@ -255,7 +255,8 @@ def solve(
     100 means an exact hit; the generator enumerates sequences
     best-first on that same score. An exact hit is registered as a new
     composite (deduplicated); on budget exhaustion the best partial
-    comes back with the loop's exit reason.
+    comes back with the loop's exit reason. composite_id is set only
+    when the hit is a composite action, not a single primitive.
     """
     if not akb.known_ids():
         raise NoActionsError("no actions known")
@@ -284,7 +285,9 @@ def solve(
         and sequence
         and execute(akb, sequence, start) == target
     ):
-        composite_id, created = akb.add_composite(list(sequence))
+        action_id, created = akb.add_composite(list(sequence))
+        if akb.is_composite(action_id):
+            composite_id = action_id
     return SolveResult(sequence, composite_id, created, report)
 
 
@@ -370,6 +373,8 @@ def load_actions(path: str) -> ActionKB:
                 record = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise IndexFormatError(f"invalid record ({exc.msg})", line_no) from exc
+            if not isinstance(record, dict):
+                raise IndexFormatError("record is not an object", line_no)
             kind = record.get("t")
             try:
                 if kind == "prim":

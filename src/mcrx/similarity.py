@@ -50,17 +50,12 @@ class RankedResult:
     forward: float  # query-to-candidate activation, damped by ln(1+x)
 
 
-def combine(reverse: float, forward: float, literal_log: bool = False) -> float:
+def combine(reverse: float, forward: float) -> float:
     """Fold the two directional activations into one raw score.
 
-    Default is reverse * ln(1 + forward): zero at forward 0, monotone in
-    both directions, and deliberately favoring the reverse direction.
-    literal_log=True drops the +1 guard; activations below 1 then
-    produce negative scores and 0 is a domain error, so it exists only
-    for experimentation.
+    reverse * ln(1 + forward): zero at forward 0, monotone in both
+    directions, and deliberately favoring the reverse direction.
     """
-    if literal_log:
-        return reverse * math.log(forward)
     return reverse * math.log1p(forward)
 
 
@@ -84,24 +79,21 @@ class QueryScorer:
         kb: KnowledgeBase,
         query: Source,
         attention: dict[int, float] | None = None,
-        literal_log: bool = False,
         rules: TokenizationRules = DEFAULT_RULES,
-        workers: int = 1,
     ):
         self.kb = kb
-        self.literal_log = literal_log
         self.attention = (
             kb.attention_snapshot() if attention is None else dict(attention)
         )
         self.source_article = query if isinstance(query, int) else None
         self.emission = emit(kb, query, rules)
-        self.forward_map = collect(kb, self.emission, self.attention, workers)
+        self.forward_map = collect(kb, self.emission, self.attention)
         self.self_activation = collect_on_bag(
             kb, self.emission, self.emission.bag, self.attention
         )
         if self.self_activation == 0.0:
             raise UnscorableQueryError(self.emission.unknown_words)
-        self.self_raw = combine(self.self_activation, self.self_activation, literal_log)
+        self.self_raw = combine(self.self_activation, self.self_activation)
         if self.self_raw <= 0:
             raise UnscorableQueryError(self.emission.unknown_words)
 
@@ -137,7 +129,7 @@ class QueryScorer:
             raise StaleWeightsError("compute weights before running activation")
         forward = self.forward_map.get(article_id, 0.0)
         reverse = self._reverse(article_id)
-        raw = combine(reverse, forward, self.literal_log)
+        raw = combine(reverse, forward)
         return RankedResult(
             article_id=article_id,
             label=node.label or "",
@@ -194,9 +186,7 @@ def rank(
     n: int = DEFAULT_RESULTS,
     exclude_self: bool = True,
     attention: dict[int, float] | None = None,
-    literal_log: bool = False,
     rules: TokenizationRules = DEFAULT_RULES,
-    workers: int = 1,
 ) -> list[RankedResult]:
     """Ranked retrieval for one query.
 
@@ -207,7 +197,7 @@ def rank(
     check_cut(k, n)
     if kb.article_count == 0:
         raise EmptyIndexError("the index holds no documents")
-    scorer = QueryScorer(kb, query, attention, literal_log, rules, workers)
+    scorer = QueryScorer(kb, query, attention, rules)
     return scorer.top(k, n, exclude_self)
 
 

@@ -508,3 +508,65 @@ def test_scl_demo_negative_coordinates(tmp_path, capsys):
     for action in sequence.split("\t")[1].split():
         x, y = x + moves[action][0], y + moves[action][1]
     assert (x, y) == (-4, -1)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ('"w":1.0986122886681098', '"w":NaN', 2),
+        ('"w":1.0986122886681098', '"w":Infinity', 2),
+        ('"w":1.0986122886681098', '"w":1.0986122886681', 2),
+        ('["a",1]', '["a",1.5]', 5),
+        ('["a",1]', '["a",true]', 5),
+        ('"label":"d2"', '"label":"d1"', 6),
+        ('"label":"d1",', '"label":"d1","title":5,', 5),
+    ],
+)
+def test_query_hand_edited_index_exit_1(tmp_path, capsys, old, new, line):
+    index = build_c2(tmp_path)
+    text = index.read_text("utf-8")
+    assert old in text
+    index.write_text(text.replace(old, new, 1), "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert f"line {line}:" in captured.err
+
+
+def test_scl_demo_non_object_action_record_exit_1(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    kb_path.write_text('{"t":"prim","label":"U","dx":0,"dy":1}\n[1,2]\n')
+    code = main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "0,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert_one_error_line(err)
+    assert "line 2" in err
+
+
+def test_scl_demo_single_primitive_plan_is_no_composite(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    code = main(["scl-demo", "--kb", str(kb_path), "--start", "-5,3", "--target", "-4,3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "sequence\tR\n" in out
+    assert "composite" not in out
+    assert '"t":"comp"' not in kb_path.read_text("utf-8")
+
+
+def test_scl_demo_single_composite_plan_is_matched(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    demo = tmp_path / "demo.txt"
+    demo.write_text("0,0\n1,0\n2,0\n")
+    learn = ["--learn", str(demo), "--start", "0,0", "--target", "0,0"]
+    assert main(["scl-demo", "--kb", str(kb_path), *learn]) == 0
+    assert "learned composite S1" in capsys.readouterr().out
+    code = main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "2,0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "sequence\tS1\n" in out
+    assert "matched composite S1" in out

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
 from mcrx import (
-    ARTICLE,
-    PARAGRAPH,
     SENTENCE,
     WORD,
     KnowledgeBase,
+    RawDocument,
     activate,
+    build_corpus,
     load_index,
     save_index,
 )
@@ -20,31 +22,21 @@ from mcrx.errors import (
 )
 
 from conftest import make_kb
+from oracles import random_corpus
 
 
 def test_word_dedup_returns_same_id():
     kb = KnowledgeBase()
-    first = kb.add_node(WORD, "cat")
-    second = kb.add_node(WORD, "cat")
+    first = kb.add_word("cat")
+    second = kb.add_word("cat")
     assert first == second
     assert kb.word_count == 1
 
 
-def test_children_transpose_into_parent_index():
-    kb = KnowledgeBase()
-    w_a = kb.add_node(WORD, "a")
-    w_b = kb.add_node(WORD, "b")
-    sentence = kb.add_node(SENTENCE, None, [(w_a, 2), (w_b, 1)])
-    assert (sentence, 2) in kb.parents_of(w_a)
-    assert (sentence, 1) in kb.parents_of(w_b)
-
-
 def test_article_insertion_counts_documents():
     kb = KnowledgeBase()
-    word = kb.add_node(WORD, "x")
-    sentence = kb.add_node(SENTENCE, None, [(word, 1)])
-    paragraph = kb.add_node(PARAGRAPH, None, [(sentence, 1)])
-    kb.add_node(ARTICLE, "doc1", [(paragraph, 1)])
+    word = kb.add_word("x")
+    kb.add_article("doc1", [[((word, 1),)]])
     assert kb.article_count == 1
     assert kb.df[word] == 1
     assert kb.total_tokens == 1
@@ -52,42 +44,43 @@ def test_article_insertion_counts_documents():
 
 def test_duplicate_article_label_rejected():
     kb = KnowledgeBase()
-    word = kb.add_node(WORD, "x")
-    sentence = kb.add_node(SENTENCE, None, [(word, 1)])
-    paragraph = kb.add_node(PARAGRAPH, None, [(sentence, 1)])
-    kb.add_node(ARTICLE, "doc1", [(paragraph, 1)])
+    word = kb.add_word("x")
+    kb.add_article("doc1", [[((word, 1),)]])
     with pytest.raises(DuplicateDocumentError):
-        kb.add_node(ARTICLE, "doc1", [(paragraph, 1)])
+        kb.add_article("doc1", [[((word, 1),)]])
 
 
 def test_layering_violation_rejected():
     kb = KnowledgeBase()
-    word = kb.add_node(WORD, "x")
-    with pytest.raises(LayeringError):
-        kb.add_node(PARAGRAPH, None, [(word, 1)])
-    with pytest.raises(LayeringError):
-        kb.add_node(WORD, "y", [(word, 1)])
+    word = kb.add_word("x")
+    article = kb.add_article("doc1", [[((word, 1),)]])
+    sentence = kb.node(kb.node(article).children[0][0]).children[0][0]
+    before = len(kb.nodes)
+    for not_a_word in (sentence, article):
+        with pytest.raises(LayeringError):
+            kb.add_article("doc2", [[((word, 1), (not_a_word, 1))]])
+    assert len(kb.nodes) == before and kb.article_count == 1
 
 
 def test_unknown_child_rejected():
     kb = KnowledgeBase()
     with pytest.raises(MissingNodeError):
-        kb.add_node(SENTENCE, None, [(99, 1)])
+        kb.add_article("doc1", [[((99, 1),)]])
+    assert kb.nodes == [] and kb.article_count == 0
 
 
-def test_parents_of_word_without_sentence_is_empty():
+@pytest.mark.parametrize("count", [0, -1, 1.5, True, "2"])
+def test_article_count_must_be_positive_int(count):
     kb = KnowledgeBase()
-    word = kb.add_node(WORD, "lonely")
-    assert kb.parents_of(word) == ()
-    with pytest.raises(MissingNodeError):
-        kb.parents_of(123)
+    word = kb.add_word("x")
+    with pytest.raises(ValueError):
+        kb.add_article("doc1", [[((word, count),)]])
+    assert kb.article_count == 0 and len(kb.nodes) == 1
 
 
-def test_shared_word_has_two_sentence_parents(c2):
-    word = c2.word_id("b")
-    parents = c2.parents_of(word)
-    assert len(parents) == 2
-    assert all(c2.nodes[parent].level == SENTENCE for parent, _ in parents)
+def test_levels_are_exactly_four():
+    with pytest.raises(ValueError):
+        KnowledgeBase(("word", "sentence", "article"))
 
 
 def test_set_attention_validates(c2):
@@ -154,7 +147,7 @@ def test_empty_kb_round_trip(tmp_path):
 
 
 def test_stale_weights_block_save(tmp_path, c2):
-    c2.add_node(WORD, "fresh")
+    c2.add_word("fresh")
     with pytest.raises(StaleWeightsError):
         save_index(c2, str(tmp_path / "stale.mcrx"))
 
@@ -206,4 +199,60 @@ def test_repeated_token_order_survives():
     sentence = kb.node(kb.node(kb.node(article).children[0][0]).children[0][0])
     labels = [(kb.nodes[w].label, count) for w, count in sentence.children]
     assert labels == [("a", 1), ("b", 1), ("a", 1)]
-    assert kb.parents_of(kb.word_id("a"))[0][1] == 2  # aggregated multiplicity
+    assert kb.article_bags[article][kb.word_id("a")] == 2
+
+
+def _built_to_loaded_ids(built, loaded):
+    """Map each built node id to its loaded twin.
+
+    Load adds every word before the first article, in token order, so
+    words pair up by token and every other node by its position under
+    its article.
+    """
+    mapping = {w: loaded.word_id(built.nodes[w].label) for w in built.word_ids()}
+
+    def pair(built_id, loaded_id):
+        mapping[built_id] = loaded_id
+        if built.nodes[built_id].level > SENTENCE:
+            built_children = built.nodes[built_id].children
+            loaded_children = loaded.nodes[loaded_id].children
+            assert len(built_children) == len(loaded_children)
+            for (b, _), (l, _) in zip(built_children, loaded_children):
+                pair(b, l)
+
+    for label in built.article_labels():
+        pair(built.article_id(label), loaded.article_id(label))
+    return mapping
+
+
+def test_load_equals_build_node_for_node(tmp_path):
+    rng = random.Random(20261018)
+    for trial in range(25):
+        docs = random_corpus(rng)
+        built, _ = build_corpus([RawDocument(i, t) for i, t in docs.items()])
+        path = tmp_path / f"{trial}.mcrx"
+        save_index(built, str(path))
+        loaded = load_index(str(path))
+        to_loaded = _built_to_loaded_ids(built, loaded)
+
+        assert len(loaded.nodes) == len(built.nodes) == len(to_loaded)
+        assert sorted(to_loaded.values()) == list(range(len(loaded.nodes)))
+        above_words = [to_loaded[n.id] for n in built.nodes if n.level != WORD]
+        assert above_words == sorted(above_words)  # same creation order
+        for built_id, loaded_id in to_loaded.items():
+            b, l = built.nodes[built_id], loaded.nodes[loaded_id]
+            assert (l.id, l.level, l.label, l.weight) == (loaded_id, b.level, b.label, b.weight)
+            assert l.children == tuple((to_loaded[c], n) for c, n in b.children)
+        assert loaded.level_counts == built.level_counts
+        assert loaded.article_order == [to_loaded[a] for a in built.article_order]
+        for article_id, bag in built.article_bags.items():
+            loaded_bag = loaded.article_bags[to_loaded[article_id]]
+            assert list(loaded_bag.items()) == [(to_loaded[w], n) for w, n in bag.items()]
+            assert loaded.article_len[to_loaded[article_id]] == built.article_len[article_id]
+        assert len(loaded.article_bags) == len(built.article_bags)
+        assert loaded.postings == {
+            to_loaded[w]: entry for w, entry in built.postings.items()
+        }
+        assert loaded.df == {to_loaded[w]: n for w, n in built.df.items()}
+        assert loaded.total_tokens == built.total_tokens
+        loaded.validate()

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -42,11 +41,6 @@ def test_combine_monotonicity():
     assert combine(2.0, 1.0) > combine(1.0, 1.0)  # increasing in reverse for fwd>0
     assert combine(1.0, 2.0) > combine(1.0, 1.0)  # increasing in forward for rev>0
     assert combine(5.0, 0.0) == combine(1.0, 0.0) == 0.0
-
-
-def test_combine_literal_log_switch():
-    assert combine(2.0, math.e, literal_log=True) == pytest.approx(2.0, abs=1e-12)
-    assert combine(1.0, 0.5, literal_log=True) < 0  # why the default guards with 1+
 
 
 def test_normalize_self_is_hundred():
@@ -268,16 +262,3 @@ def test_tsv_round_trips_losslessly(c2):
         assert float(fields[3]) == result.percent  # bit-for-bit at 17 digits
         assert float(fields[4]) == result.reverse
         assert float(fields[5]) == result.forward
-
-
-def test_literal_log_rank(c2):
-    # self activation ~3.65 keeps ln positive, so the switch is usable here
-    results = rank(c2, "a a a a b", k=10, n=10, exclude_self=False, literal_log=True)
-    assert results[0].label == "d1"
-    assert results[1].raw < 0  # forward activation below 1 goes negative
-
-
-def test_literal_log_unsafe_below_one(c2):
-    # self activation < 1 makes ln(self) negative: documented failure mode
-    with pytest.raises(UnscorableQueryError):
-        rank(c2, "a b", k=10, n=10, exclude_self=False, literal_log=True)
