@@ -12,13 +12,20 @@ superset document more strongly than the reverse.
 
 Each word's postings are split by term frequency: article ordinals
 where tf == 1, whose term is the word factor itself, and (ordinal, tf)
-pairs for the rest. Collection appends every term to a dense per-article
-list and reduces each list with math.fsum. Because fsum is exactly
-rounded, activation values are bit-identical regardless of ingestion
-order, of the order or partition of the summed terms, and of save/load
-cycles. Intermediate sentence/paragraph nodes never modulate
-cross-document activation; they are consulted only to attribute
-contributions (trace).
+pairs for the rest. Collection appends every term to its article's bin,
+reduces each non-empty bin with math.fsum and empties it again. The
+bins (kb.term_bins, one list per article ordinal) belong to the knowledge
+base and are reused by every query, so a warm query creates no
+per-article container and leaves nothing for the cyclic garbage
+collector to promote. One lock per knowledge base (kb.collect_lock)
+serializes collection, which makes concurrent queries on one knowledge
+base safe; inserting articles while another thread queries is not. A
+pass interrupted by an exception empties every bin before it re-raises.
+Because fsum is exactly rounded, activation values are bit-identical
+regardless of ingestion order, of the order or partition of the summed
+terms, and of save/load cycles. Intermediate sentence/paragraph nodes
+never modulate cross-document activation; they are consulted only to
+attribute contributions (trace).
 """
 
 from __future__ import annotations
@@ -118,29 +125,38 @@ def collect(
 ) -> dict[int, float]:
     """Collect word activation up to the article layer via posting lists.
 
-    Articles with zero activation are absent from the map. The sum is
-    exact, so no split of the terms could change it: workers is accepted
-    for compatibility and the collection runs in one pass.
+    Articles with zero activation are absent from the map. Terms gather
+    in the knowledge base's reusable per-article bins, under its collect
+    lock. The sum is exact, so no split of the terms could change it:
+    workers is accepted for compatibility and the collection runs in one
+    pass.
     """
     if attention is None:
         attention = kb.attention_snapshot()
     factors = _word_factors(kb, emission, attention)
     order = kb.article_order
-    terms: list[list[float]] = [[] for _ in order]
-    for word_id, factor in factors:
-        ones, multi = kb.postings.get(word_id, _NO_POSTINGS)
-        for ordinal in ones:
-            terms[ordinal].append(factor)
-        for ordinal, tf in multi:
-            terms[ordinal].append(factor * tf)
-
+    bins = kb.term_bins
     articles = {}
-    for ordinal, values in enumerate(terms):
-        if values:
-            article_id = order[ordinal]
-            activation = fsum(values) * attention.get(article_id, 1.0)
-            if activation != 0.0:
-                articles[article_id] = activation
+    with kb.collect_lock:
+        try:
+            for word_id, factor in factors:
+                ones, multi = kb.postings.get(word_id, _NO_POSTINGS)
+                for ordinal in ones:
+                    bins[ordinal].append(factor)
+                for ordinal, tf in multi:
+                    bins[ordinal].append(factor * tf)
+            for ordinal, values in enumerate(bins):
+                if values:
+                    article_id = order[ordinal]
+                    activation = fsum(values) * attention.get(article_id, 1.0)
+                    values.clear()
+                    if activation != 0.0:
+                        articles[article_id] = activation
+        except BaseException:
+            # an interrupted pass must not leave terms for the next query
+            for values in bins:
+                values.clear()
+            raise
     return articles
 
 

@@ -16,6 +16,7 @@ from .errors import (
     IndexFormatError,
     InvalidDemonstrationError,
     McrxError,
+    NoActionsError,
     UnknownLabelError,
     UnscorableQueryError,
     VersionMismatchError,
@@ -38,6 +39,8 @@ EXIT_UNSCORABLE = 4
 EXIT_UNKNOWN_ID = 5
 EXIT_BAD_DEMO = 6
 
+TRACE_LEVELS = ("word", "sentence", "paragraph")  # indexed by level number
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -56,9 +59,14 @@ def _bool_flag(value: str) -> bool:
 def _coords(value: str) -> tuple[int, int]:
     try:
         x, y = value.split(",")
-        return (int(x), int(y))
+        point = (int(x), int(y))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected X,Y, got {value!r}") from exc
+    try:
+        seqdemo.check_coordinates(point)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return point
 
 
 # "--start -5,3": argparse would take the negative coordinate for a flag
@@ -126,7 +134,7 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
         return None
     try:
         rules = json.loads(read_utf8(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     if not isinstance(rules, dict) or not all(
         isinstance(v, (int, float)) for v in rules.values()
@@ -253,7 +261,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     destination = kb.article_id(args.dest)
     if destination is None:
         return _fail(EXIT_UNKNOWN_ID, f"unknown article id {args.dest!r}")
-    level = {"sentence": 1, "paragraph": 2}[args.level]
+    level = TRACE_LEVELS.index(args.level)
     try:
         entries = trace_op(kb, source, destination, level, args.top)
     except McrxError as exc:
@@ -309,7 +317,10 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
         budget = ExitCriteria(max_iterations=args.max_iter, score_threshold=100.0)
     except ValueError as exc:
         return _fail(EXIT_UNREADABLE, str(exc))
-    result = seqdemo.solve(akb, args.start, args.target, budget)
+    try:
+        result = seqdemo.solve(akb, args.start, args.target, budget)
+    except NoActionsError:
+        return _fail(EXIT_UNREADABLE, "the action kb holds no actions")
     sequence = " ".join(result.sequence) if result.sequence else "(empty)"
     print(f"sequence\t{sequence}")
     print(f"iterations\t{result.report.iterations}")
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--index", required=True)
     p_trace.add_argument("--source", required=True, help="article id or file path")
     p_trace.add_argument("--dest", required=True, help="article id")
-    p_trace.add_argument("--level", required=True, choices=("sentence", "paragraph"))
+    p_trace.add_argument("--level", required=True, choices=TRACE_LEVELS)
     p_trace.add_argument("--top", type=int, default=5)
     p_trace.set_defaults(handler=cmd_trace)
 

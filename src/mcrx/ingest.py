@@ -235,8 +235,10 @@ def read_corpus_jsonl(path: str) -> list[RawDocument]:
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no) from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+                raise CorpusFormatError(
+                    f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no
+                ) from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError("record is not an object", line_no)
             doc_id = record.get("id")

@@ -12,15 +12,21 @@ Articles enter through one path, add_article, which both ingestion and
 load_index call: it takes the article's paragraphs of sentences of
 (word id, count) runs, creates the sentence, paragraph and article nodes,
 and fills the article's token bag, df and postings from the same runs.
-Links run top-down only; no parent index is kept.
+Links run top-down only; no parent index is kept. add_article also gives
+the article an empty term bin, which forward collection reuses across
+queries (see activation.collect).
 
-Persistence uses the line-delimited MCRX-1 format, see save_index.
+Persistence uses the line-delimited MCRX-1 format, see save_index. A save
+writes a temporary file beside the target and moves it into place, so a
+failed save leaves the old file intact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -75,6 +81,10 @@ class KnowledgeBase:
         self.total_tokens = 0
         # article ordinal -> article node id, in insertion order
         self.article_order: list[int] = []
+        # article ordinal -> forward-collect terms; empty between queries,
+        # filled and emptied by activation.collect under collect_lock
+        self.term_bins: list[list[float]] = []
+        self.collect_lock = threading.Lock()
         # word id -> (ordinals where tf == 1, (ordinal, tf) pairs where tf > 1)
         self.postings: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
@@ -176,6 +186,7 @@ class KnowledgeBase:
         self.total_tokens += length
         ordinal = len(self.article_order)
         self.article_order.append(article_id)
+        self.term_bins.append([])
         df = self.df
         postings = self.postings
         for word_id, count in bag.items():
@@ -288,8 +299,38 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
             record["title"] = title
         record["paragraphs"] = _nested_structure(kb, article_id)
         lines.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace a file's content with text as UTF-8, all or nothing.
+
+    The text goes to a temporary file beside the target, and os.replace
+    then moves it onto the target. If anything fails on the way, the
+    temporary file is removed and the old target is left as it was.
+    """
+    temp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(temp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def read_utf8_text(path: str) -> str:
+    """A file's text; IndexFormatError names the line of a non-UTF-8 byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IndexFormatError(f"not UTF-8 text ({exc.reason})", line) from exc
 
 
 def _nested_structure(kb: KnowledgeBase, article_id: int) -> list:
@@ -311,10 +352,10 @@ def load_index(path: str) -> KnowledgeBase:
     """Read an MCRX-1 file back into a knowledge base.
 
     Raises VersionMismatchError for a foreign format string and
-    IndexFormatError (with the line number) for malformed records.
+    IndexFormatError (with the line number) for a file that is not UTF-8
+    text or for malformed records.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
+    raw_lines = read_utf8_text(path).splitlines()
     if not raw_lines:
         raise IndexFormatError("empty index file", 1)
 
@@ -379,8 +420,8 @@ def load_index(path: str) -> KnowledgeBase:
 def _parse_record(raw: str, line: int) -> dict:
     try:
         record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise IndexFormatError(f"invalid record ({exc.msg})", line) from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+        raise IndexFormatError(f"invalid record ({getattr(exc, 'msg', exc)})", line) from exc
     if not isinstance(record, dict):
         raise IndexFormatError("record is not an object", line)
     return record

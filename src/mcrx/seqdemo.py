@@ -12,6 +12,7 @@ so solved problems become single reusable actions.
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -22,6 +23,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
+from .kb import read_utf8_text, write_text_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]
@@ -29,6 +31,16 @@ Effect = tuple[int, int]
 
 # canonical labels for the four unit moves
 UNIT_LABELS: dict[Effect, str] = {(0, 1): "U", (0, -1): "D", (-1, 0): "L", (1, 0): "R"}
+
+# start, target and primitive effects stay within the integers a float
+# holds exactly, so the critic's float score cannot overflow
+COORD_LIMIT = 2**53
+
+
+def check_coordinates(point: tuple[int, int]) -> None:
+    """ValueError if a coordinate pair leaves [-COORD_LIMIT, COORD_LIMIT]."""
+    if max(abs(point[0]), abs(point[1])) > COORD_LIMIT:
+        raise ValueError(f"coordinates {point} exceed +-2**53")
 
 
 @dataclass(slots=True)
@@ -90,6 +102,7 @@ class ActionKB:
 
     def add_primitive(self, label: str, effect: Effect) -> str:
         effect = (int(effect[0]), int(effect[1]))
+        check_coordinates(effect)
         existing = self._actions.get(label)
         if existing is not None:
             if isinstance(existing, PrimitiveAction) and existing.effect == effect:
@@ -256,12 +269,16 @@ def solve(
     best-first on that same score. An exact hit is registered as a new
     composite (deduplicated); on budget exhaustion the best partial
     comes back with the loop's exit reason. composite_id is set only
-    when the hit is a composite action, not a single primitive.
+    when the hit is a composite action, not a single primitive. Raises
+    NoActionsError for an empty action base and ValueError for a start
+    or target beyond COORD_LIMIT.
     """
     if not akb.known_ids():
         raise NoActionsError("no actions known")
     start = (int(start[0]), int(start[1]))
     target = (int(target[0]), int(target[1]))
+    check_coordinates(start)
+    check_coordinates(target)
     if exit_criteria is None:
         exit_criteria = ExitCriteria(max_iterations=10000, score_threshold=100.0)
     elif exit_criteria.score_threshold is None:
@@ -358,42 +375,53 @@ def save_actions(akb: ActionKB, path: str) -> None:
                     separators=(",", ":"),
                 )
             )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_actions(path: str) -> ActionKB:
-    """Read an action base file written by save_actions."""
+    """Read an action base file written by save_actions.
+
+    Raises IndexFormatError with the line number for a file that is not
+    UTF-8 text and for a malformed record: labels and ids must be
+    strings, dx and dy ints (not bools), and children a list of ids
+    defined on earlier lines.
+    """
     akb = ActionKB()
-    with open(path, "r", encoding="utf-8") as handle:
+    with io.StringIO(read_utf8_text(path), newline=None) as handle:
         for line_no, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"invalid record ({exc.msg})", line_no) from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+                raise IndexFormatError(
+                    f"invalid record ({getattr(exc, 'msg', exc)})", line_no
+                ) from exc
             if not isinstance(record, dict):
                 raise IndexFormatError("record is not an object", line_no)
-            kind = record.get("t")
             try:
-                if kind == "prim":
-                    akb.add_primitive(
-                        record["label"], (record["dx"], record["dy"])
-                    )
-                elif kind == "comp":
-                    composite_id = record["id"]
-                    children = tuple(record["children"])
-                    if composite_id in akb._actions:
-                        raise IndexFormatError(
-                            f"duplicate action id {composite_id!r}", line_no
-                        )
-                    flat: list[Effect] = []
-                    for child in children:
-                        flat.extend(akb.flattened(child))
-                    akb._store_composite(composite_id, children, tuple(flat))
-                else:
-                    raise IndexFormatError(f"unknown record type {kind!r}", line_no)
+                _load_action(akb, record)
             except (KeyError, TypeError, ValueError, MissingNodeError) as exc:
                 raise IndexFormatError(f"bad action record ({exc})", line_no) from exc
     return akb
+
+
+def _load_action(akb: ActionKB, record: dict) -> None:
+    kind = record.get("t")
+    if kind == "prim":
+        label, dx, dy = record["label"], record["dx"], record["dy"]
+        if not isinstance(label, str) or type(dx) is not int or type(dy) is not int:
+            raise ValueError("needs a string label and int dx, dy")
+        akb.add_primitive(label, (dx, dy))
+    elif kind == "comp":
+        composite_id, children = record["id"], record["children"]
+        if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
+            raise ValueError("children must be a list of action ids")
+        if not isinstance(composite_id, str) or composite_id in akb._actions:
+            raise ValueError(f"id {composite_id!r} is not a new string")
+        flat: list[Effect] = []
+        for child in children:
+            flat.extend(akb.flattened(child))
+        akb._store_composite(composite_id, tuple(children), tuple(flat))
+    else:
+        raise ValueError(f"unknown record type {kind!r}")

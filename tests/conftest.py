@@ -1,7 +1,9 @@
 import math
+import os
 
 import pytest
 
+import mcrx.kb
 from mcrx import RawDocument, build_corpus
 
 LN2 = math.log(2.0)
@@ -24,3 +26,35 @@ def c2():
 def c3():
     """Asymmetry witness: d1="a", d2="a b"."""
     return make_kb({"d1": "a", "d2": "a b"})
+
+
+class HalfWrite:
+    """A file whose write stores half the text, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(28, "No space left on device")
+
+
+def fail_saves(monkeypatch, how):
+    """Make every save in mcrx.kb fail mid-write or at the final rename."""
+    if how == "write":
+        monkeypatch.setattr(
+            mcrx.kb, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False
+        )
+    else:
+
+        def refuse(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)

@@ -1,20 +1,30 @@
 import math
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import mcrx.activation
 from mcrx import (
     PARAGRAPH,
     SENTENCE,
+    WORD,
     RawDocument,
     activate,
     build_corpus,
     collect,
+    compute_weights,
     emit,
+    ingest_document,
+    rank,
     self_activation,
     trace,
 )
 from mcrx.errors import EmptyDocumentError
+from mcrx.ingest import read_corpus_jsonl
+from mcrx.scl import apply_rules
 
 from conftest import make_kb
 from oracles import corpus_weights, dense_activation, random_corpus, toks
@@ -196,3 +206,152 @@ def test_collect_workers_bit_identical():
     single = collect(kb, emission, {}, workers=1)
     quad = collect(kb, emission, {}, workers=4)
     assert single == quad  # exact equality, not approx
+
+
+CORPUS100 = Path(__file__).parent / "data" / "corpus100.jsonl"
+
+
+def test_trace_word_level_sums_to_activation_bit_for_bit():
+    kb, _ = build_corpus(read_corpus_jsonl(str(CORPUS100)))
+    source = kb.article_id("doc001")
+    activations = activate(kb, source)
+    assert len(activations) > 1
+    for article_id, total in activations.items():
+        entries = trace(kb, source, article_id, WORD, 10**6)
+        assert all(kb.nodes[e.node_id].level == WORD for e in entries)
+        assert math.fsum(e.contribution for e in entries) == total
+
+
+# Forward collection reuses per-article term bins owned by the knowledge
+# base. Every test below compares, with ==, a knowledge base whose bins
+# have served earlier queries with one built fresh for the comparison.
+
+
+def bin_corpus(seed, docs=40):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_docs=docs, max_vocab=50, max_len=60)
+    # keep the document count fixed so that every seed exercises the bins
+    while len(corpus) < docs:
+        corpus.update(random_corpus(rng, max_docs=docs, max_vocab=50, max_len=60))
+    return [RawDocument(doc_id, text) for doc_id, text in sorted(corpus.items())[:docs]]
+
+
+def bin_queries(seed, docs, count):
+    """Whole documents (collect-heavy) mixed with 1-3-word queries."""
+    rng = random.Random(seed)
+    words = sorted({w for doc in docs for w in toks(doc.body)})
+    queries = []
+    for _ in range(count):
+        if rng.random() < 0.4:
+            queries.append(rng.choice(docs).body)
+        else:
+            queries.append(" ".join(rng.choices(words + ["unseen"], k=rng.randint(1, 3))))
+    return queries
+
+
+def fresh(docs, attention=None):
+    kb, skipped = build_corpus(docs)
+    assert not skipped
+    apply_rules(kb, attention or {})
+    return kb
+
+
+def expected(docs, query, attention=None):
+    """Activation by label on a knowledge base that has served no query."""
+    reference = fresh(docs, attention)
+    return labeled(reference, activate(reference, query))
+
+
+def rows(results):
+    return [(r.label, r.percent, r.raw, r.reverse, r.forward) for r in results]
+
+
+def test_reused_bins_interleaved_long_and_short_queries():
+    docs = bin_corpus(11)
+    kb = fresh(docs)
+    for query in bin_queries(12, docs, 60):
+        assert labeled(kb, activate(kb, query)) == expected(docs, query)
+        assert rows(rank(kb, query, k=8, n=5)) == rows(rank(fresh(docs), query, k=8, n=5))
+    assert not any(kb.term_bins)
+
+
+def test_reused_bins_across_ingest_and_reweighting():
+    docs = bin_corpus(21)
+    queries = bin_queries(22, docs, 12)
+    kb = fresh(docs[:25])
+    for query in queries:
+        activate(kb, query)
+    for doc in docs[25:]:
+        ingest_document(kb, doc)
+    compute_weights(kb)
+    assert len(kb.term_bins) == len(docs)
+    for query in queries:
+        assert labeled(kb, activate(kb, query)) == expected(docs, query)
+
+
+def test_reused_bins_under_attention_changes():
+    docs = bin_corpus(31)
+    queries = bin_queries(32, docs, 20)
+    kb = fresh(docs)
+    muted = docs[0].id
+    word = toks(docs[0].body)[0]
+    rules = {muted: 0.0, word: 3.0, docs[1].id: 0.5}
+    apply_rules(kb, rules)
+    for query in queries + [docs[0].body]:
+        got = labeled(kb, activate(kb, query))
+        assert muted not in got
+        assert got == expected(docs, query, rules)
+    # the muted article's terms were gathered and must not outlive the query
+    apply_rules(kb, dict.fromkeys(rules, 1.0))
+    for query in [docs[0].body] + queries:
+        assert labeled(kb, activate(kb, query)) == expected(docs, query)
+
+
+def test_reused_bins_clean_after_interrupted_collect(monkeypatch):
+    docs = bin_corpus(41)
+    kb = fresh(docs)
+    query = docs[3].body
+    calls = []
+
+    def failing_fsum(values):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return math.fsum(values)
+
+    monkeypatch.setattr(mcrx.activation, "fsum", failing_fsum)
+    with pytest.raises(RuntimeError):
+        activate(kb, query)
+    monkeypatch.undo()
+    assert len(calls) == 3 and not any(kb.term_bins)
+    for follow_up in (query, docs[5].body, "w1 w2"):
+        assert labeled(kb, activate(kb, follow_up)) == expected(docs, follow_up)
+
+
+def test_reused_bins_concurrent_ranking_matches_sequential():
+    docs = bin_corpus(51, docs=120)
+    queries = bin_queries(52, docs, 24)
+    expected = [rows(rank(fresh(docs), query, k=10, n=5)) for query in queries]
+    kb = fresh(docs)
+    mismatches = []
+
+    def worker(offset):
+        for round_ in range(3):
+            for i in range(len(queries)):
+                j = (i * (offset + 1) + round_) % len(queries)
+                if rows(rank(kb, queries[j], k=10, n=5)) != expected[j]:
+                    mismatches.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert not any(kb.term_bins)

@@ -570,3 +570,126 @@ def test_scl_demo_single_composite_plan_is_matched(tmp_path, capsys):
     assert code == 0
     assert "sequence\tS1\n" in out
     assert "matched composite S1" in out
+
+
+def replace_line(path, number, data):
+    lines = path.read_bytes().split(b"\n")
+    lines[number - 1] = data
+    path.write_bytes(b"\n".join(lines))
+
+
+INDEX_COMMANDS = {
+    "stats": [],
+    "query": ["--doc", "QUERY"],
+    "trace": ["--source", "d1", "--dest", "d1", "--level", "word"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INDEX_COMMANDS))
+def test_index_commands_non_utf8_index_exit_1(tmp_path, capsys, command):
+    index = build_c2(tmp_path)
+    replace_line(index, 3, NOT_UTF8.strip())
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    args = [str(doc) if arg == "QUERY" else arg for arg in INDEX_COMMANDS[command]]
+    capsys.readouterr()
+    code = main([command, "--index", str(index), *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "line 3:" in captured.err and "UTF-8" in captured.err
+
+
+ACTIONS = '{"t":"prim","label":"U","dx":0,"dy":1}\n{"t":"prim","label":"R","dx":1,"dy":0}\n'
+
+
+def scl_demo_exit(tmp_path, capsys, kb_bytes):
+    kb_path = tmp_path / "actions.jsonl"
+    kb_path.write_bytes(kb_bytes)
+    code = main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "1,1"])
+    captured = capsys.readouterr()
+    assert kb_path.read_bytes() == kb_bytes  # a refused file is never rewritten
+    return code, captured
+
+
+def test_scl_demo_non_utf8_action_file_exit_1(tmp_path, capsys):
+    code, captured = scl_demo_exit(tmp_path, capsys, ACTIONS.encode() + NOT_UTF8)
+    assert code == 1
+    assert_one_error_line(captured.err)
+    assert "line 3:" in captured.err and "UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"t":"prim","label":"L","dx":-1,"dy":1.5}',
+        '{"t":"prim","label":"L","dx":true,"dy":1}',
+        '{"t":"prim","label":"L","dx":-1,"dy":1e400}',
+        '{"t":"prim","label":"L","dx":"-1","dy":0}',
+        '{"t":"prim","label":"L","dx":-1,"dy":null}',
+        '{"t":"prim","label":"L","dx":-9007199254740993,"dy":0}',
+        '{"t":"prim","label":"L","dx":-1' + "0" * 5000 + ',"dy":0}',
+        '{"t":"prim","label":7,"dx":-1,"dy":0}',
+        '{"t":"comp","id":7,"children":["U","R"]}',
+        '{"t":"comp","id":"S1","children":"UR"}',
+        '{"t":"comp","id":"S1","children":["U",["R"]]}',
+    ],
+)
+def test_scl_demo_bad_action_record_exit_1(tmp_path, capsys, record):
+    code, captured = scl_demo_exit(tmp_path, capsys, (ACTIONS + record + "\n").encode())
+    assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "line 3:" in captured.err
+
+
+def test_scl_demo_empty_action_file_exit_1(tmp_path, capsys):
+    code, captured = scl_demo_exit(tmp_path, capsys, b"\n")
+    assert code == 1
+    assert_one_error_line(captured.err)
+
+
+def test_scl_demo_coordinate_flag_beyond_limit_exit_2(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", f"{2**53 + 1},0"])
+    assert excinfo.value.code == 2
+    assert not kb_path.exists()
+    # the limit itself is a valid coordinate
+    assert main(["scl-demo", "--kb", str(kb_path), "--start", f"{2**53},0", "--target", f"{2**53},1"]) == 0
+
+
+def test_integer_too_long_to_parse_is_a_clean_error(tmp_path, capsys):
+    huge = "1" + "0" * 5000  # past int's digit limit: json raises a plain ValueError
+    index = build_c2(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(f'{{"a":{huge}}}', "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f'{{"id":"d1","text":"a","n":{huge}}}\n', "utf-8")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc), "--attention", str(rules)])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert main(["build", "--corpus", str(corpus), "--index", str(tmp_path / "x.mcrx")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    index.write_text(index.read_text("utf-8").replace('"df":1', f'"df":{huge}', 1), "utf-8")
+    assert main(["stats", "--index", str(index)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_trace_word_level(tmp_path, capsys):
+    index = build_c2(tmp_path)
+    capsys.readouterr()
+    code = main(
+        ["trace", "--index", str(index), "--source", "d1", "--dest", "d1", "--level", "word"]
+    )
+    assert code == 0
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    # d1 = "a b": wt(a) = ln 3 > wt(b) = ln 2, each emitted at 1/2
+    assert [(row[0], row[2], row[3]) for row in lines] == [
+        ("1", "0.54931", "a"),
+        ("2", "0.34657", "b"),
+    ]

@@ -21,7 +21,7 @@ from mcrx.errors import (
     VersionMismatchError,
 )
 
-from conftest import make_kb
+from conftest import fail_saves, make_kb
 from oracles import random_corpus
 
 
@@ -256,3 +256,16 @@ def test_load_equals_build_node_for_node(tmp_path):
         assert loaded.df == {to_loaded[w]: n for w, n in built.df.items()}
         assert loaded.total_tokens == built.total_tokens
         loaded.validate()
+
+
+@pytest.mark.parametrize("how", ["write", "replace"])
+def test_failed_save_keeps_old_index(tmp_path, monkeypatch, how):
+    path = tmp_path / "c.mcrx"
+    save_index(make_kb({"d1": "a b", "d2": "b c"}), str(path))
+    before = path.read_bytes()
+    fail_saves(monkeypatch, how)
+    with pytest.raises(OSError):
+        save_index(make_kb({"x": "a much longer corpus " * 50}), str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.mcrx"]

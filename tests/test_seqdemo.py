@@ -6,6 +6,7 @@ from mcrx import ActionKB, ExitCriteria, default_actions, execute, learn_demonst
 from mcrx.errors import InvalidDemonstrationError, MissingNodeError, NoActionsError
 from mcrx.seqdemo import load_actions, save_actions
 
+from conftest import fail_saves
 from oracles import bfs_min_actions
 
 
@@ -174,3 +175,39 @@ def test_action_kb_round_trip(tmp_path):
     for action_id in akb.known_ids():
         assert loaded.net_effect(action_id) == akb.net_effect(action_id)
         assert loaded.flattened(action_id) == akb.flattened(action_id)
+
+
+@pytest.mark.parametrize("how", ["write", "replace"])
+def test_failed_save_keeps_old_action_file(tmp_path, monkeypatch, how):
+    path = tmp_path / "actions.jsonl"
+    save_actions(up_down_kb(), str(path))
+    before = path.read_bytes()
+    akb = default_actions()
+    akb.add_composite(["U", "R", "R"])
+    fail_saves(monkeypatch, how)
+    with pytest.raises(OSError):
+        save_actions(akb, str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["actions.jsonl"]
+    save_actions(akb, str(path))
+    assert load_actions(str(path)).known_ids() == akb.known_ids()
+
+
+@pytest.mark.parametrize("effect", [(1.5, 0), (True, 0), (2**53 + 1, 0), (0, -(2**53) - 1)])
+def test_load_actions_rejects_bad_effect(tmp_path, effect):
+    import json
+
+    from mcrx.errors import IndexFormatError
+
+    path = tmp_path / "actions.jsonl"
+    record = {"t": "prim", "label": "X", "dx": effect[0], "dy": effect[1]}
+    path.write_text('{"t":"prim","label":"U","dx":0,"dy":1}\n' + json.dumps(record) + "\n")
+    with pytest.raises(IndexFormatError) as excinfo:
+        load_actions(str(path))
+    assert excinfo.value.line == 2
+
+
+def test_solve_rejects_coordinates_beyond_limit():
+    with pytest.raises(ValueError):
+        solve(default_actions(), (0, 0), (2**53 + 1, 0))
