@@ -23,9 +23,9 @@ base safe; inserting articles while another thread queries is not. A
 pass interrupted by an exception empties every bin before it re-raises.
 Because fsum is exactly rounded, activation values are bit-identical
 regardless of ingestion order, of the order or partition of the summed
-terms, and of save/load cycles. Intermediate sentence/paragraph nodes
-never modulate cross-document activation; they are consulted only to
-attribute contributions (trace).
+terms, and of save/load cycles. Sentences and paragraphs never modulate
+cross-document activation; trace reads an article's packed runs only to
+attribute its activation to them, by position (p2, p2.s3).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import fsum
 
 from .errors import EmptyDocumentError, StaleWeightsError
 from .ingest import DEFAULT_RULES, TokenizationRules, tokenize
-from .kb import WORD, KnowledgeBase
+from .kb import SENTENCE, WORD, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
 
@@ -54,9 +54,17 @@ class Emission:
 
 @dataclass(slots=True)
 class TraceEntry:
-    node_id: int
+    """One word, sentence or paragraph's share of a document's activation.
+
+    node_id is the word id at the word level and None above it. position
+    is the 1-based (paragraph,) or (paragraph, sentence) of a paragraph or
+    sentence inside the document, and () for a word.
+    """
+
+    node_id: int | None
     level: int
     contribution: float
+    position: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
@@ -221,10 +229,12 @@ def trace(
     attention: dict[int, float] | None = None,
     rules: TokenizationRules = DEFAULT_RULES,
 ) -> list[TraceEntry]:
-    """Attribute a document's activation to its nodes at one level.
+    """Attribute a document's activation to its words, sentences or paragraphs.
 
     Contributions at any level sum to the document's activation (before
-    the article's own attention multiplier). Ties break by node id.
+    the article's own attention multiplier). Ties break by token at the
+    word level, which is word id order in a loaded index, and by position
+    in the document above it.
     """
     node = kb.node(article_id)
     if node.level != kb.top_level:
@@ -236,31 +246,29 @@ def trace(
     emission = emit(kb, source, rules)
     factors = dict(_word_factors(kb, emission, attention))
 
-    occurrences: dict[int, int] = {}
-    _collect_level(kb, article_id, level, 1, occurrences)
+    if level == WORD:
+        nodes = kb.nodes
+        members = [
+            (word_id, (), [(word_id, count)])
+            for word_id, count in sorted(
+                kb.article_bags[article_id].items(), key=lambda item: nodes[item[0]].label
+            )
+        ]
+    else:
+        members = []
+        for p, sentences in enumerate(kb.runs(article_id), start=1):
+            if level == SENTENCE:
+                members.extend((None, (p, s), runs) for s, runs in enumerate(sentences, start=1))
+            else:
+                members.append((None, (p,), [run for runs in sentences for run in runs]))
     entries = []
-    for member_id, multiplicity in occurrences.items():
-        bag = kb.subtree_bag(member_id, multiplicity)
+    for node_id, position, runs in members:
+        bag: dict[int, int] = {}
+        for word_id, count in runs:
+            bag[word_id] = bag.get(word_id, 0) + count
         contribution = fsum(
-            factors[word_id] * count
-            for word_id, count in bag.items()
-            if word_id in factors
+            factors[word_id] * count for word_id, count in bag.items() if word_id in factors
         )
-        entries.append(TraceEntry(member_id, level, contribution))
-    entries.sort(key=lambda entry: (-entry.contribution, entry.node_id))
+        entries.append(TraceEntry(node_id, level, contribution, position))
+    entries.sort(key=lambda entry: -entry.contribution)  # stable: ties keep member order
     return entries[: max(top_n, 0)]
-
-
-def _collect_level(
-    kb: KnowledgeBase,
-    node_id: int,
-    level: int,
-    factor: int,
-    acc: dict[int, int],
-) -> None:
-    node = kb.nodes[node_id]
-    if node.level == level:
-        acc[node_id] = acc.get(node_id, 0) + factor
-        return
-    for child_id, count in node.children:
-        _collect_level(kb, child_id, level, factor * count, acc)

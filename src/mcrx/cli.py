@@ -8,7 +8,6 @@ import re
 import sys
 from pathlib import Path
 
-from . import seqdemo
 from .activation import collect_on_bag, emit, trace as trace_op
 from .errors import (
     CorpusFormatError,
@@ -27,9 +26,9 @@ from .ingest import (
     read_corpus_dir,
     read_corpus_jsonl,
     read_utf8,
+    reconstruct,
 )
 from .kb import WORD, KnowledgeBase, load_index, render_real, save_index
-from .scl import ExitCriteria, apply_rules, watch_read
 from .similarity import QueryScorer, check_cut, combine, normalize, results_to_tsv
 
 EXIT_UNREADABLE = 1
@@ -57,6 +56,8 @@ def _bool_flag(value: str) -> bool:
 
 
 def _coords(value: str) -> tuple[int, int]:
+    from . import seqdemo
+
     try:
         x, y = value.split(",")
         point = (int(x), int(y))
@@ -140,7 +141,12 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
         isinstance(v, (int, float)) for v in rules.values()
     ):
         return _fail(EXIT_UNREADABLE, "attention rules must map labels to numbers")
-    _, unresolved = apply_rules(kb, rules)
+    from .scl import apply_rules
+
+    try:
+        _, unresolved = apply_rules(kb, rules)
+    except ValueError as exc:  # a negative, NaN or infinite multiplier
+        return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     for label in unresolved:
         print(f"attention label {label!r} resolves to no node", file=sys.stderr)
     return None
@@ -173,6 +179,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _fail(EXIT_UNSCORABLE, f"unscorable query: {exc}")
 
     if args.watch:
+        from .scl import watch_read
+
         labels = [label for label in args.watch.split(",") if label]
         try:
             values = watch_read(kb, labels, scorer.activation_pass)
@@ -266,22 +274,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
         entries = trace_op(kb, source, destination, level, args.top)
     except McrxError as exc:
         return _fail(EXIT_UNSCORABLE, str(exc))
-    for position, entry in enumerate(entries, start=1):
-        print(f"{position}\t{entry.node_id}\t{entry.contribution:.5f}\t{_node_text(kb, entry.node_id)}")
+    paragraphs = reconstruct(kb, destination)
+    for rank, entry in enumerate(entries, start=1):
+        if entry.node_id is not None:
+            name, text = entry.node_id, kb.nodes[entry.node_id].label
+        elif len(entry.position) == 2:
+            p, s = entry.position
+            name, text = f"p{p}.s{s}", " ".join(paragraphs[p - 1][s - 1])
+        else:
+            (p,) = entry.position
+            name, text = f"p{p}", " ".join(" ".join(tokens) for tokens in paragraphs[p - 1])
+        print(f"{rank}\t{name}\t{entry.contribution:.5f}\t{text}")
     return 0
 
 
-def _node_text(kb: KnowledgeBase, node_id: int) -> str:
-    node = kb.nodes[node_id]
-    if node.level == WORD:
-        return node.label or ""
-    parts = []
-    for child_id, count in node.children:
-        parts.extend([_node_text(kb, child_id)] * count)
-    return " ".join(parts)
-
-
 def cmd_scl_demo(args: argparse.Namespace) -> int:
+    from . import seqdemo
+    from .scl import ExitCriteria
+
     kb_path = Path(args.kb)
     changed = False
     if kb_path.exists():

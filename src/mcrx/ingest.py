@@ -22,7 +22,7 @@ from .errors import (
     DuplicateDocumentError,
     EmptyDocumentError,
 )
-from .kb import KnowledgeBase
+from .kb import ArticleRuns, KnowledgeBase
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -109,7 +109,7 @@ def ingest_segmented(
     """Insert a pre-segmented document (the merge half of ingestion).
 
     Each sentence becomes its runs of repeated tokens as (word id, count)
-    pairs. A document's new words are created before its sentence nodes.
+    pairs. A document's new words are created before its article node.
     """
     # checked before any word is added, so a rejected document leaves none
     if kb.article_id(doc.id) is not None:
@@ -119,12 +119,12 @@ def ingest_segmented(
     add_word = kb.add_word
     runs = [
         [
-            tuple([(add_word(tok), len(list(run))) for tok, run in groupby(tokens)])
+            [(add_word(tok), len(list(run))) for tok, run in groupby(tokens)]
             for tokens in sentences
         ]
         for sentences in segmented
     ]
-    article_id = kb.add_article(doc.id, runs)
+    article_id = kb.add_article(doc.id, ArticleRuns.pack(runs))
     if doc.title is not None:
         kb.titles[article_id] = doc.title
     return article_id
@@ -157,15 +157,16 @@ def reconstruct(kb: KnowledgeBase, article_id: int) -> list[list[list[str]]]:
         raise ValueError(
             f"node {article_id} is at level {node.level}, not an article"
         )
+    nodes = kb.nodes
     paragraphs = []
-    for paragraph_id, para_count in node.children:
-        sentences = []
-        for sentence_id, sent_count in kb.node(paragraph_id).children:
+    for sentences in kb.runs(article_id):
+        paragraph = []
+        for runs in sentences:
             tokens: list[str] = []
-            for word_id, count in kb.node(sentence_id).children:
-                tokens.extend([kb.nodes[word_id].label] * count)
-            sentences.extend([tokens] * sent_count)
-        paragraphs.extend([sentences] * para_count)
+            for word_id, count in runs:
+                tokens.extend([nodes[word_id].label] * count)
+            paragraph.append(tokens)
+        paragraphs.append(paragraph)
     return paragraphs
 
 

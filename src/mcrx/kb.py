@@ -1,18 +1,21 @@
 """Layered compositional knowledge base.
 
-Nodes live on four levels: word=0, sentence=1, paragraph=2, article=3.
-Every node is an ordered collection of nodes one level below; word nodes
-are leaves, deduplicated globally by token (add_word). Children are
-stored run-length encoded, as an ordered sequence of (child id, count)
-pairs in which the same child may appear in several entries, so the
-original token order survives and top-down regeneration reproduces the
-ingested text exactly.
+Four levels: word=0, sentence=1, paragraph=2, article=3. Words and
+articles are nodes (kb.nodes, indexed by id, carrying label, level and
+weight); word nodes are deduplicated globally by token (add_word).
+Sentences and paragraphs are not nodes. Each article keeps its text
+structure as packed runs (ArticleRuns): four integer arrays holding the
+word id and count of every run of a repeated token, in text order, the
+number of runs in each sentence and the number of sentences in each
+paragraph. The same word may appear in several runs, so the token order
+survives and top-down regeneration reproduces the ingested text exactly.
 
 Articles enter through one path, add_article, which both ingestion and
-load_index call: it takes the article's paragraphs of sentences of
-(word id, count) runs, creates the sentence, paragraph and article nodes,
-and fills the article's token bag, df and postings from the same runs.
-Links run top-down only; no parent index is kept. add_article also gives
+load_index call with ArticleRuns.pack(paragraphs of sentences of
+(word id, count) runs). It checks the runs, stores them as arrays and
+fills the article's token bag and postings from them (kb.df is read off
+the postings);
+kb.runs(article_id) gives the nested form back. add_article also gives
 the article an empty term bin, which forward collection reuses across
 queries (see activation.collect).
 
@@ -27,7 +30,9 @@ import json
 import math
 import os
 import threading
-from collections.abc import Iterable, Sequence
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -56,12 +61,77 @@ def render_real(x: float) -> str:
 
 @dataclass(slots=True)
 class Node:
+    """A word or an article."""
+
     id: int
     level: int
     label: str | None = None
     weight: float = 1.0
-    # ordered (child id, count) pairs, run-length encoded
-    children: tuple[tuple[int, int], ...] = ()
+
+
+@dataclass(slots=True)
+class ArticleRuns:
+    """An article's paragraphs of sentences of runs, as flat sequences.
+
+    A run is one token repeated count >= 1 times. words and counts hold
+    each run's word id and count in text order, sentence_runs the number
+    of runs in each sentence, paragraph_sentences the number of sentences
+    in each paragraph. A knowledge base stores them as int64 arrays.
+    """
+
+    words: Sequence
+    counts: Sequence[int]
+    sentence_runs: Sequence[int]
+    paragraph_sentences: Sequence[int]
+
+    @classmethod
+    def pack(cls, paragraphs: Sequence[Sequence[Sequence[Sequence]]]) -> ArticleRuns:
+        """Pack paragraphs of sentences of (word, count) runs."""
+        flat = [run for sentences in paragraphs for runs in sentences for run in runs]
+        return cls(
+            [word for word, _ in flat],
+            [count for _, count in flat],
+            [len(runs) for sentences in paragraphs for runs in sentences],
+            [len(sentences) for sentences in paragraphs],
+        )
+
+    def nest(self, per_run: Sequence) -> list[list[list]]:
+        """Group per_run, one item per run, into paragraphs of sentences."""
+        sentences = []
+        start = 0
+        for size in self.sentence_runs:
+            sentences.append(per_run[start : start + size])
+            start += size
+        paragraphs = []
+        start = 0
+        for size in self.paragraph_sentences:
+            paragraphs.append(sentences[start : start + size])
+            start += size
+        return paragraphs
+
+
+class _DocumentFrequencies(Mapping):
+    """Word id -> number of articles holding the word, read off the postings.
+
+    Words that no article holds are absent, as in a plain count table.
+    """
+
+    __slots__ = ("_postings",)
+
+    def __init__(self, postings: dict[int, tuple[list[int], list[tuple[int, int]]]]):
+        self._postings = postings
+
+    def __getitem__(self, word_id: int) -> int:
+        ones, multi = self._postings[word_id]
+        if not ones and not multi:
+            raise KeyError(word_id)
+        return len(ones) + len(multi)
+
+    def __iter__(self) -> Iterator[int]:
+        return (word_id for word_id, entry in self._postings.items() if entry[0] or entry[1])
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class KnowledgeBase:
@@ -72,12 +142,12 @@ class KnowledgeBase:
             raise ValueError("need four level names: word, sentence, paragraph, article")
         self.levels = tuple(levels)
         self.nodes: list[Node] = []
+        # words, sentences, paragraphs, articles
         self.level_counts = [0] * 4
         # label -> id, kept for the levels where labels are meaningful
         self._word_ids: dict[str, int] = {}
         self._article_ids: dict[str, int] = {}
         self.attention: dict[int, float] = {}
-        self.df: dict[int, int] = {}
         self.total_tokens = 0
         # article ordinal -> article node id, in insertion order
         self.article_order: list[int] = []
@@ -85,8 +155,11 @@ class KnowledgeBase:
         # filled and emptied by activation.collect under collect_lock
         self.term_bins: list[list[float]] = []
         self.collect_lock = threading.Lock()
-        # word id -> (ordinals where tf == 1, (ordinal, tf) pairs where tf > 1)
+        # word id -> (ordinals where tf == 1, (ordinal, tf) pairs where tf > 1);
+        # add_word gives every word an entry
         self.postings: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+        self.df: Mapping[int, int] = _DocumentFrequencies(self.postings)
+        self.article_runs: dict[int, ArticleRuns] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
         self.article_len: dict[int, int] = {}
         self.titles: dict[int, str] = {}
@@ -126,9 +199,9 @@ class KnowledgeBase:
         label = self.node(article_id).label
         return self.titles.get(article_id, label or "")
 
-    def _new_node(self, level: int, label: str | None, children: tuple) -> int:
+    def _new_node(self, level: int, label: str) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, level, label, 1.0, children))
+        self.nodes.append(Node(node_id, level, label))
         self.level_counts[level] += 1
         return node_id
 
@@ -136,89 +209,90 @@ class KnowledgeBase:
         """Id of the word node for token, created on first sight."""
         word_id = self._word_ids.get(token)
         if word_id is None:
-            word_id = self._new_node(WORD, token, ())
+            word_id = self._new_node(WORD, token)
             self._word_ids[token] = word_id
+            self.postings[word_id] = ([], [])
             self.weights_computed = False
         return word_id
 
-    def add_article(
-        self,
-        label: str,
-        paragraphs: Sequence[Sequence[Sequence[tuple[int, int]]]],
-    ) -> int:
+    def add_article(self, label: str, runs: ArticleRuns) -> int:
         """Insert an article and return its id.
 
-        paragraphs holds sentences of (word id, count) runs. Each
-        paragraph's sentence nodes are created, then the paragraph node;
-        the article node comes last. The article's bag, length, df and
-        postings are filled from the runs in the same pass. Nothing is
-        inserted if a check fails: DuplicateDocumentError for a known
-        label, MissingNodeError for an unknown id, LayeringError for an
-        id that is not a word, ValueError for a count that is not a
-        positive int.
+        The runs are stored packed; the article's bag, length and
+        postings are filled from them. Nothing is inserted if a check
+        fails: DuplicateDocumentError for a known label, MissingNodeError
+        for an unknown id, LayeringError for an id that is not a word,
+        ValueError for a count that is not a positive int or for run
+        lengths that do not add up.
         """
         if label in self._article_ids:
             raise DuplicateDocumentError(f"document {label!r} already ingested")
-        bag: dict[int, int] = {}
-        for sentences in paragraphs:
-            for runs in sentences:
-                for word_id, count in runs:
-                    if type(count) is not int or count < 1:
-                        raise ValueError(f"word count {count!r} is not a positive int")
-                    bag[word_id] = bag.get(word_id, 0) + count
-        for word_id in bag:
-            if self.node(word_id).level != WORD:
-                raise LayeringError(f"node {word_id} is not a word")
-
-        paragraph_ids = []
-        for sentences in paragraphs:
-            sentence_ids = tuple(
-                (self._new_node(SENTENCE, None, tuple(runs)), 1) for runs in sentences
+        words, counts = runs.words, runs.counts
+        if counts and (set(map(type, counts)) != {int} or min(counts) < 1):
+            bad = next(c for c in counts if type(c) is not int or c < 1)
+            raise ValueError(f"word count {bad!r} is not a positive int")
+        try:
+            packed = ArticleRuns(
+                array("q", words),
+                array("q", counts),
+                array("q", runs.sentence_runs),
+                array("q", runs.paragraph_sentences),
             )
-            paragraph_ids.append((self._new_node(PARAGRAPH, None, sentence_ids), 1))
-        article_id = self._new_node(ARTICLE, label, tuple(paragraph_ids))
-        self._article_ids[label] = article_id
-        self.weights_computed = False
+        except OverflowError as exc:
+            raise ValueError(f"run value out of range ({exc})") from exc
+        sentence_runs, paragraph_sentences = packed.sentence_runs, packed.paragraph_sentences
+        if (
+            len(counts) != len(words)
+            or sum(sentence_runs) != len(words)
+            or sum(paragraph_sentences) != len(sentence_runs)
+            or min(sentence_runs, default=0) < 0
+            or min(paragraph_sentences, default=0) < 0
+        ):
+            raise ValueError("run lengths do not add up")
+        # first-occurrence order; most runs hold one token
+        bag = dict(Counter(words))
+        for word_id, count in [run for run in zip(words, counts) if run[1] != 1]:
+            bag[word_id] += count - 1
+        length = sum(counts)
+        postings = self.postings  # one entry per word, made by add_word
+        if not bag.keys() <= postings.keys():
+            for word_id in bag:
+                if self.node(word_id).level != WORD:
+                    raise LayeringError(f"node {word_id} is not a word")
 
-        length = sum(bag.values())
+        article_id = self._new_node(ARTICLE, label)
+        self._article_ids[label] = article_id
+        self.level_counts[SENTENCE] += len(sentence_runs)
+        self.level_counts[PARAGRAPH] += len(paragraph_sentences)
+        self.weights_computed = False
+        self.article_runs[article_id] = packed
         self.article_bags[article_id] = bag
         self.article_len[article_id] = length
         self.total_tokens += length
         ordinal = len(self.article_order)
         self.article_order.append(article_id)
         self.term_bins.append([])
-        df = self.df
-        postings = self.postings
         for word_id, count in bag.items():
-            df[word_id] = df.get(word_id, 0) + 1
-            entry = postings.get(word_id)
-            if entry is None:
-                entry = postings[word_id] = ([], [])
             if count == 1:
-                entry[0].append(ordinal)
+                postings[word_id][0].append(ordinal)
             else:
-                entry[1].append((ordinal, count))
+                postings[word_id][1].append((ordinal, count))
         return article_id
 
-    def _accumulate_bag(self, node_id: int, factor: int, bag: dict[int, int]) -> None:
-        node = self.nodes[node_id]
-        if node.level == WORD:
-            bag[node_id] = bag.get(node_id, 0) + factor
-            return
-        for child_id, count in node.children:
-            self._accumulate_bag(child_id, factor * count, bag)
-
-    def subtree_bag(self, node_id: int, factor: int = 1) -> dict[int, int]:
-        """Word multiplicities under a node, scaled by factor."""
-        bag: dict[int, int] = {}
-        self._accumulate_bag(self.node(node_id).id, factor, bag)
-        return bag
+    def runs(self, article_id: int) -> list[list[list[tuple[int, int]]]]:
+        """An article's paragraphs of sentences of (word id, count) runs."""
+        packed = self.article_runs[article_id]
+        return packed.nest(list(zip(packed.words, packed.counts)))
 
     def set_attention(self, node_id: int, multiplier: float) -> None:
-        """Set a node's attention multiplier; 1.0 restores the default."""
+        """Set a node's attention multiplier; 1.0 restores the default.
+
+        Raises ValueError for a multiplier that is negative, NaN or
+        infinite.
+        """
         self.node(node_id)
-        if multiplier < 0:
-            raise ValueError("attention multiplier must be >= 0")
+        if not 0 <= multiplier < math.inf:
+            raise ValueError("attention multiplier must be finite and >= 0")
         if multiplier == 1.0:
             self.attention.pop(node_id, None)
         else:
@@ -229,29 +303,32 @@ class KnowledgeBase:
         return dict(self.attention)
 
     def validate(self) -> None:
-        """Full-scan check of layering and stats invariants."""
-        for node in self.nodes:
-            for child_id, _ in node.children:
-                child = self.node(child_id)
-                if child.level != node.level - 1:
-                    raise LayeringError(
-                        f"edge {node.id}->{child_id} spans levels "
-                        f"{node.level}->{child.level}"
-                    )
-
-        derived_df: dict[int, int] = {}
-        total = 0
-        for article_id in self._article_ids.values():
+        """Full-scan check of the runs against every count derived from them."""
+        derived_df: Counter[int] = Counter()
+        derived_levels = [len(self._word_ids), 0, 0, len(self.article_runs)]
+        for article_id, packed in self.article_runs.items():
+            if sum(packed.sentence_runs) != len(packed.words) or sum(
+                packed.paragraph_sentences
+            ) != len(packed.sentence_runs):
+                raise AssertionError(f"run lengths of article {article_id} do not add up")
             bag: dict[int, int] = {}
-            self._accumulate_bag(article_id, 1, bag)
-            total += sum(bag.values())
-            for word_id in bag:
-                derived_df[word_id] = derived_df.get(word_id, 0) + 1
-        stored_df = {k: v for k, v in self.df.items() if v}
-        if derived_df != stored_df:
-            raise AssertionError("stored df disagrees with the graph")
-        if total != self.total_tokens:
-            raise AssertionError("stored total_tokens disagrees with the graph")
+            for word_id, count in zip(packed.words, packed.counts):
+                if self.node(word_id).level != WORD:
+                    raise LayeringError(f"article {article_id} holds node {word_id}, not a word")
+                bag[word_id] = bag.get(word_id, 0) + count
+            if bag != self.article_bags[article_id] or sum(bag.values()) != self.article_len[
+                article_id
+            ]:
+                raise AssertionError(f"stored bag of article {article_id} disagrees with its runs")
+            derived_df.update(bag.keys())
+            derived_levels[SENTENCE] += len(packed.sentence_runs)
+            derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
+        if derived_df != dict(self.df):
+            raise AssertionError("postings disagree with the runs")
+        if sum(self.article_len.values()) != self.total_tokens:
+            raise AssertionError("stored total_tokens disagrees with the runs")
+        if self.level_counts != derived_levels:
+            raise AssertionError("level counts disagree with the runs")
         if self.article_count != len(self._article_ids):
             raise AssertionError("article count disagrees with label table")
 
@@ -334,18 +411,11 @@ def read_utf8_text(path: str) -> str:
 
 
 def _nested_structure(kb: KnowledgeBase, article_id: int) -> list:
-    article = kb.node(article_id)
-    paragraphs = []
-    for paragraph_id, para_count in article.children:
-        sentences = []
-        for sentence_id, sent_count in kb.node(paragraph_id).children:
-            pairs = [
-                [kb.nodes[word_id].label, count]
-                for word_id, count in kb.node(sentence_id).children
-            ]
-            sentences.extend([pairs] * sent_count)
-        paragraphs.extend([sentences] * para_count)
-    return paragraphs
+    packed = kb.article_runs[article_id]
+    nodes = kb.nodes
+    return packed.nest(
+        [[nodes[word_id].label, count] for word_id, count in zip(packed.words, packed.counts)]
+    )
 
 
 def load_index(path: str) -> KnowledgeBase:
@@ -355,7 +425,10 @@ def load_index(path: str) -> KnowledgeBase:
     IndexFormatError (with the line number) for a file that is not UTF-8
     text or for malformed records.
     """
-    raw_lines = read_utf8_text(path).splitlines()
+    # split on newlines only: a title may hold U+2028, U+2029 or U+0085
+    raw_lines = read_utf8_text(path).split("\n")
+    if raw_lines[-1] == "":
+        raw_lines.pop()
     if not raw_lines:
         raise IndexFormatError("empty index file", 1)
 
@@ -453,12 +526,10 @@ def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
         raise IndexFormatError("article record has bad label/paragraphs", line)
     if title is not None and not isinstance(title, str):
         raise IndexFormatError("article title is not a string", line)
-    word_ids = kb._word_ids
     try:
-        runs = [
-            [tuple([(word_ids[tok], count) for tok, count in pairs]) for pairs in sentences]
-            for sentences in paragraphs
-        ]
+        runs = ArticleRuns.pack(paragraphs)
+        word_ids = kb._word_ids
+        runs.words = [word_ids[token] for token in runs.words]
         article_id = kb.add_article(label, runs)
     except KeyError as exc:
         raise IndexFormatError(

@@ -10,6 +10,7 @@ weights, so every rule is reversible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -134,11 +135,13 @@ def apply_rules(
 
     A label may resolve at the word and the article level at once; both
     get the multiplier. Returns how many nodes were touched plus the
-    labels that resolved to nothing (data, not an error).
+    labels that resolved to nothing (data, not an error). A multiplier
+    that is negative, NaN or infinite raises ValueError before any rule
+    applies.
     """
     for label, multiplier in rules.items():
-        if multiplier < 0:
-            raise ValueError(f"rule {label!r}: multiplier must be >= 0")
+        if not 0 <= multiplier < math.inf:
+            raise ValueError(f"rule {label!r}: multiplier must be finite and >= 0")
     updated = kb.attention_snapshot()
     applied = 0
     unresolved = []

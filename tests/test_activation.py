@@ -173,6 +173,22 @@ def test_trace_sorted_and_truncated():
     assert trace(kb, "hit", d, SENTENCE, 0) == []
 
 
+def test_trace_ties_break_by_position_and_token():
+    kb = make_kb({"d": "b a. a b.\n\nb a.", "e": "c"})
+    d = kb.article_id("d")
+    assert kb.word_id("b") < kb.word_id("a")
+    sentences = trace(kb, "a b", d, SENTENCE, 10)
+    assert [e.position for e in sentences] == [(1, 1), (1, 2), (2, 1)]
+    assert len({e.contribution for e in sentences}) == 1
+    assert all(e.node_id is None and e.level == SENTENCE for e in sentences)
+    paragraphs = trace(kb, "a b", d, PARAGRAPH, 10)
+    assert [e.position for e in paragraphs] == [(1,), (2,)]
+    assert paragraphs[0].contribution == 2 * paragraphs[1].contribution
+    words = trace(kb, "a b", d, WORD, 10)
+    assert [kb.nodes[e.node_id].label for e in words] == ["a", "b"]  # token order, not id order
+    assert [e.position for e in words] == [(), ()]
+
+
 def test_trace_level_validation(c2):
     d1 = c2.article_id("d1")
     with pytest.raises(ValueError):

@@ -693,3 +693,63 @@ def test_trace_word_level(tmp_path, capsys):
         ("1", "0.54931", "a"),
         ("2", "0.34657", "b"),
     ]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-1"])
+def test_query_bad_attention_multiplier_exit_1(tmp_path, capsys, value):
+    index = build_c2(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(f'{{"a": 2, "b": {value}}}', "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc), "--attention", str(rules)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_title_with_unicode_line_separator_round_trips(tmp_path, capsys, separator):
+    corpus = tmp_path / "corpus.jsonl"
+    docs = [
+        {"id": "d1", "title": f"first{separator}title", "text": "a b"},
+        {"id": "d2", "title": separator, "text": "b c"},
+    ]
+    corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), "utf-8")
+    index = tmp_path / "titled.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    assert separator in index.read_text("utf-8")  # written raw, not escaped
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc), "--tsv", "--include-self"])
+    assert code == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.split("\n") if line]
+    assert [(row[1], row[2]) for row in rows] == [("d1", f"first{separator}title"), ("d2", separator)]
+
+
+def test_trace_prints_positions(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b. c a.\n\nb.")
+    (corpus / "d2.txt").write_text("c")
+    index = tmp_path / "c.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    rows = {}
+    for level in ("sentence", "paragraph"):
+        capsys.readouterr()
+        argv = ["trace", "--index", str(index), "--source", "d1", "--dest", "d1", "--level", level]
+        assert main(argv) == 0
+        rows[level] = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    # wt(a) = wt(b) = ln 3 > wt(c) = ln 2, each emitted per occurrence in d1
+    assert [(row[0], row[1], row[3]) for row in rows["sentence"]] == [
+        ("1", "p1.s1", "a b"),
+        ("2", "p1.s2", "c a"),
+        ("3", "p2.s1", "b"),
+    ]
+    assert [(row[0], row[1], row[3]) for row in rows["paragraph"]] == [
+        ("1", "p1", "a b c a"),
+        ("2", "p2", "b"),
+    ]

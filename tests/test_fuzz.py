@@ -1,4 +1,4 @@
-"""Seeded fuzz: mutated index and action files through the CLI.
+"""Seeded fuzz: mutated index, attention and action files through the CLI.
 
 A valid file is changed once, either line by line (delete, duplicate,
 swap, truncate, blank, or one JSON number replaced by NaN, 1e400, 1.5,
@@ -12,6 +12,7 @@ failure reproduces exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -90,10 +91,20 @@ def run_cli(capsys, argv: list[str], allowed: set[int]) -> tuple[int, str]:
     return code, captured.out
 
 
+# titles holding characters that str.splitlines, but not JSON, takes for line ends
+TITLED = [
+    {"id": f"titled{i}", "title": f"line{separator}separator", "text": "garlic zest under the oven."}
+    for i, separator in enumerate(["\u2028", "\u2029", "\u0085"])
+]
+
+
 @pytest.fixture(scope="module")
 def corpus100_index(tmp_path_factory) -> bytes:
-    path = tmp_path_factory.mktemp("fuzz") / "corpus100.mcrx"
-    assert main(["build", "--corpus", str(DATA / "corpus100.jsonl"), "--index", str(path)]) == 0
+    work = tmp_path_factory.mktemp("fuzz")
+    corpus, path = work / "corpus.jsonl", work / "corpus100.mcrx"
+    titled = "".join(json.dumps(doc) + "\n" for doc in TITLED)
+    corpus.write_text((DATA / "corpus100.jsonl").read_text("utf-8") + titled, "utf-8")
+    assert main(["build", "--corpus", str(corpus), "--index", str(path)]) == 0
     return path.read_bytes()
 
 
@@ -123,6 +134,28 @@ def test_fuzzed_index_files(tmp_path, capsys, corpus100_index):
         )
     # swaps and flips inside labels still load; the rest is refused
     assert 0 < loaded < 400
+
+
+def test_fuzzed_attention_files(tmp_path, capsys, corpus100_index):
+    index = tmp_path / "index.mcrx"
+    index.write_bytes(corpus100_index)
+    query = tmp_path / "query.txt"
+    query.write_text("Under into garlic flour? Zest under the zest oven 2015.", "utf-8")
+    rules = tmp_path / "rules.json"
+    valid = b'{\n"zest":2.5,\n"garlic":0,\n"doc002":0.5,\n"under":1\n}\n'
+    applied = 0
+    for mutant in mutants(20261020, valid, 200):
+        rules.write_bytes(mutant)
+        code, out = run_cli(
+            capsys,
+            ["query", "--index", str(index), "--doc", str(query), "--tsv", "--attention",
+             str(rules)],
+            {0, 1, 4},
+        )
+        applied += code == 0
+        for row in out.splitlines():
+            assert all(math.isfinite(float(field)) for field in row.split("\t")[3:]), row
+    assert 0 < applied < 200
 
 
 def test_fuzzed_action_files(tmp_path, capsys):

@@ -3,14 +3,19 @@ import random
 import pytest
 
 from mcrx import (
+    PARAGRAPH,
     SENTENCE,
     WORD,
+    ArticleRuns,
     KnowledgeBase,
     RawDocument,
     activate,
     build_corpus,
     load_index,
+    reconstruct,
     save_index,
+    segment,
+    trace,
 )
 from mcrx.errors import (
     DuplicateDocumentError,
@@ -36,7 +41,7 @@ def test_word_dedup_returns_same_id():
 def test_article_insertion_counts_documents():
     kb = KnowledgeBase()
     word = kb.add_word("x")
-    kb.add_article("doc1", [[((word, 1),)]])
+    kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
     assert kb.article_count == 1
     assert kb.df[word] == 1
     assert kb.total_tokens == 1
@@ -45,27 +50,44 @@ def test_article_insertion_counts_documents():
 def test_duplicate_article_label_rejected():
     kb = KnowledgeBase()
     word = kb.add_word("x")
-    kb.add_article("doc1", [[((word, 1),)]])
+    kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
     with pytest.raises(DuplicateDocumentError):
-        kb.add_article("doc1", [[((word, 1),)]])
+        kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
 
 
 def test_layering_violation_rejected():
     kb = KnowledgeBase()
     word = kb.add_word("x")
-    article = kb.add_article("doc1", [[((word, 1),)]])
-    sentence = kb.node(kb.node(article).children[0][0]).children[0][0]
+    article = kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
     before = len(kb.nodes)
-    for not_a_word in (sentence, article):
-        with pytest.raises(LayeringError):
-            kb.add_article("doc2", [[((word, 1), (not_a_word, 1))]])
+    with pytest.raises(LayeringError):
+        kb.add_article("doc2", ArticleRuns.pack([[((word, 1), (article, 1))]]))
     assert len(kb.nodes) == before and kb.article_count == 1
+    assert kb.level_counts == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        ArticleRuns([0], [1], [2], [1]),  # sentences hold more runs than there are
+        ArticleRuns([0, 0], [1, 1], [1], [1]),  # a run outside every sentence
+        ArticleRuns([0], [1], [1], [2]),  # a paragraph with a missing sentence
+        ArticleRuns([0], [1, 1], [1], [1]),  # a count without a word
+        ArticleRuns([0, 0], [1, 1], [3, -1], [2]),  # a negative sentence length
+    ],
+)
+def test_run_lengths_must_add_up(runs):
+    kb = KnowledgeBase()
+    kb.add_word("x")
+    with pytest.raises(ValueError):
+        kb.add_article("doc1", runs)
+    assert kb.article_count == 0 and kb.level_counts == [1, 0, 0, 0]
 
 
 def test_unknown_child_rejected():
     kb = KnowledgeBase()
     with pytest.raises(MissingNodeError):
-        kb.add_article("doc1", [[((99, 1),)]])
+        kb.add_article("doc1", ArticleRuns.pack([[((99, 1),)]]))
     assert kb.nodes == [] and kb.article_count == 0
 
 
@@ -74,7 +96,7 @@ def test_article_count_must_be_positive_int(count):
     kb = KnowledgeBase()
     word = kb.add_word("x")
     with pytest.raises(ValueError):
-        kb.add_article("doc1", [[((word, count),)]])
+        kb.add_article("doc1", ArticleRuns.pack([[((word, count),)]]))
     assert kb.article_count == 0 and len(kb.nodes) == 1
 
 
@@ -91,6 +113,15 @@ def test_set_attention_validates(c2):
     assert c2.attention[word] == 2.0
     c2.set_attention(word, 1.0)
     assert word not in c2.attention
+
+
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), float("-inf")])
+def test_set_attention_rejects_non_finite(c2, multiplier):
+    word = c2.word_id("a")
+    c2.set_attention(word, 2.0)
+    with pytest.raises(ValueError):
+        c2.set_attention(word, multiplier)
+    assert c2.attention == {word: 2.0}
 
 
 def test_attention_zero_silences_word(c2):
@@ -196,66 +227,82 @@ def test_title_survives_round_trip(tmp_path):
 def test_repeated_token_order_survives():
     kb = make_kb({"d1": "a b a"})
     article = kb.article_id("d1")
-    sentence = kb.node(kb.node(kb.node(article).children[0][0]).children[0][0])
-    labels = [(kb.nodes[w].label, count) for w, count in sentence.children]
+    sentence = kb.runs(article)[0][0]
+    labels = [(kb.nodes[w].label, count) for w, count in sentence]
     assert labels == [("a", 1), ("b", 1), ("a", 1)]
     assert kb.article_bags[article][kb.word_id("a")] == 2
 
 
-def _built_to_loaded_ids(built, loaded):
-    """Map each built node id to its loaded twin.
-
-    Load adds every word before the first article, in token order, so
-    words pair up by token and every other node by its position under
-    its article.
-    """
-    mapping = {w: loaded.word_id(built.nodes[w].label) for w in built.word_ids()}
-
-    def pair(built_id, loaded_id):
-        mapping[built_id] = loaded_id
-        if built.nodes[built_id].level > SENTENCE:
-            built_children = built.nodes[built_id].children
-            loaded_children = loaded.nodes[loaded_id].children
-            assert len(built_children) == len(loaded_children)
-            for (b, _), (l, _) in zip(built_children, loaded_children):
-                pair(b, l)
-
-    for label in built.article_labels():
-        pair(built.article_id(label), loaded.article_id(label))
-    return mapping
+def _trace_rows(kb, query, article_id, level):
+    """Trace entries with each word id replaced by its token."""
+    return [
+        (None if e.node_id is None else kb.nodes[e.node_id].label, e.level, e.contribution, e.position)
+        for e in trace(kb, query, article_id, level, 10**6)
+    ]
 
 
 def test_load_equals_build_node_for_node(tmp_path):
     rng = random.Random(20261018)
     for trial in range(25):
         docs = random_corpus(rng)
-        built, _ = build_corpus([RawDocument(i, t) for i, t in docs.items()])
+        built, skipped = build_corpus([RawDocument(i, t) for i, t in docs.items()])
         path = tmp_path / f"{trial}.mcrx"
         save_index(built, str(path))
         loaded = load_index(str(path))
-        to_loaded = _built_to_loaded_ids(built, loaded)
+        resaved = tmp_path / f"{trial}-again.mcrx"
+        save_index(loaded, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes()
+        loaded.validate()
 
+        # load adds every word first, in token order; words pair up by token
+        to_loaded = {w: loaded.word_id(built.nodes[w].label) for w in built.word_ids()}
+        for label in built.article_labels():
+            to_loaded[built.article_id(label)] = loaded.article_id(label)
         assert len(loaded.nodes) == len(built.nodes) == len(to_loaded)
         assert sorted(to_loaded.values()) == list(range(len(loaded.nodes)))
-        above_words = [to_loaded[n.id] for n in built.nodes if n.level != WORD]
-        assert above_words == sorted(above_words)  # same creation order
         for built_id, loaded_id in to_loaded.items():
             b, l = built.nodes[built_id], loaded.nodes[loaded_id]
             assert (l.id, l.level, l.label, l.weight) == (loaded_id, b.level, b.label, b.weight)
-            assert l.children == tuple((to_loaded[c], n) for c, n in b.children)
-        assert loaded.level_counts == built.level_counts
         assert loaded.article_order == [to_loaded[a] for a in built.article_order]
-        for article_id, bag in built.article_bags.items():
-            loaded_bag = loaded.article_bags[to_loaded[article_id]]
-            assert list(loaded_bag.items()) == [(to_loaded[w], n) for w, n in bag.items()]
-            assert loaded.article_len[to_loaded[article_id]] == built.article_len[article_id]
-        assert len(loaded.article_bags) == len(built.article_bags)
-        assert loaded.postings == {
-            to_loaded[w]: entry for w, entry in built.postings.items()
+
+        texts = [docs[label] for label in built.article_labels()]
+        segmented = [segment(text) for text in texts]
+        tokens = {
+            token
+            for paragraphs in segmented
+            for sentences in paragraphs
+            for sentence in sentences
+            for token in sentence
         }
+        assert built.level_counts == loaded.level_counts == [
+            len(tokens),
+            sum(len(paragraph) for paragraphs in segmented for paragraph in paragraphs),
+            sum(len(paragraphs) for paragraphs in segmented),
+            len(segmented),
+        ]
+
+        query = docs[rng.choice(sorted(docs))]
+        for label, paragraphs in zip(built.article_labels(), segmented):
+            built_id, loaded_id = built.article_id(label), loaded.article_id(label)
+            assert reconstruct(built, built_id) == reconstruct(loaded, loaded_id) == paragraphs
+            assert loaded.runs(loaded_id) == [
+                [[(to_loaded[w], n) for w, n in runs] for runs in sentences]
+                for sentences in built.runs(built_id)
+            ]
+            for level in (WORD, SENTENCE, PARAGRAPH):
+                assert _trace_rows(built, query, built_id, level) == _trace_rows(
+                    loaded, query, loaded_id, level
+                )
+
+            bag = built.article_bags[built_id]
+            loaded_bag = loaded.article_bags[loaded_id]
+            assert list(loaded_bag.items()) == [(to_loaded[w], n) for w, n in bag.items()]
+            assert loaded.article_len[loaded_id] == built.article_len[built_id]
+        assert len(loaded.article_bags) == len(built.article_bags)
+        assert loaded.postings == {to_loaded[w]: entry for w, entry in built.postings.items()}
         assert loaded.df == {to_loaded[w]: n for w, n in built.df.items()}
         assert loaded.total_tokens == built.total_tokens
-        loaded.validate()
+        built.validate()
 
 
 @pytest.mark.parametrize("how", ["write", "replace"])

@@ -167,6 +167,15 @@ def test_apply_rules_rejects_negative(c2):
         apply_rules(c2, {"a": -1.0})
 
 
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), float("-inf")])
+def test_apply_rules_rejects_non_finite(c2, multiplier):
+    apply_rules(c2, {"b": 0.5})
+    before = dict(c2.attention)
+    with pytest.raises(ValueError):
+        apply_rules(c2, {"a": 2.0, "b": multiplier})
+    assert c2.attention == before  # nothing applied
+
+
 def test_apply_rules_resolves_article_labels(c2):
     applied, unresolved = apply_rules(c2, {"d2": 0.25})
     assert applied == 1 and unresolved == []
