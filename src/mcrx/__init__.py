@@ -10,15 +10,12 @@ _SUBMODULES = ("activation", "errors", "ingest", "kb", "scl", "seqdemo", "simila
 
 _EXPORTS = {
     "activation": (
-        "ActivationPass",
         "Emission",
         "TraceEntry",
         "activate",
         "collect",
         "collect_on_bag",
         "emit",
-        "run_pass",
-        "self_activation",
         "trace",
     ),
     "ingest": (

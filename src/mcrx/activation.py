@@ -1,4 +1,4 @@
-"""One top-down / bottom-up activation pass over the knowledge base.
+"""Activation passes over the knowledge base: emit, collect and trace.
 
 A source (an indexed article or ad-hoc text) emits activation over the
 word layer, normalized by its own length: e(w) = tf(w) / len. Collection
@@ -8,7 +8,9 @@ then runs word -> article over posting lists:
 
 with m(.) the attention multipliers. Emission normalization makes the
 metric length-asymmetric on purpose: a short text activates a long
-superset document more strongly than the reverse.
+superset document more strongly than the reverse. activate is emit
+followed by collect; scoring a query against a target, in both
+directions, is similarity.QueryScorer's alone.
 
 Each word's postings are split by term frequency: article ordinals
 where tf == 1, whose term is the word factor itself, and (ordinal, tf)
@@ -65,15 +67,6 @@ class TraceEntry:
     level: int
     contribution: float
     position: tuple[int, ...] = ()
-
-
-@dataclass(slots=True)
-class ActivationPass:
-    """Everything one pass computed, kept for monitoring reads."""
-
-    emission: Emission
-    articles: dict[int, float]
-    attention: dict[int, float]
 
 
 def emit(
@@ -181,20 +174,6 @@ def collect_on_bag(
     return fsum(factor * bag[word_id] for word_id, factor in factors if word_id in bag)
 
 
-def run_pass(
-    kb: KnowledgeBase,
-    source: Source,
-    attention: dict[int, float] | None = None,
-    rules: TokenizationRules = DEFAULT_RULES,
-) -> ActivationPass:
-    """Emit from a source and collect over the whole corpus."""
-    if attention is None:
-        attention = kb.attention_snapshot()
-    emission = emit(kb, source, rules)
-    articles = collect(kb, emission, attention)
-    return ActivationPass(emission, articles, attention)
-
-
 def activate(
     kb: KnowledgeBase,
     source: Source,
@@ -202,22 +181,7 @@ def activate(
     rules: TokenizationRules = DEFAULT_RULES,
 ) -> dict[int, float]:
     """Article activation map for a source (emit + collect)."""
-    return run_pass(kb, source, attention, rules).articles
-
-
-def self_activation(
-    kb: KnowledgeBase,
-    source: Source,
-    attention: dict[int, float] | None = None,
-    rules: TokenizationRules = DEFAULT_RULES,
-) -> float:
-    """Activation of a source collected on its own token bag.
-
-    Strictly positive as soon as one source word is indexed (and not
-    attention-muted); 0.0 means the source is unscorable.
-    """
-    emission = emit(kb, source, rules)
-    return collect_on_bag(kb, emission, emission.bag, attention)
+    return collect(kb, emit(kb, source, rules), attention)
 
 
 def trace(

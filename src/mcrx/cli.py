@@ -8,7 +8,7 @@ import re
 import sys
 from pathlib import Path
 
-from .activation import collect_on_bag, emit, trace as trace_op
+from .activation import trace as trace_op
 from .errors import (
     CorpusFormatError,
     EmptyIndexError,
@@ -29,7 +29,7 @@ from .ingest import (
     reconstruct,
 )
 from .kb import WORD, KnowledgeBase, load_index, render_real, save_index
-from .similarity import QueryScorer, check_cut, combine, normalize, results_to_tsv
+from .similarity import QueryScorer, check_cut, results_to_tsv
 
 EXIT_UNREADABLE = 1
 EXIT_MALFORMED = 2  # also a flag out of range, the code argparse uses for usage errors
@@ -137,15 +137,13 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
         rules = json.loads(read_utf8(path))
     except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
-    if not isinstance(rules, dict) or not all(
-        isinstance(v, (int, float)) for v in rules.values()
-    ):
+    if not isinstance(rules, dict):
         return _fail(EXIT_UNREADABLE, "attention rules must map labels to numbers")
     from .scl import apply_rules
 
     try:
         _, unresolved = apply_rules(kb, rules)
-    except ValueError as exc:  # a negative, NaN or infinite multiplier
+    except ValueError as exc:  # not a finite number >= 0, a JSON true/false included
         return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     for label in unresolved:
         print(f"attention label {label!r} resolves to no node", file=sys.stderr)
@@ -167,29 +165,24 @@ def cmd_query(args: argparse.Namespace) -> int:
         text = _read_doc(args.doc)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"cannot read document: {exc}")
+    labels = [label for label in (args.watch or "").split(",") if label]
+    if labels:
+        from .scl import watch_read
     try:
         if kb.article_count == 0:
             raise EmptyIndexError("the index holds no documents")
         scorer = QueryScorer(kb, text)
-    except UnscorableQueryError as exc:
-        return _fail(EXIT_UNSCORABLE, str(exc))
-    except EmptyIndexError as exc:
+        watched = watch_read(scorer, labels) if labels else {}
+        results = scorer.top(args.candidates, args.top, not args.include_self)
+    except UnknownLabelError as exc:
+        return _fail(EXIT_UNKNOWN_ID, str(exc))
+    except (UnscorableQueryError, EmptyIndexError) as exc:
         return _fail(EXIT_UNSCORABLE, str(exc))
     except McrxError as exc:
         return _fail(EXIT_UNSCORABLE, f"unscorable query: {exc}")
 
-    if args.watch:
-        from .scl import watch_read
-
-        labels = [label for label in args.watch.split(",") if label]
-        try:
-            values = watch_read(kb, labels, scorer.activation_pass)
-        except UnknownLabelError as exc:
-            return _fail(EXIT_UNKNOWN_ID, str(exc))
-        for label in labels:
-            print(f"watch\t{label}\t{render_real(values[label])}")
-
-    results = scorer.top(args.candidates, args.top, not args.include_self)
+    for label in labels:
+        print(f"watch\t{label}\t{render_real(watched[label])}")
     if args.tsv:
         if results:
             print(results_to_tsv(results))
@@ -214,18 +207,6 @@ def _resolve_source(kb: KnowledgeBase, ref: str) -> int | str | None:
     return None
 
 
-def _directional(kb, source, destination, attention, apply_destination_multiplier):
-    emission = emit(kb, source)
-    if isinstance(destination, int):
-        bag = kb.article_bags[destination]
-    else:
-        bag = emit(kb, destination).bag
-    value = collect_on_bag(kb, emission, bag, attention)
-    if apply_destination_multiplier and isinstance(destination, int):
-        value *= attention.get(destination, 1.0)
-    return value
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     kb = _open_index(args)
     if isinstance(kb, int):
@@ -239,20 +220,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.a!r}")
     if side_b is None:
         return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.b!r}")
-    attention = kb.attention_snapshot()
     try:
-        forward = _directional(kb, side_a, side_b, attention, True)
-        reverse = _directional(kb, side_b, side_a, attention, False)
-        emission_a = emit(kb, side_a)
-        self_activation = collect_on_bag(kb, emission_a, emission_a.bag, attention)
-        raw = combine(reverse, forward)
-        percent = normalize(raw, combine(self_activation, self_activation))
+        result = QueryScorer(kb, side_a).score(side_b)
     except McrxError as exc:
         return _fail(EXIT_UNSCORABLE, str(exc))
-    print(f"T {args.a}->{args.b}\t{forward:.5f}")
-    print(f"S {args.b}->{args.a}\t{reverse:.5f}")
-    print(f"raw\t{raw:.5f}")
-    print(f"percent\t{percent:.1f}")
+    print(f"T {args.a}->{args.b}\t{result.forward:.5f}")
+    print(f"S {args.b}->{args.a}\t{result.reverse:.5f}")
+    print(f"raw\t{result.raw:.5f}")
+    print(f"percent\t{result.percent:.1f}")
     return 0
 
 

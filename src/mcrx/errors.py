@@ -46,11 +46,15 @@ class CorpusFormatError(McrxError):
 
 
 class UnscorableQueryError(McrxError):
-    """The query's self activation is zero; no score can be normalized."""
+    """No finite percentage: the query's self score is zero, or a score
+    lies past the float range (attention multipliers near 1e308)."""
 
     def __init__(self, unknown_words: int | None = None):
         if unknown_words is None:
-            message = "target self activation is zero; scores cannot be normalized"
+            message = (
+                "scores cannot be normalized: zero self score, "
+                "or a value past the float range"
+            )
         else:
             message = (
                 f"query shares no vocabulary with the index "

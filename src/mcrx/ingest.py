@@ -21,8 +21,9 @@ from .errors import (
     CorpusFormatError,
     DuplicateDocumentError,
     EmptyDocumentError,
+    IndexFormatError,
 )
-from .kb import ArticleRuns, KnowledgeBase
+from .kb import ArticleRuns, KnowledgeBase, read_utf8_text
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -199,11 +200,11 @@ def build_corpus(
 
 
 def read_utf8(path: str | Path) -> str:
-    """A file's text; raises OSError naming the file if it is not UTF-8."""
+    """A file's text; OSError names the file and line of a non-UTF-8 byte."""
     try:
-        return Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        return read_utf8_text(path)
+    except IndexFormatError as exc:
+        raise OSError(f"{path}: {exc}") from exc
 
 
 def read_corpus_dir(path: str) -> list[RawDocument]:
@@ -222,12 +223,7 @@ def read_corpus_jsonl(path: str) -> list[RawDocument]:
 
     A line that is not UTF-8 raises OSError with its line number.
     """
-    data = Path(path).read_bytes()
-    try:
-        content = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise OSError(f"{path}: line {line_no} is not UTF-8 text ({exc.reason})") from exc
+    content = read_utf8(path)
     docs = []
     seen: dict[str, int] = {}
     with io.StringIO(content, newline=None) as handle:

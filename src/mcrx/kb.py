@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import threading
 from array import array
 from collections import Counter
@@ -57,6 +58,21 @@ FORMAT_VERSION = "MCRX-1"
 def render_real(x: float) -> str:
     """Render a float with 17 significant digits (lossless round trip)."""
     return format(x, ".17g")
+
+
+def check_multiplier(value: object, name: str) -> float:
+    """An attention multiplier as a float: a finite number >= 0, not a bool.
+
+    Anything else, an int too large for a float included, raises
+    ValueError naming name.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 <= value <= sys.float_info.max
+    ):
+        raise ValueError(f"{name}: attention multiplier must be a finite number >= 0")
+    return float(value)
 
 
 @dataclass(slots=True)
@@ -287,16 +303,15 @@ class KnowledgeBase:
     def set_attention(self, node_id: int, multiplier: float) -> None:
         """Set a node's attention multiplier; 1.0 restores the default.
 
-        Raises ValueError for a multiplier that is negative, NaN or
-        infinite.
+        Raises ValueError for a multiplier that is not a finite number
+        >= 0 (see check_multiplier).
         """
         self.node(node_id)
-        if not 0 <= multiplier < math.inf:
-            raise ValueError("attention multiplier must be finite and >= 0")
+        multiplier = check_multiplier(multiplier, f"node {node_id}")
         if multiplier == 1.0:
             self.attention.pop(node_id, None)
         else:
-            self.attention[node_id] = float(multiplier)
+            self.attention[node_id] = multiplier
 
     def attention_snapshot(self) -> dict[int, float]:
         """Copy of the attention map, isolating a query from rule changes."""
@@ -399,7 +414,7 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def read_utf8_text(path: str) -> str:
+def read_utf8_text(path: str | os.PathLike[str]) -> str:
     """A file's text; IndexFormatError names the line of a non-UTF-8 byte."""
     with open(path, "rb") as handle:
         data = handle.read()

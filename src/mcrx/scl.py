@@ -10,14 +10,12 @@ weights, so every rule is reversible.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .activation import ActivationPass
 from .errors import NoCandidateError, UnknownLabelError
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, check_multiplier
 from .similarity import QueryScorer
 
 Generator = Callable[["Feedback | None"], Any]
@@ -136,12 +134,10 @@ def apply_rules(
     A label may resolve at the word and the article level at once; both
     get the multiplier. Returns how many nodes were touched plus the
     labels that resolved to nothing (data, not an error). A multiplier
-    that is negative, NaN or infinite raises ValueError before any rule
-    applies.
+    that is not a finite number >= 0 (a bool included) raises ValueError
+    before any rule applies.
     """
-    for label, multiplier in rules.items():
-        if not 0 <= multiplier < math.inf:
-            raise ValueError(f"rule {label!r}: multiplier must be finite and >= 0")
+    rules = {label: check_multiplier(value, f"rule {label!r}") for label, value in rules.items()}
     updated = kb.attention_snapshot()
     applied = 0
     unresolved = []
@@ -158,34 +154,31 @@ def apply_rules(
             if multiplier == 1.0:
                 updated.pop(node_id, None)
             else:
-                updated[node_id] = float(multiplier)
+                updated[node_id] = multiplier
             applied += 1
     kb.attention = updated  # single reference swap: no torn snapshots
     return applied, unresolved
 
 
-def watch_read(
-    kb: KnowledgeBase,
-    labels: tuple[str, ...] | list[str],
-    activation_pass: ActivationPass,
-) -> dict[str, float]:
-    """Read monitored node activations out of a finished pass.
+def watch_read(scorer: QueryScorer, labels: tuple[str, ...] | list[str]) -> dict[str, float]:
+    """Read monitored node activations out of a query's scorer.
 
-    Word labels report emission * attention * weight; article labels
-    report the collected activation. A label matching both levels reads
-    as the word.
+    Word labels report the query's emission * attention * weight; article
+    labels report the article's forward activation (0.0 if the query does
+    not reach it). A label matching both levels reads as the word.
     """
+    kb = scorer.kb
     values: dict[str, float] = {}
     for label in labels:
         word_id = kb.word_id(label)
         if word_id is not None:
-            emission = activation_pass.emission.values.get(word_id, 0.0)
-            multiplier = activation_pass.attention.get(word_id, 1.0)
+            emission = scorer.emission.values.get(word_id, 0.0)
+            multiplier = scorer.attention.get(word_id, 1.0)
             values[label] = emission * multiplier * kb.nodes[word_id].weight
             continue
         article_id = kb.article_id(label)
         if article_id is not None:
-            values[label] = activation_pass.articles.get(article_id, 0.0)
+            values[label] = scorer.forward_map.get(article_id, 0.0)
             continue
         raise UnknownLabelError(f"label {label!r} resolves to no node")
     return values
@@ -215,4 +208,4 @@ class DocumentCritic:
         return self.scorer.score(article_id).percent
 
     def watch_values(self, labels: tuple[str, ...]) -> dict[str, float]:
-        return watch_read(self.scorer.kb, labels, self.scorer.activation_pass)
+        return watch_read(self.scorer, labels)

@@ -10,6 +10,13 @@ directions fold into one raw score that is linear in the reverse
 direction and logarithmic in the forward one. Raw scores are reported
 as a percentage of the query's self score, so querying a document's own
 text scores exactly 100.
+
+QueryScorer is the one place a (query, target) pair is scored: rank,
+the solution-critic loop's DocumentCritic and `mcrx compare` all read
+it. A target is an indexed article or a text; a text is scored the same
+way, its forward value collected on its own bag with no article
+multiplier. A query sharing no indexed word, or a score past the float
+range (huge attention multipliers), raises UnscorableQueryError.
 """
 
 from __future__ import annotations
@@ -19,13 +26,7 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from .activation import (
-    ActivationPass,
-    Source,
-    collect,
-    collect_on_bag,
-    emit,
-)
+from .activation import Source, collect, collect_on_bag, emit
 from .errors import (
     EmptyDocumentError,
     EmptyIndexError,
@@ -41,7 +42,7 @@ DEFAULT_RESULTS = 10
 
 @dataclass(slots=True)
 class RankedResult:
-    article_id: int
+    article_id: int | None  # None for a text target
     label: str
     title: str
     percent: float
@@ -68,10 +69,11 @@ def normalize(raw: float, self_raw: float) -> float:
 
 
 class QueryScorer:
-    """One query's passes, reusable across candidates.
+    """One query's passes, reusable across targets.
 
     Builds the forward activation map and the self score once; score()
-    then runs only the candidate's reverse pass.
+    then runs only the target's reverse pass, plus the forward pass on
+    its bag for a text target.
     """
 
     def __init__(
@@ -85,21 +87,21 @@ class QueryScorer:
         self.attention = (
             kb.attention_snapshot() if attention is None else dict(attention)
         )
+        self.rules = rules
         self.source_article = query if isinstance(query, int) else None
         self.emission = emit(kb, query, rules)
-        self.forward_map = collect(kb, self.emission, self.attention)
-        self.self_activation = collect_on_bag(
-            kb, self.emission, self.emission.bag, self.attention
-        )
+        try:
+            self.forward_map = collect(kb, self.emission, self.attention)
+            self.self_activation = collect_on_bag(
+                kb, self.emission, self.emission.bag, self.attention
+            )
+        except OverflowError as exc:  # fsum of finite terms past the float range
+            raise UnscorableQueryError() from exc
         if self.self_activation == 0.0:
             raise UnscorableQueryError(self.emission.unknown_words)
         self.self_raw = combine(self.self_activation, self.self_activation)
-        if self.self_raw <= 0:
-            raise UnscorableQueryError(self.emission.unknown_words)
-
-    @property
-    def activation_pass(self) -> ActivationPass:
-        return ActivationPass(self.emission, self.forward_map, self.attention)
+        if not 0 < self.self_raw < math.inf:
+            raise UnscorableQueryError()
 
     def candidates(self, k: int, exclude_self: bool = True) -> list[int]:
         """Top-k articles by forward activation; ties break by label.
@@ -119,35 +121,47 @@ class QueryScorer:
             top = [a for a in top if a != self.source_article]
         return top
 
-    def score(self, article_id: int) -> RankedResult:
-        """Score one article; MissingNodeError or ValueError if it is none."""
-        kb = self.kb
-        node = kb.node(article_id)
-        if node.level != kb.top_level:
-            raise ValueError(f"node {article_id} is not an article")
-        if not kb.weights_computed:
-            raise StaleWeightsError("compute weights before running activation")
-        forward = self.forward_map.get(article_id, 0.0)
-        reverse = self._reverse(article_id)
-        raw = combine(reverse, forward)
-        return RankedResult(
-            article_id=article_id,
-            label=node.label or "",
-            title=kb.title(article_id),
-            percent=normalize(raw, self.self_raw),
-            raw=raw,
-            reverse=reverse,
-            forward=forward,
-        )
+    def score(self, target: Source) -> RankedResult:
+        """Score an article id or a text against the query.
 
-    def _reverse(self, article_id: int) -> float:
-        """The article's emission collected on the query bag, in one fsum.
-
-        Each term is tf_d/len_d * m(w) * wt(w) * tf_q, the same operands in
-        the same order as emit + collect_on_bag, so the value is identical.
+        forward is the query's activation of the target, times the
+        target's own multiplier if it is an article; reverse is the
+        target's activation of the query bag. MissingNodeError or
+        ValueError for an id that is no article; UnscorableQueryError for
+        a score past the float range.
         """
-        bag = self.kb.article_bags[article_id]
-        length = self.kb.article_len[article_id]
+        kb = self.kb
+        try:
+            if isinstance(target, int):
+                node = kb.node(target)
+                if node.level != kb.top_level:
+                    raise ValueError(f"node {target} is not an article")
+                if not kb.weights_computed:
+                    raise StaleWeightsError("compute weights before running activation")
+                article_id, label, title = target, node.label or "", kb.title(target)
+                bag, length = kb.article_bags[target], kb.article_len[target]
+                forward = self.forward_map.get(target, 0.0)
+            else:
+                emission = emit(kb, target, self.rules)
+                article_id, label, title = None, "", ""
+                bag, length = emission.bag, emission.length
+                forward = collect_on_bag(kb, self.emission, bag, self.attention)
+            reverse = self._reverse(bag, length)
+        except OverflowError as exc:
+            raise UnscorableQueryError() from exc
+        raw = combine(reverse, forward)
+        percent = normalize(raw, self.self_raw)
+        if not percent < math.inf:  # inf, or NaN from inf * ln(1 + 0)
+            raise UnscorableQueryError()
+        return RankedResult(article_id, label, title, percent, raw, reverse, forward)
+
+    def _reverse(self, bag: dict[int, int], length: int) -> float:
+        """A target's emission, from its bag and length, collected on the query bag.
+
+        One fsum; each term is tf_d/len_d * m(w) * wt(w) * tf_q, the same
+        operands in the same order as emit + collect_on_bag, so the value
+        is identical.
+        """
         if length == 0:
             raise EmptyDocumentError("source is empty after segmentation")
         query_bag = self.emission.bag

@@ -3,9 +3,10 @@
 Everything here is written from the definitions, not from the library
 code paths: dense loops over whole documents instead of posting lists,
 plain accumulation instead of exact summation, and a queue-based BFS
-instead of the best-first planner. The one exception is reference_rank,
-which composes the library's own emit and collect_on_bag per article so
-that rank can be compared with it bit for bit.
+instead of the best-first planner. The exceptions are reference_rank
+and reference_compare, which compose the library's own emit and
+collect_on_bag per article or text so that rank and QueryScorer.score
+can be compared with them bit for bit.
 """
 
 from __future__ import annotations
@@ -126,6 +127,34 @@ def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
         rows.append((nodes[article_id].label, normalize(raw, self_raw), raw, reverse, value))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:n]
+
+
+def reference_compare(kb, a, b, attention=None):
+    """`mcrx compare` as two explicit directional passes.
+
+    Each side is an article id or a text. Forward: a's emission collected
+    on b's bag, times b's multiplier if b is an article. Reverse: b's
+    emission collected on a's bag, with no multiplier. Returns (forward,
+    reverse, raw, percent), percent against a's self score.
+    """
+    attention = kb.attention_snapshot() if attention is None else dict(attention)
+
+    def directional(source, destination, multiply):
+        if isinstance(destination, int):
+            bag = kb.article_bags[destination]
+        else:
+            bag = emit(kb, destination).bag
+        value = collect_on_bag(kb, emit(kb, source), bag, attention)
+        if multiply and isinstance(destination, int):
+            value *= attention.get(destination, 1.0)
+        return value
+
+    forward = directional(a, b, True)
+    reverse = directional(b, a, False)
+    emission = emit(kb, a)
+    self_activation = collect_on_bag(kb, emission, emission.bag, attention)
+    raw = combine(reverse, forward)
+    return forward, reverse, raw, normalize(raw, combine(self_activation, self_activation))
 
 
 def bfs_min_actions(effects, start, target, max_depth=12):

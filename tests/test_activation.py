@@ -11,6 +11,7 @@ from mcrx import (
     PARAGRAPH,
     SENTENCE,
     WORD,
+    QueryScorer,
     RawDocument,
     activate,
     build_corpus,
@@ -19,7 +20,6 @@ from mcrx import (
     emit,
     ingest_document,
     rank,
-    self_activation,
     trace,
 )
 from mcrx.errors import EmptyDocumentError
@@ -93,17 +93,13 @@ def test_zero_shared_vocabulary_absent_from_map():
 
 
 def test_self_activation_c2(c2):
-    assert self_activation(c2, c2.article_id("d1")) == pytest.approx(A_D1, abs=1e-12)
-    assert self_activation(c2, "a b") == pytest.approx(A_D1, abs=1e-12)
-
-
-def test_self_activation_unknown_source_is_zero(c2):
-    assert self_activation(c2, "qq zz") == 0.0
+    assert QueryScorer(c2, c2.article_id("d1")).self_activation == pytest.approx(A_D1, abs=1e-12)
+    assert QueryScorer(c2, "a b").self_activation == pytest.approx(A_D1, abs=1e-12)
 
 
 def test_self_activation_repeated_word(c3):
     # e(a)=1, tf=2, wt(a)=ln2 -> 2 ln 2
-    assert self_activation(c3, "a a") == pytest.approx(1.3862943611198906, abs=1e-9)
+    assert QueryScorer(c3, "a a").self_activation == pytest.approx(1.3862943611198906, abs=1e-9)
 
 
 def test_forward_monotonic_in_tf():

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from mcrx import load_index
 from mcrx.cli import main
+
+from oracles import reference_compare
 
 
 def build_c2(tmp_path):
@@ -214,6 +217,40 @@ def test_compare_accepts_file_side(tmp_path, capsys):
     code = main(["compare", "--index", str(index), "--a", str(doc), "--b", "d2"])
     assert code == 0
     assert "0.69315" in capsys.readouterr().out
+
+
+def test_compare_text_sides_match_reference(tmp_path, capsys):
+    index = build_c3(tmp_path)
+    kb = load_index(str(index))
+    doc = tmp_path / "external.txt"
+    doc.write_text("a")
+    other = tmp_path / "other.txt"
+    other.write_text("b a b unknownword")
+    for a, b, side_a, side_b in (
+        ("d2", str(doc), kb.article_id("d2"), "a"),
+        (str(other), str(doc), "b a b unknownword", "a"),
+        (str(doc), str(doc), "a", "a"),
+    ):
+        forward, reverse, raw, percent = reference_compare(kb, side_a, side_b)
+        capsys.readouterr()
+        assert main(["compare", "--index", str(index), "--a", a, "--b", b]) == 0
+        assert capsys.readouterr().out == (
+            f"T {a}->{b}\t{forward:.5f}\nS {b}->{a}\t{reverse:.5f}\n"
+            f"raw\t{raw:.5f}\npercent\t{percent:.1f}\n"
+        )
+    assert (forward, percent) == (reverse, 100.0)  # a text against itself
+
+
+def test_compare_unscorable_a_exit_4(tmp_path, capsys):
+    index = build_c3(tmp_path)
+    doc = tmp_path / "unknown.txt"
+    doc.write_text("zzz qqq")
+    capsys.readouterr()
+    assert main(["compare", "--index", str(index), "--a", str(doc), "--b", "d2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "shares no vocabulary" in captured.err
 
 
 def test_trace_single_row(tmp_path, capsys):
@@ -695,7 +732,19 @@ def test_trace_word_level(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-1"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "-1",
+        "true",
+        "false",
+        pytest.param("1" + "0" * 400, id="10**400"),
+        '"2"',
+    ],
+)
 def test_query_bad_attention_multiplier_exit_1(tmp_path, capsys, value):
     index = build_c2(tmp_path)
     rules = tmp_path / "rules.json"
@@ -706,6 +755,23 @@ def test_query_bad_attention_multiplier_exit_1(tmp_path, capsys, value):
     code = main(["query", "--index", str(index), "--doc", str(doc), "--attention", str(rules)])
     captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("rules", ['{"a": 1e308}', '{"d2": 1e308, "b": 100}'])
+@pytest.mark.parametrize("watch", [[], ["--watch", "a,d2"]])
+def test_query_overflowing_attention_exit_4(tmp_path, capsys, rules, watch):
+    # the first overflows the query's self score, the second d2's forward value
+    index = build_c2(tmp_path)
+    rules_file = tmp_path / "rules.json"
+    rules_file.write_text(rules, "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    argv = ["query", "--index", str(index), "--doc", str(doc), "--attention", str(rules_file)]
+    assert main([*argv, "--tsv", "--include-self", *watch]) == 4
+    captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_error_line(captured.err)
 

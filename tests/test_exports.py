@@ -1,0 +1,38 @@
+"""The package's lazy export table against the modules it points into."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mcrx
+
+SRC = str(Path(mcrx.__file__).resolve().parents[1])
+
+CHECK = """
+import importlib
+import mcrx
+
+for module, names in mcrx._EXPORTS.items():
+    home = importlib.import_module(f"mcrx.{module}")
+    for name in names:
+        assert getattr(mcrx, name) is getattr(home, name), (module, name)
+listed = [name for names in mcrx._EXPORTS.values() for name in names]
+assert len(listed) == len(set(listed)), "a name listed under two modules"
+namespace = {}
+exec("from mcrx import *", namespace)
+missing = set(mcrx.__all__) - set(namespace)
+assert not missing, missing
+for gone in ("run_pass", "ActivationPass", "self_activation"):
+    assert gone not in mcrx.__all__ and not hasattr(mcrx, gone), gone
+"""
+
+
+def test_export_table_resolves_in_a_fresh_interpreter():
+    # a fresh interpreter: nothing here has imported a submodule for the table
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    completed = subprocess.run(
+        [sys.executable, "-c", CHECK], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert completed.returncode == 0, completed.stderr

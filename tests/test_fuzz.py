@@ -1,8 +1,8 @@
 """Seeded fuzz: mutated index, attention and action files through the CLI.
 
 A valid file is changed once, either line by line (delete, duplicate,
-swap, truncate, blank, or one JSON number replaced by NaN, 1e400, 1.5,
-true, null or []) or byte by byte (bit flips, and bytes that are not
+swap, truncate, blank, or one JSON number replaced by NaN, 1e400, 1e308,
+1.5, true, null or []) or byte by byte (bit flips, and bytes that are not
 UTF-8). Every mutant runs through cli.main. The command must return one
 of its documented exit codes without raising; a failure prints nothing
 on stdout and a single error: line on stderr, and a success prints no
@@ -27,7 +27,7 @@ DATA = Path(__file__).parent / "data"
 
 # a JSON number in value position: after ':' ',' or '[', before ',' ']' or '}'
 NUMBER_RE = re.compile(rb"(?<=[:,\[])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[,\]}])")
-NUMBER_SUBSTITUTES = [b"NaN", b"1e400", b"1.5", b"true", b"null", b"[]"]
+NUMBER_SUBSTITUTES = [b"NaN", b"1e400", b"1e308", b"1.5", b"true", b"null", b"[]"]
 LINE_MUTATIONS = ["delete", "duplicate", "swap", "truncate", "blank", "number"]
 # a lone continuation byte, a truncated two-byte sequence, an invalid lead byte
 NOT_UTF8 = [b"\x80", b"\xc3", b"\xff"]

@@ -17,7 +17,7 @@ from mcrx.errors import (
     DuplicateDocumentError,
     EmptyDocumentError,
 )
-from mcrx.ingest import TokenizationRules
+from mcrx.ingest import TokenizationRules, read_utf8
 
 from conftest import LN2, LN3, make_kb
 
@@ -190,3 +190,13 @@ def test_jsonl_reader_rejects_duplicate_ids(tmp_path):
     with pytest.raises(CorpusFormatError) as excinfo:
         read_corpus_jsonl(str(path))
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("reader", [read_utf8, read_corpus_jsonl])
+def test_non_utf8_file_names_path_and_line(tmp_path, reader):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id":"d1","text":"a"}\n{"id":"d2","text":"b"}\n{"id":"d3","text":"\xe9"}\n')
+    with pytest.raises(OSError) as excinfo:
+        reader(str(path))
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: line 3:") and "UTF-8" in message

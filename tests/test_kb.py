@@ -115,7 +115,19 @@ def test_set_attention_validates(c2):
     assert word not in c2.attention
 
 
-@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "multiplier",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        True,
+        False,
+        pytest.param(10**400, id="10**400"),
+        "2",
+        None,
+    ],
+)
 def test_set_attention_rejects_non_finite(c2, multiplier):
     word = c2.word_id("a")
     c2.set_attention(word, 2.0)

@@ -10,7 +10,6 @@ from mcrx import (
     document_candidate_generator,
     rank,
     run,
-    run_pass,
     watch_read,
 )
 from mcrx.errors import NoCandidateError, UnknownLabelError
@@ -167,7 +166,19 @@ def test_apply_rules_rejects_negative(c2):
         apply_rules(c2, {"a": -1.0})
 
 
-@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "multiplier",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        True,
+        False,
+        pytest.param(10**400, id="10**400"),
+        "2",
+        None,
+    ],
+)
 def test_apply_rules_rejects_non_finite(c2, multiplier):
     apply_rules(c2, {"b": 0.5})
     before = dict(c2.attention)
@@ -193,24 +204,22 @@ def test_rule_reversibility(c2):
 
 
 def test_watch_read_word_value(c2):
-    activation_pass = run_pass(c2, "a b")
-    values = watch_read(c2, ["a"], activation_pass)
+    values = watch_read(QueryScorer(c2, "a b"), ["a"])
     assert values["a"] == pytest.approx(0.5493061443340549, abs=1e-12)
     assert values["a"] == pytest.approx(0.54931, abs=1e-5)
 
 
 def test_watch_read_article_and_absent(c2):
-    activation_pass = run_pass(c2, "c")
-    values = watch_read(c2, ["d2", "d1"], activation_pass)
+    values = watch_read(QueryScorer(c2, "c"), ["d2", "d1"])
     assert values["d2"] > 0
     assert values["d1"] == 0.0  # shares no word with the source
 
 
 def test_watch_read_empty_and_unknown(c2):
-    activation_pass = run_pass(c2, "a")
-    assert watch_read(c2, [], activation_pass) == {}
+    scorer = QueryScorer(c2, "a")
+    assert watch_read(scorer, []) == {}
     with pytest.raises(UnknownLabelError):
-        watch_read(c2, ["ghost"], activation_pass)
+        watch_read(scorer, ["ghost"])
 
 
 def test_watch_log_per_iteration(c2):

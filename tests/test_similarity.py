@@ -17,7 +17,14 @@ from mcrx.errors import EmptyIndexError, UnscorableQueryError
 from mcrx.kb import KnowledgeBase
 
 from conftest import make_kb
-from oracles import corpus_weights, dense_rank, random_corpus, reference_rank, toks
+from oracles import (
+    corpus_weights,
+    dense_rank,
+    random_corpus,
+    reference_compare,
+    reference_rank,
+    toks,
+)
 
 SELF_RAW_C2 = 0.5730790100370088  # 0.89588... * ln(1 + 0.89588...)
 RAW_D2_C2 = 0.10312757594433569
@@ -250,6 +257,78 @@ def test_rank_bit_identical_to_reference_ranker():
                             ] == expected
                             compared += 1
     assert compared > 1000 and tied_cuts > 0
+
+
+def test_score_bit_identical_to_reference_compare():
+    """score(target) against two explicit directional passes, with ==.
+
+    Sides are articles and texts, on either side; attention falls on
+    words and on the target articles themselves.
+    """
+    rng = random.Random(1618)
+    compared = text_targets = 0
+    for _ in range(6):
+        docs = random_corpus(rng, max_docs=15, max_vocab=20, max_len=40)
+        kb = _shuffled_kb(docs, rng)
+        vocab = sorted({word for text in docs.values() for word in toks(text)})
+        articles = rng.sample(list(kb.article_order), min(4, kb.article_count))
+        sides = [
+            *articles,
+            docs[rng.choice(sorted(docs))],
+            " ".join(rng.choices(vocab, k=4) + ["unknownword"]),
+            rng.choice(vocab),
+        ]
+        on_words = _attention_maps(kb, rng)[1]
+        on_targets = dict(zip(articles, (3.0, 0.5, 0.0)))
+        for attention in ({}, on_words, on_targets, {**on_words, **on_targets}):
+            for a in sides:
+                for b in sides:
+                    try:
+                        expected = reference_compare(kb, a, b, attention)
+                    except UnscorableQueryError:
+                        with pytest.raises(UnscorableQueryError):
+                            QueryScorer(kb, a, attention).score(b)
+                        continue
+                    result = QueryScorer(kb, a, attention).score(b)
+                    assert (result.forward, result.reverse, result.raw, result.percent) == expected
+                    compared += 1
+                    text_targets += isinstance(b, str)
+    assert compared > 1000 and text_targets > 400
+
+
+def test_score_text_target_has_no_article_fields(c3):
+    result = QueryScorer(c3, c3.article_id("d2")).score("a")
+    assert (result.article_id, result.label, result.title) == (None, "", "")
+    assert result.forward == pytest.approx(0.34657359027997264, abs=1e-12)  # 1/2 ln 2
+    assert result.reverse == pytest.approx(0.6931471805599453, abs=1e-12)  # ln 2
+
+
+def test_scorer_refuses_overflowing_self_score(c2):
+    # self activation ~5.5e307 is finite, but s * ln(1 + s) is not
+    with pytest.raises(UnscorableQueryError):
+        QueryScorer(c2, "a b", {c2.word_id("a"): 1e308})
+
+
+def test_scorer_refuses_overflowing_exact_sum():
+    kb = make_kb({"d1": "a b", "d2": "a a b b c"})
+    # each of d2's two terms is finite, their sum is not: fsum raises OverflowError
+    attention = {kb.word_id("a"): 1.5e308, kb.word_id("b"): 1.5e308}
+    with pytest.raises(UnscorableQueryError):
+        QueryScorer(kb, "a b", attention)
+
+
+def test_score_refuses_overflowing_score(c2):
+    attention = {c2.article_id("d2"): 1e308, c2.word_id("b"): 100.0}
+    scorer = QueryScorer(c2, "a b", attention)
+    assert scorer.score(c2.article_id("d1")).percent == 100.0
+    with pytest.raises(UnscorableQueryError):
+        scorer.score(c2.article_id("d2"))  # forward is inf
+    with pytest.raises(UnscorableQueryError):
+        rank(c2, "a b", attention=attention)
+    # a text target: its reverse is ten times the query's own terms
+    scorer = QueryScorer(c2, "a" + " b" * 9, {c2.word_id("a"): 1e306})
+    with pytest.raises(UnscorableQueryError):
+        scorer.score("a")
 
 
 def test_tsv_round_trips_losslessly(c2):
