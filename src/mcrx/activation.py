@@ -23,11 +23,13 @@ collector to promote. One lock per knowledge base (kb.collect_lock)
 serializes collection, which makes concurrent queries on one knowledge
 base safe; inserting articles while another thread queries is not. A
 pass interrupted by an exception empties every bin before it re-raises.
-Because fsum is exactly rounded, activation values are bit-identical
-regardless of ingestion order, of the order or partition of the summed
-terms, and of save/load cycles. Sentences and paragraphs never modulate
-cross-document activation; trace reads an article's packed runs only to
-attribute its activation to them, by position (p2, p2.s3).
+An exact sum past the float range (finite attention multipliers near
+1e308) raises UnscorableQueryError. Because fsum is exactly rounded,
+activation values are bit-identical regardless of ingestion order, of
+the order or partition of the summed terms, and of save/load cycles.
+Sentences and paragraphs never modulate cross-document activation;
+trace reads an article's packed runs only to attribute its activation
+to them, by position (p2, p2.s3).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import EmptyDocumentError, StaleWeightsError
+from .errors import EmptyDocumentError, StaleWeightsError, UnscorableQueryError
 from .ingest import DEFAULT_RULES, TokenizationRules, tokenize
 from .kb import SENTENCE, WORD, KnowledgeBase
 
@@ -104,6 +106,14 @@ def emit(
     return Emission(values, dict(bag), length, unknown)
 
 
+def exact_sum(terms) -> float:
+    """math.fsum; UnscorableQueryError when finite terms sum past the float range."""
+    try:
+        return fsum(terms)
+    except OverflowError as exc:
+        raise UnscorableQueryError() from exc
+
+
 def _word_factors(
     kb: KnowledgeBase, emission: Emission, attention: dict[int, float]
 ) -> list[tuple[int, float]]:
@@ -153,10 +163,14 @@ def collect(
                     values.clear()
                     if activation != 0.0:
                         articles[article_id] = activation
-        except BaseException:
+        except BaseException as exc:
             # an interrupted pass must not leave terms for the next query
             for values in bins:
                 values.clear()
+            # an exact sum past the float range; converted here so that the
+            # per-article sum stays a bare fsum call
+            if isinstance(exc, OverflowError):
+                raise UnscorableQueryError() from exc
             raise
     return articles
 
@@ -171,7 +185,7 @@ def collect_on_bag(
     if attention is None:
         attention = kb.attention_snapshot()
     factors = _word_factors(kb, emission, attention)
-    return fsum(factor * bag[word_id] for word_id, factor in factors if word_id in bag)
+    return exact_sum(factor * bag[word_id] for word_id, factor in factors if word_id in bag)
 
 
 def activate(
@@ -230,7 +244,7 @@ def trace(
         bag: dict[int, int] = {}
         for word_id, count in runs:
             bag[word_id] = bag.get(word_id, 0) + count
-        contribution = fsum(
+        contribution = exact_sum(
             factors[word_id] * count for word_id, count in bag.items() if word_id in factors
         )
         entries.append(TraceEntry(node_id, level, contribution, position))

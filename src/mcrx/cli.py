@@ -267,16 +267,15 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
     from . import seqdemo
     from .scl import ExitCriteria
 
-    kb_path = Path(args.kb)
-    changed = False
-    if kb_path.exists():
+    missing = not Path(args.kb).exists()
+    if missing:
+        akb = seqdemo.default_actions()
+    else:
         try:
             akb = seqdemo.load_actions(args.kb)
         except (OSError, IndexFormatError) as exc:
             return _fail(EXIT_UNREADABLE, f"cannot load action kb: {exc}")
-    else:
-        akb = seqdemo.default_actions()
-        changed = True
+    known = len(akb.known_ids())  # actions are only ever added
 
     if args.learn:
         try:
@@ -291,10 +290,8 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
             return _fail(EXIT_BAD_DEMO, f"invalid demonstration: {exc}")
         for label in learned.new_primitives:
             print(f"learned primitive {label}")
-            changed = True
         if learned.composite_created:
             print(f"learned composite {learned.composite_id}")
-            changed = True
         else:
             print(f"recognized composite {learned.composite_id}")
 
@@ -313,8 +310,7 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
     if result.composite_id is not None:
         verb = "registered" if result.composite_created else "matched"
         print(f"{verb} composite {result.composite_id}")
-        changed = changed or result.composite_created
-    if changed:
+    if missing or len(akb.known_ids()) > known:
         try:
             seqdemo.save_actions(akb, args.kb)
         except OSError as exc:

@@ -6,11 +6,11 @@ class McrxError(Exception):
 
 
 class LayeringError(McrxError):
-    """A child node is not exactly one level below its parent."""
+    """An article's runs name a node that is not a word."""
 
 
 class MissingNodeError(McrxError):
-    """A node id or label does not exist in the knowledge base."""
+    """A node id or label, or an action id, is not known."""
 
 
 class DuplicateDocumentError(McrxError):

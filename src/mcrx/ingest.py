@@ -95,7 +95,7 @@ def ingest_document(
     doc: RawDocument,
     rules: TokenizationRules = DEFAULT_RULES,
 ) -> int:
-    """Segment one document and insert its node hierarchy.
+    """Segment one document and insert it as one article of word runs.
 
     Returns the article node id. Word weights become stale until
     compute_weights runs again.

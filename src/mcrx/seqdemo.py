@@ -43,16 +43,15 @@ def check_coordinates(point: tuple[int, int]) -> None:
         raise ValueError(f"coordinates {point} exceed +-2**53")
 
 
-@dataclass(slots=True)
-class PrimitiveAction:
-    label: str
-    effect: Effect
+@dataclass(frozen=True, slots=True)
+class Action:
+    """A known action. A primitive has no children; a composite's
+    flattening and net effect follow from its children's."""
 
-
-@dataclass(slots=True)
-class CompositeAction:
     id: str
     children: tuple[str, ...]
+    flat: tuple[Effect, ...]  # the primitive effects, in order
+    net: Effect  # total displacement
 
 
 @dataclass(slots=True)
@@ -78,106 +77,90 @@ class ActionKB:
     """Known actions: primitives plus learned composites, in creation order."""
 
     def __init__(self):
-        self._actions: dict[str, PrimitiveAction | CompositeAction] = {}
-        self._order: list[str] = []
-        self._net: dict[str, Effect] = {}
-        self._flat: dict[str, tuple[Effect, ...]] = {}
-        self._by_flat: dict[tuple[Effect, ...], str] = {}
+        self._actions: dict[str, Action] = {}  # insertion order is creation order
+        self._by_flat: dict[tuple[Effect, ...], str] = {}  # first action per flattening
         self._next_composite = 1
 
-    def known_ids(self) -> list[str]:
-        return list(self._order)
+    def __iter__(self):
+        """The action records, in creation order."""
+        return iter(self._actions.values())
 
-    def get(self, action_id: str) -> PrimitiveAction | CompositeAction:
+    def known_ids(self) -> list[str]:
+        return list(self._actions)
+
+    def get(self, action_id: str) -> Action:
         action = self._actions.get(action_id)
         if action is None:
             raise MissingNodeError(f"no action {action_id!r}")
         return action
 
     def is_composite(self, action_id: str) -> bool:
-        return isinstance(self.get(action_id), CompositeAction)
+        return bool(self.get(action_id).children)
 
-    def creation_index(self, action_id: str) -> int:
-        return self._order.index(action_id)
+    def net_effect(self, action_id: str) -> Effect:
+        """Total displacement of an action."""
+        return self.get(action_id).net
+
+    def flattened(self, action_id: str) -> tuple[Effect, ...]:
+        """The action expanded to its primitive effect sequence."""
+        return self.get(action_id).flat
 
     def add_primitive(self, label: str, effect: Effect) -> str:
-        effect = (int(effect[0]), int(effect[1]))
+        """Register a one-letter primitive; ValueError for a label that is
+        not a str or an effect that is not a pair of ints (bools refused)."""
+        dx, dy = effect
+        if not isinstance(label, str) or type(dx) is not int or type(dy) is not int:
+            raise ValueError("needs a string label and int dx, dy")
+        effect = (dx, dy)
         check_coordinates(effect)
-        existing = self._actions.get(label)
-        if existing is not None:
-            if isinstance(existing, PrimitiveAction) and existing.effect == effect:
-                return label
-            raise ValueError(f"action id {label!r} already taken")
+        if label in self._actions:
+            if self._actions[label] != Action(label, (), (effect,), effect):
+                raise ValueError(f"action id {label!r} already taken")
+            return label
         if len(label) != 1:
             raise ValueError("primitive labels are single letters")
         if self.primitive_for_effect(effect) is not None:
             raise ValueError(f"effect {effect} already has a primitive")
-        self._actions[label] = PrimitiveAction(label, effect)
-        self._order.append(label)
-        self._net[label] = effect
-        self._flat[label] = (effect,)
-        self._by_flat.setdefault((effect,), label)
-        return label
+        return self._insert(label, (), (effect,))
 
     def primitive_for_effect(self, effect: Effect) -> str | None:
-        for action_id in self._order:
-            action = self._actions[action_id]
-            if isinstance(action, PrimitiveAction) and action.effect == effect:
-                return action_id
-        return None
+        # a one-step flattening is first owned by its primitive: a
+        # composite needs an action with that flattening before it
+        return self._by_flat.get((effect,))
 
     def add_composite(self, children: list[str]) -> tuple[str, bool]:
         """Register an action sequence; identical flattenings deduplicate."""
-        if not children:
-            raise ValueError("composite needs at least one child")
-        flat: list[Effect] = []
-        for child in children:
-            flat.extend(self.flattened(child))
-        key = tuple(flat)
-        existing = self._by_flat.get(key)
+        flat = self._flatten(children)
+        existing = self._by_flat.get(flat)
         if existing is not None:
             return existing, False
-        composite_id = self._claim_composite_id()
-        return self._store_composite(composite_id, tuple(children), key), True
-
-    def _claim_composite_id(self) -> str:
         while f"S{self._next_composite}" in self._actions:
             self._next_composite += 1
-        composite_id = f"S{self._next_composite}"
-        self._next_composite += 1
-        return composite_id
+        return self._insert(f"S{self._next_composite}", tuple(children), flat), True
 
-    def _store_composite(
-        self, composite_id: str, children: tuple[str, ...], flat: tuple[Effect, ...]
-    ) -> str:
-        self._actions[composite_id] = CompositeAction(composite_id, children)
-        self._order.append(composite_id)
-        dx = sum(effect[0] for effect in flat)
-        dy = sum(effect[1] for effect in flat)
-        self._net[composite_id] = (dx, dy)
-        self._flat[composite_id] = flat
-        self._by_flat.setdefault(flat, composite_id)
-        return composite_id
+    def _flatten(self, children: list[str]) -> tuple[Effect, ...]:
+        if not children:
+            raise ValueError("composite needs at least one child")
+        return tuple(effect for child in children for effect in self.get(child).flat)
 
-    def net_effect(self, action_id: str) -> Effect:
-        """Total displacement of an action (memoized at creation)."""
-        self.get(action_id)
-        return self._net[action_id]
-
-    def flattened(self, action_id: str) -> tuple[Effect, ...]:
-        """The action expanded to its primitive effect sequence."""
-        self.get(action_id)
-        return self._flat[action_id]
+    def _insert(self, action_id: str, children: tuple[str, ...], flat: tuple[Effect, ...]) -> str:
+        """Store a new action; the one insert for add_* and load_actions."""
+        if not isinstance(action_id, str) or action_id in self._actions:
+            raise ValueError(f"id {action_id!r} is not a new string")
+        net = (sum(effect[0] for effect in flat), sum(effect[1] for effect in flat))
+        self._actions[action_id] = Action(action_id, children, flat, net)
+        self._by_flat.setdefault(flat, action_id)
+        return action_id
 
     def action_with_net(self, effect: Effect) -> str | None:
-        """Known action matching a whole-step effect; composites first."""
-        matches = [aid for aid in self._order if self._net[aid] == effect]
-        if not matches:
-            return None
-        matches.sort(
-            key=lambda aid: (0 if self.is_composite(aid) else 1, self.creation_index(aid))
+        """Known action matching a whole-step effect; composites first,
+        then the earliest created (min keeps the first of equal keys)."""
+        best = min(
+            (action for action in self if action.net == effect),
+            key=lambda action: not action.children,
+            default=None,
         )
-        return matches[0]
+        return None if best is None else best.id
 
 
 def default_actions() -> ActionKB:
@@ -214,37 +197,34 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
     position = 0
     while position < len(deltas):
         delta = deltas[position]
-        if delta not in UNIT_LABELS:
-            action = akb.action_with_net(delta)
+        if delta in UNIT_LABELS:
+            action = _longest_match(akb, deltas, position)
+            steps = len(akb.flattened(action))
+        else:
+            action, steps = akb.action_with_net(delta), 1
             if action is None:
                 raise InvalidDemonstrationError(
                     f"step {position + 1} jumps by {delta}, which no known "
                     "action explains"
                 )
-            parsed.append(action)
-            position += 1
-            continue
-        match = _longest_match(akb, deltas, position)
-        parsed.append(match)
-        position += len(akb.flattened(match))
+        parsed.append(action)
+        position += steps
 
     composite_id, created = akb.add_composite(parsed)
     return LearnResult(new_primitives, composite_id, created)
 
 
 def _longest_match(akb: ActionKB, deltas: list[Effect], position: int) -> str:
-    best = None
-    best_key = None
-    for index, action_id in enumerate(akb.known_ids()):
-        flat = akb.flattened(action_id)
-        if tuple(deltas[position : position + len(flat)]) != flat:
-            continue
-        key = (-len(flat), 0 if akb.is_composite(action_id) else 1, index)
-        if best_key is None or key < best_key:
-            best, best_key = action_id, key
-    # the step's own primitive always matches, so best cannot be None here
-    assert best is not None
-    return best
+    # longest flattening, then composites, then earliest created; the
+    # step's own primitive always matches, so min never sees no action
+    return min(
+        (
+            action
+            for action in akb
+            if tuple(deltas[position : position + len(action.flat)]) == action.flat
+        ),
+        key=lambda action: (-len(action.flat), not action.children),
+    ).id
 
 
 def execute(akb: ActionKB, sequence: list[str] | tuple[str, ...], start: GridState) -> GridState:
@@ -324,8 +304,8 @@ def _best_first(akb: ActionKB, start: GridState, score_endpoint):
         nonlocal last
         if last is not None:
             sequence, endpoint = last
-            for action_id in akb.known_ids():
-                dx, dy = akb.net_effect(action_id)
+            for action in akb:
+                dx, dy = action.net
                 successor = (endpoint[0] + dx, endpoint[1] + dy)
                 if successor in visited:
                     continue
@@ -335,7 +315,7 @@ def _best_first(akb: ActionKB, start: GridState, score_endpoint):
                     (
                         -score_endpoint(successor),
                         next(tick),
-                        sequence + (action_id,),
+                        sequence + (action.id,),
                         successor,
                     ),
                 )
@@ -352,30 +332,13 @@ def _best_first(akb: ActionKB, start: GridState, score_endpoint):
 def save_actions(akb: ActionKB, path: str) -> None:
     """Write the action base: primitive records, then composite records."""
     lines = []
-    for action_id in akb.known_ids():
-        action = akb.get(action_id)
-        if isinstance(action, PrimitiveAction):
-            lines.append(
-                json.dumps(
-                    {
-                        "t": "prim",
-                        "label": action.label,
-                        "dx": action.effect[0],
-                        "dy": action.effect[1],
-                    },
-                    separators=(",", ":"),
-                )
-            )
-    for action_id in akb.known_ids():
-        action = akb.get(action_id)
-        if isinstance(action, CompositeAction):
-            lines.append(
-                json.dumps(
-                    {"t": "comp", "id": action.id, "children": list(action.children)},
-                    separators=(",", ":"),
-                )
-            )
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    for action in sorted(akb, key=lambda action: bool(action.children)):  # stable
+        if action.children:
+            record = {"t": "comp", "id": action.id, "children": list(action.children)}
+        else:
+            record = {"t": "prim", "label": action.id, "dx": action.net[0], "dy": action.net[1]}
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    write_text_atomic(path, "".join(lines))
 
 
 def load_actions(path: str) -> ActionKB:
@@ -383,8 +346,8 @@ def load_actions(path: str) -> ActionKB:
 
     Raises IndexFormatError with the line number for a file that is not
     UTF-8 text and for a malformed record: labels and ids must be
-    strings, dx and dy ints (not bools), and children a list of ids
-    defined on earlier lines.
+    strings, dx and dy ints (not bools), and children a non-empty list
+    of ids defined on earlier lines.
     """
     akb = ActionKB()
     with io.StringIO(read_utf8_text(path), newline=None) as handle:
@@ -409,19 +372,11 @@ def load_actions(path: str) -> ActionKB:
 def _load_action(akb: ActionKB, record: dict) -> None:
     kind = record.get("t")
     if kind == "prim":
-        label, dx, dy = record["label"], record["dx"], record["dy"]
-        if not isinstance(label, str) or type(dx) is not int or type(dy) is not int:
-            raise ValueError("needs a string label and int dx, dy")
-        akb.add_primitive(label, (dx, dy))
+        akb.add_primitive(record["label"], (record["dx"], record["dy"]))
     elif kind == "comp":
         composite_id, children = record["id"], record["children"]
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
             raise ValueError("children must be a list of action ids")
-        if not isinstance(composite_id, str) or composite_id in akb._actions:
-            raise ValueError(f"id {composite_id!r} is not a new string")
-        flat: list[Effect] = []
-        for child in children:
-            flat.extend(akb.flattened(child))
-        akb._store_composite(composite_id, tuple(children), tuple(flat))
+        akb._insert(composite_id, tuple(children), akb._flatten(children))
     else:
         raise ValueError(f"unknown record type {kind!r}")

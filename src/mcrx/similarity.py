@@ -24,9 +24,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from math import fsum
 
-from .activation import Source, collect, collect_on_bag, emit
+from .activation import Source, collect, collect_on_bag, emit, exact_sum
 from .errors import (
     EmptyDocumentError,
     EmptyIndexError,
@@ -90,13 +89,10 @@ class QueryScorer:
         self.rules = rules
         self.source_article = query if isinstance(query, int) else None
         self.emission = emit(kb, query, rules)
-        try:
-            self.forward_map = collect(kb, self.emission, self.attention)
-            self.self_activation = collect_on_bag(
-                kb, self.emission, self.emission.bag, self.attention
-            )
-        except OverflowError as exc:  # fsum of finite terms past the float range
-            raise UnscorableQueryError() from exc
+        self.forward_map = collect(kb, self.emission, self.attention)
+        self.self_activation = collect_on_bag(
+            kb, self.emission, self.emission.bag, self.attention
+        )
         if self.self_activation == 0.0:
             raise UnscorableQueryError(self.emission.unknown_words)
         self.self_raw = combine(self.self_activation, self.self_activation)
@@ -131,24 +127,21 @@ class QueryScorer:
         a score past the float range.
         """
         kb = self.kb
-        try:
-            if isinstance(target, int):
-                node = kb.node(target)
-                if node.level != kb.top_level:
-                    raise ValueError(f"node {target} is not an article")
-                if not kb.weights_computed:
-                    raise StaleWeightsError("compute weights before running activation")
-                article_id, label, title = target, node.label or "", kb.title(target)
-                bag, length = kb.article_bags[target], kb.article_len[target]
-                forward = self.forward_map.get(target, 0.0)
-            else:
-                emission = emit(kb, target, self.rules)
-                article_id, label, title = None, "", ""
-                bag, length = emission.bag, emission.length
-                forward = collect_on_bag(kb, self.emission, bag, self.attention)
-            reverse = self._reverse(bag, length)
-        except OverflowError as exc:
-            raise UnscorableQueryError() from exc
+        if isinstance(target, int):
+            node = kb.node(target)
+            if node.level != kb.top_level:
+                raise ValueError(f"node {target} is not an article")
+            if not kb.weights_computed:
+                raise StaleWeightsError("compute weights before running activation")
+            article_id, label, title = target, node.label or "", kb.title(target)
+            bag, length = kb.article_bags[target], kb.article_len[target]
+            forward = self.forward_map.get(target, 0.0)
+        else:
+            emission = emit(kb, target, self.rules)
+            article_id, label, title = None, "", ""
+            bag, length = emission.bag, emission.length
+            forward = collect_on_bag(kb, self.emission, bag, self.attention)
+        reverse = self._reverse(bag, length)
         raw = combine(reverse, forward)
         percent = normalize(raw, self.self_raw)
         if not percent < math.inf:  # inf, or NaN from inf * ln(1 + 0)
@@ -168,12 +161,12 @@ class QueryScorer:
         attention = self.attention
         nodes = self.kb.nodes
         if len(bag) <= len(query_bag):
-            return fsum(
+            return exact_sum(
                 tf_d / length * attention.get(w, 1.0) * nodes[w].weight * query_bag[w]
                 for w, tf_d in bag.items()
                 if w in query_bag
             )
-        return fsum(
+        return exact_sum(
             bag[w] / length * attention.get(w, 1.0) * nodes[w].weight * tf_q
             for w, tf_q in query_bag.items()
             if w in bag

@@ -16,13 +16,14 @@ from mcrx import (
     activate,
     build_corpus,
     collect,
+    collect_on_bag,
     compute_weights,
     emit,
     ingest_document,
     rank,
     trace,
 )
-from mcrx.errors import EmptyDocumentError
+from mcrx.errors import EmptyDocumentError, UnscorableQueryError
 from mcrx.ingest import read_corpus_jsonl
 from mcrx.scl import apply_rules
 
@@ -338,6 +339,31 @@ def test_reused_bins_clean_after_interrupted_collect(monkeypatch):
     assert len(calls) == 3 and not any(kb.term_bins)
     for follow_up in (query, docs[5].body, "w1 w2"):
         assert labeled(kb, activate(kb, follow_up)) == expected(docs, follow_up)
+
+
+def test_exact_sum_past_float_range_is_unscorable():
+    texts = {"d1": "a b", "d2": "a a b b c"}
+    kb = make_kb(texts)
+    d2 = kb.article_id("d2")
+    # d2's two terms are finite, their exact sum is not
+    attention = {kb.word_id("a"): 1.5e308, kb.word_id("b"): 1.5e308}
+    emission = emit(kb, "a b")
+    with pytest.raises(UnscorableQueryError):
+        collect(kb, emission, attention)
+    with pytest.raises(UnscorableQueryError):
+        activate(kb, "a b", attention)
+    with pytest.raises(UnscorableQueryError):
+        collect_on_bag(kb, emission, kb.article_bags[d2], attention)
+    for level in (SENTENCE, PARAGRAPH):
+        with pytest.raises(UnscorableQueryError):
+            trace(kb, "a b", d2, level, 5, attention)
+    # one word's share stays finite
+    assert all(math.isfinite(e.contribution) for e in trace(kb, "a b", d2, WORD, 5, attention))
+    # the refused collect left no terms in the bins
+    assert not any(kb.term_bins)
+    reference = make_kb(texts)
+    for query in ("a b", "a a b b c", "c"):
+        assert labeled(kb, activate(kb, query)) == labeled(reference, activate(reference, query))
 
 
 def test_reused_bins_concurrent_ranking_matches_sequential():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -609,6 +611,112 @@ def test_scl_demo_single_composite_plan_is_matched(tmp_path, capsys):
     assert "matched composite S1" in out
 
 
+def scl_session(seed, calls):
+    """Seeded scl-demo calls: every third learns a 3-12-step unit walk."""
+    rng = random.Random(seed)
+    steps = [(0, 1), (0, -1), (-1, 0), (1, 0)]
+    session = []
+    for call in range(calls):
+        demo = None
+        if call % 3 == 0:
+            state = (rng.randint(-10, 10), rng.randint(-10, 10))
+            demo = [state]
+            for _ in range(rng.randint(3, 12)):
+                dx, dy = rng.choice(steps)
+                state = (state[0] + dx, state[1] + dy)
+                demo.append(state)
+        start = (rng.randint(-12, 12), rng.randint(-12, 12))
+        target = (rng.randint(-12, 12), rng.randint(-12, 12))
+        session.append((demo, start, target))
+    return session
+
+
+def test_scl_demo_seeded_session_is_pinned(tmp_path, capsys):
+    kb_path, demo_path = tmp_path / "actions.jsonl", tmp_path / "demo.txt"
+    stdout = []
+    for demo, start, target in scl_session(20261018, 24):
+        argv = ["scl-demo", "--kb", str(kb_path)]
+        if demo is not None:
+            demo_path.write_text("".join(f"{x},{y}\n" for x, y in demo))
+            argv += ["--learn", str(demo_path)]
+        argv += ["--start", "%d,%d" % start, "--target", "%d,%d" % target]
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out)
+    # any change to a parse or plan choice, or to the saved bytes, moves these
+    assert hashlib.sha256("".join(stdout).encode()).hexdigest() == (
+        "1b820372b39711f6f5d9709920dcfb9d7109b86d01f9f8c5a8ede069a92d7c4d"
+    )
+    assert hashlib.sha256(kb_path.read_bytes()).hexdigest() == (
+        "4fdb48ab906baec1466cd46d07a3640468410487668c5276f9dc02bc4052f87d"
+    )
+
+
+# a single-child composite, two composites with one flattening, and
+# non-unit primitives: K shares its net effect with those two composites
+TIE_ACTIONS = """\
+{"t": "prim", "label": "U", "dx": 0, "dy": 1}
+{"t": "prim", "label": "R", "dx": 1, "dy": 0}
+{"t": "prim", "label": "J", "dx": 3, "dy": 0}
+{"t": "prim", "label": "K", "dx": 1, "dy": 1}
+{"t": "comp", "id": "S1", "children": ["U"]}
+{"t": "comp", "id": "S2", "children": ["U", "R"]}
+{"t": "comp", "id": "S3", "children": ["S1", "R"]}
+"""
+
+TIE_CALLS = [
+    # U R: S2 before S3 (earliest of one flattening); jump (3,0): J; jump
+    # (1,1): composite S2 before S3 and before primitive K; U: composite
+    # S1 before U (equal length)
+    (
+        "0,0 0,1 1,1 4,1 5,2 5,3 4,3",
+        "0,0",
+        "4,1",
+        "learned primitive L\nlearned composite S4\nsequence\tJ K\niterations\t3\n"
+        "exit\tthreshold\nregistered composite S5\n",
+    ),
+    ("0,0 0,1 1,1", "0,0", "1,1", "recognized composite S2\nsequence\tK\niterations\t2\nexit\tthreshold\n"),
+    # the parse [S1] flattens to U's one step, and U owns that flattening
+    ("3,3 3,4", "0,0", "0,1", "recognized composite U\nsequence\tU\niterations\t2\nexit\tthreshold\n"),
+    (
+        None,
+        "0,0",
+        "5,3",
+        "sequence\tS4 R\niterations\t3\nexit\tthreshold\nregistered composite S6\n",
+    ),
+]
+
+TIE_SAVED = """\
+{"t":"prim","label":"U","dx":0,"dy":1}
+{"t":"prim","label":"R","dx":1,"dy":0}
+{"t":"prim","label":"J","dx":3,"dy":0}
+{"t":"prim","label":"K","dx":1,"dy":1}
+{"t":"prim","label":"L","dx":-1,"dy":0}
+{"t":"comp","id":"S1","children":["U"]}
+{"t":"comp","id":"S2","children":["U","R"]}
+{"t":"comp","id":"S3","children":["S1","R"]}
+{"t":"comp","id":"S4","children":["S2","J","S2","S1","L"]}
+{"t":"comp","id":"S5","children":["J","K"]}
+{"t":"comp","id":"S6","children":["S4","R"]}
+"""
+
+
+def test_scl_demo_tie_breaks_on_hand_written_actions(tmp_path, capsys):
+    kb_path, demo_path = tmp_path / "actions.jsonl", tmp_path / "demo.txt"
+    kb_path.write_text(TIE_ACTIONS)
+    # a one-primitive plan adds no action, so the file is not rewritten
+    assert main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "3,0"]) == 0
+    assert capsys.readouterr().out == "sequence\tJ\niterations\t2\nexit\tthreshold\n"
+    assert kb_path.read_text() == TIE_ACTIONS
+    for demo, start, target, expected in TIE_CALLS:
+        argv = ["scl-demo", "--kb", str(kb_path), "--start", start, "--target", target]
+        if demo is not None:
+            demo_path.write_text(demo.replace(" ", "\n"))
+            argv += ["--learn", str(demo_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert kb_path.read_text() == TIE_SAVED
+
+
 def replace_line(path, number, data):
     lines = path.read_bytes().split(b"\n")
     lines[number - 1] = data
@@ -671,6 +779,7 @@ def test_scl_demo_non_utf8_action_file_exit_1(tmp_path, capsys):
         '{"t":"comp","id":7,"children":["U","R"]}',
         '{"t":"comp","id":"S1","children":"UR"}',
         '{"t":"comp","id":"S1","children":["U",["R"]]}',
+        '{"t":"comp","id":"S1","children":[]}',
     ],
 )
 def test_scl_demo_bad_action_record_exit_1(tmp_path, capsys, record):

@@ -1,13 +1,15 @@
-"""Seeded fuzz: mutated index, attention and action files through the CLI.
+"""Seeded fuzz: mutated index, attention, action and corpus files through the CLI.
 
 A valid file is changed once, either line by line (delete, duplicate,
 swap, truncate, blank, or one JSON number replaced by NaN, 1e400, 1e308,
 1.5, true, null or []) or byte by byte (bit flips, and bytes that are not
-UTF-8). Every mutant runs through cli.main. The command must return one
-of its documented exit codes without raising; a failure prints nothing
-on stdout and a single error: line on stderr, and a success prints no
-NaN or infinite score. The mutations are drawn from fixed seeds, so a
-failure reproduces exactly.
+UTF-8). In a JSONL corpus the replaced value is a JSON string (an id, a
+title or a text); in a *.txt corpus it is a word. Every mutant runs
+through cli.main. The command must return one of its documented exit
+codes without raising; a failure prints nothing on stdout and a single
+error: line on stderr, and a success prints no NaN or infinite score.
+The mutations are drawn from fixed seeds, so a failure reproduces
+exactly.
 """
 
 from __future__ import annotations
@@ -27,14 +29,18 @@ DATA = Path(__file__).parent / "data"
 
 # a JSON number in value position: after ':' ',' or '[', before ',' ']' or '}'
 NUMBER_RE = re.compile(rb"(?<=[:,\[])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[,\]}])")
+# a JSON string in value position, and a word of plain text
+STRING_RE = re.compile(rb'(?<=: )"(?:[^"\\]|\\.)*"(?=[,}])')
+WORD_RE = re.compile(rb"\S+")
 NUMBER_SUBSTITUTES = [b"NaN", b"1e400", b"1e308", b"1.5", b"true", b"null", b"[]"]
 LINE_MUTATIONS = ["delete", "duplicate", "swap", "truncate", "blank", "number"]
 # a lone continuation byte, a truncated two-byte sequence, an invalid lead byte
 NOT_UTF8 = [b"\x80", b"\xc3", b"\xff"]
 
 
-def mutate_lines(rng: random.Random, data: bytes) -> bytes:
-    """One line-level mutation of a line-delimited file."""
+def mutate_lines(rng: random.Random, data: bytes, values: re.Pattern = NUMBER_RE) -> bytes:
+    """One line-level mutation of a line-delimited file; values are the
+    spans a "number" mutation may replace."""
     lines = data.split(b"\n")
     if lines[-1] == b"":
         lines.pop()
@@ -48,13 +54,13 @@ def mutate_lines(rng: random.Random, data: bytes) -> bytes:
         j = rng.randrange(len(lines))
         lines[i], lines[j] = lines[j], lines[i]
     elif kind == "truncate":
-        lines[i] = lines[i][: rng.randrange(len(lines[i]))]
+        lines[i] = lines[i][: rng.randrange(max(len(lines[i]), 1))]
     elif kind == "blank":
         lines[i] = b""
     else:
-        numbered = [k for k, line in enumerate(lines) if NUMBER_RE.search(line)]
+        numbered = [k for k, line in enumerate(lines) if values.search(line)]
         i = rng.choice(numbered)
-        matches = list(NUMBER_RE.finditer(lines[i]))
+        matches = list(values.finditer(lines[i]))
         match = rng.choice(matches)
         line = lines[i]
         lines[i] = line[: match.start()] + rng.choice(NUMBER_SUBSTITUTES) + line[match.end() :]
@@ -73,10 +79,13 @@ def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
     return bytes(out)
 
 
-def mutants(seed: int, data: bytes, count: int) -> list[bytes]:
+def mutants(seed: int, data: bytes, count: int, values: re.Pattern = NUMBER_RE) -> list[bytes]:
     """count mutants of data, alternately line level and byte level."""
     rng = random.Random(seed)
-    return [(mutate_lines, mutate_bytes)[i % 2](rng, data) for i in range(count)]
+    return [
+        mutate_lines(rng, data, values) if i % 2 == 0 else mutate_bytes(rng, data)
+        for i in range(count)
+    ]
 
 
 def run_cli(capsys, argv: list[str], allowed: set[int]) -> tuple[int, str]:
@@ -180,3 +189,42 @@ def test_fuzzed_action_files(tmp_path, capsys):
         else:
             assert kb_path.read_bytes() == mutant  # a refused file is never rewritten
     assert 0 < loaded < 400
+
+
+def built_index_loads(capsys, corpus: Path, index: Path) -> bool:
+    """mcrx build exits 0, 1, 2 or 3; a built index loads and validates."""
+    code, _ = run_cli(capsys, ["build", "--corpus", str(corpus), "--index", str(index)], {0, 1, 2, 3})
+    if code == 0:
+        load_index(str(index)).validate()
+        index.unlink()
+    return code == 0
+
+
+def test_fuzzed_jsonl_corpus_files(tmp_path, capsys):
+    records = (DATA / "corpus100.jsonl").read_text("utf-8").splitlines()[:24]
+    valid = ("\n".join(records) + "\n" + "".join(json.dumps(doc) + "\n" for doc in TITLED)).encode()
+    assert len(STRING_RE.findall(valid)) > 2 * len(records)
+    corpus = tmp_path / "corpus.jsonl"
+    built = 0
+    for mutant in mutants(20261021, valid, 200, STRING_RE):
+        corpus.write_bytes(mutant)
+        built += built_index_loads(capsys, corpus, tmp_path / "index.mcrx")
+    assert 0 < built < 200
+
+
+def test_fuzzed_txt_corpus_files(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    records = (DATA / "corpus100.jsonl").read_text("utf-8").splitlines()[:12]
+    texts = [json.loads(record)["text"].encode() for record in records]
+    rng = random.Random(20261022)
+    built = 0
+    for i in range(200):
+        for n, text in enumerate(texts):
+            (corpus / f"doc{n:02}.txt").write_bytes(text)
+        # one file changed, alternately line level and byte level
+        n = rng.randrange(len(texts))
+        mutant = mutate_lines(rng, texts[n], WORD_RE) if i % 2 == 0 else mutate_bytes(rng, texts[n])
+        (corpus / f"doc{n:02}.txt").write_bytes(mutant)
+        built += built_index_loads(capsys, corpus, tmp_path / "index.mcrx")
+    assert 0 < built < 200

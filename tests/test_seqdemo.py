@@ -208,6 +208,14 @@ def test_load_actions_rejects_bad_effect(tmp_path, effect):
     assert excinfo.value.line == 2
 
 
+@pytest.mark.parametrize("label, effect", [("X", (1.5, 0)), ("X", (True, 3)), ("X", ("1", 0)), (7, (2, 0))])
+def test_add_primitive_rejects_non_int_effect_and_non_str_label(label, effect):
+    akb = up_down_kb()
+    with pytest.raises(ValueError):
+        akb.add_primitive(label, effect)
+    assert akb.known_ids() == ["U", "D"]
+
+
 def test_solve_rejects_coordinates_beyond_limit():
     with pytest.raises(ValueError):
         solve(default_actions(), (0, 0), (2**53 + 1, 0))
