@@ -12,21 +12,22 @@ superset document more strongly than the reverse. activate is emit
 followed by collect; scoring a query against a target, in both
 directions, is similarity.QueryScorer's alone.
 
-Each word's postings are split by term frequency: article ordinals
-where tf == 1, whose term is the word factor itself, and (ordinal, tf)
-pairs for the rest. Collection appends every term to its article's bin,
-reduces each non-empty bin with math.fsum and empties it again. The
-bins (kb.term_bins, one list per article ordinal) belong to the knowledge
-base and are reused by every query, so a warm query creates no
-per-article container and leaves nothing for the cyclic garbage
-collector to promote. One lock per knowledge base (kb.collect_lock)
-serializes collection, which makes concurrent queries on one knowledge
-base safe; inserting articles while another thread queries is not. A
-pass interrupted by an exception empties every bin before it re-raises.
-An exact sum past the float range (finite attention multipliers near
-1e308) raises UnscorableQueryError. Because fsum is exactly rounded,
-activation values are bit-identical regardless of ingestion order, of
-the order or partition of the summed terms, and of save/load cycles.
+Each word's postings group article ordinals by term frequency, so a
+word's term factor * tf is computed once per group. Collection sums the
+terms exactly, in integers: every term is a float, so all terms of one
+query are integer multiples of one power-of-two unit (see collect), and
+each article's sum is one integer that a single int / int division
+rounds correctly, the same value math.fsum gives. The accumulator is a
+list local to the call: concurrent queries on one knowledge base share
+no collect state, and an interrupted pass leaves nothing behind
+(inserting articles while another thread queries is not supported). An
+exact sum past the float range, or an infinite word factor (finite
+attention multipliers near 1e308), raises UnscorableQueryError. Because
+the sums are exactly rounded, activation values are bit-identical
+regardless of ingestion order, of the order or partition of the summed
+terms, and of save/load cycles. collect_on_bag and trace, one small sum
+each, use math.fsum (exact_sum).
+
 Sentences and paragraphs never modulate cross-document activation;
 trace reads an article's packed runs only to attribute its activation
 to them, by position (p2, p2.s3).
@@ -42,8 +43,6 @@ from .ingest import DEFAULT_RULES, TokenizationRules, tokenize
 from .kb import SENTENCE, WORD, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
-
-_NO_POSTINGS: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ())
 
 
 @dataclass(slots=True)
@@ -136,42 +135,40 @@ def collect(
 ) -> dict[int, float]:
     """Collect word activation up to the article layer via posting lists.
 
-    Articles with zero activation are absent from the map. Terms gather
-    in the knowledge base's reusable per-article bins, under its collect
-    lock. The sum is exact, so no split of the terms could change it:
-    workers is accepted for compatibility and the collection runs in one
-    pass.
+    Articles with zero activation are absent from the map; the others
+    follow article insertion order. The sum is exact, so no split of the
+    terms could change it: workers is accepted for compatibility and the
+    collection runs in one pass.
     """
     if attention is None:
         attention = kb.attention_snapshot()
     factors = _word_factors(kb, emission, attention)
     order = kb.article_order
-    bins = kb.term_bins
-    articles = {}
-    with kb.collect_lock:
-        try:
-            for word_id, factor in factors:
-                ones, multi = kb.postings.get(word_id, _NO_POSTINGS)
-                for ordinal in ones:
-                    bins[ordinal].append(factor)
-                for ordinal, tf in multi:
-                    bins[ordinal].append(factor * tf)
-            for ordinal, values in enumerate(bins):
-                if values:
-                    article_id = order[ordinal]
-                    activation = fsum(values) * attention.get(article_id, 1.0)
-                    values.clear()
-                    if activation != 0.0:
-                        articles[article_id] = activation
-        except BaseException as exc:
-            # an interrupted pass must not leave terms for the next query
-            for values in bins:
-                values.clear()
-            # an exact sum past the float range; converted here so that the
-            # per-article sum stays a bare fsum call
-            if isinstance(exc, OverflowError):
-                raise UnscorableQueryError() from exc
-            raise
+    try:
+        # A float factor is n / 2**k (as_integer_ratio). A term factor * tf,
+        # tf >= 1, is at least factor: either exact, hence a multiple of
+        # 2**-k, or rounded, which takes more than 53 significant bits above
+        # 2**-k and so lands on a coarser grid. Every term of the query is
+        # thus a whole number of units 1/scale, scale the largest factor
+        # denominator, and the sums below are exact integers.
+        # OverflowError: an infinite factor or term.
+        scale = max((factor.as_integer_ratio()[1] for _, factor in factors), default=1)
+        sums = [0] * len(order)
+        for word_id, factor in factors:
+            for tf, ordinals in kb.postings[word_id].items():
+                n, d = (factor * tf).as_integer_ratio()
+                units = n * (scale // d)
+                for ordinal in ordinals:
+                    sums[ordinal] += units
+        articles = {}
+        for article_id, units in zip(order, sums):
+            if units:
+                # int / int is correctly rounded; OverflowError past the float range
+                activation = units / scale * attention.get(article_id, 1.0)
+                if activation != 0.0:
+                    articles[article_id] = activation
+    except OverflowError as exc:
+        raise UnscorableQueryError() from exc
     return articles
 
 

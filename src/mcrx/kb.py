@@ -14,10 +14,8 @@ Articles enter through one path, add_article, which both ingestion and
 load_index call with ArticleRuns.pack(paragraphs of sentences of
 (word id, count) runs). It checks the runs, stores them as arrays and
 fills the article's token bag and postings from them (kb.df is read off
-the postings);
-kb.runs(article_id) gives the nested form back. add_article also gives
-the article an empty term bin, which forward collection reuses across
-queries (see activation.collect).
+the postings, which group each word's article ordinals by term
+frequency); kb.runs(article_id) gives the nested form back.
 
 Persistence uses the line-delimited MCRX-1 format, see save_index. A save
 writes a temporary file beside the target and moves it into place, so a
@@ -30,9 +28,7 @@ import json
 import math
 import os
 import sys
-import threading
 from array import array
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -134,17 +130,17 @@ class _DocumentFrequencies(Mapping):
 
     __slots__ = ("_postings",)
 
-    def __init__(self, postings: dict[int, tuple[list[int], list[tuple[int, int]]]]):
+    def __init__(self, postings: dict[int, dict[int, list[int]]]):
         self._postings = postings
 
     def __getitem__(self, word_id: int) -> int:
-        ones, multi = self._postings[word_id]
-        if not ones and not multi:
+        groups = self._postings[word_id]
+        if not groups:
             raise KeyError(word_id)
-        return len(ones) + len(multi)
+        return sum(map(len, groups.values()))
 
     def __iter__(self) -> Iterator[int]:
-        return (word_id for word_id, entry in self._postings.items() if entry[0] or entry[1])
+        return (word_id for word_id, groups in self._postings.items() if groups)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -167,13 +163,9 @@ class KnowledgeBase:
         self.total_tokens = 0
         # article ordinal -> article node id, in insertion order
         self.article_order: list[int] = []
-        # article ordinal -> forward-collect terms; empty between queries,
-        # filled and emptied by activation.collect under collect_lock
-        self.term_bins: list[list[float]] = []
-        self.collect_lock = threading.Lock()
-        # word id -> (ordinals where tf == 1, (ordinal, tf) pairs where tf > 1);
-        # add_word gives every word an entry
-        self.postings: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+        # word id -> tf -> ordinals of the articles holding the word tf times,
+        # ascending; add_word gives every word an entry
+        self.postings: dict[int, dict[int, list[int]]] = {}
         self.df: Mapping[int, int] = _DocumentFrequencies(self.postings)
         self.article_runs: dict[int, ArticleRuns] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
@@ -227,7 +219,7 @@ class KnowledgeBase:
         if word_id is None:
             word_id = self._new_node(WORD, token)
             self._word_ids[token] = word_id
-            self.postings[word_id] = ([], [])
+            self.postings[word_id] = {}
             self.weights_computed = False
         return word_id
 
@@ -265,10 +257,9 @@ class KnowledgeBase:
             or min(paragraph_sentences, default=0) < 0
         ):
             raise ValueError("run lengths do not add up")
-        # first-occurrence order; most runs hold one token
-        bag = dict(Counter(words))
-        for word_id, count in [run for run in zip(words, counts) if run[1] != 1]:
-            bag[word_id] += count - 1
+        bag = {}  # first-occurrence order
+        for word_id, count in zip(words, counts):
+            bag[word_id] = bag.get(word_id, 0) + count
         length = sum(counts)
         postings = self.postings  # one entry per word, made by add_word
         if not bag.keys() <= postings.keys():
@@ -287,12 +278,8 @@ class KnowledgeBase:
         self.total_tokens += length
         ordinal = len(self.article_order)
         self.article_order.append(article_id)
-        self.term_bins.append([])
         for word_id, count in bag.items():
-            if count == 1:
-                postings[word_id][0].append(ordinal)
-            else:
-                postings[word_id][1].append((ordinal, count))
+            postings[word_id].setdefault(count, []).append(ordinal)
         return article_id
 
     def runs(self, article_id: int) -> list[list[list[tuple[int, int]]]]:
@@ -318,10 +305,11 @@ class KnowledgeBase:
         return dict(self.attention)
 
     def validate(self) -> None:
-        """Full-scan check of the runs against every count derived from them."""
-        derived_df: Counter[int] = Counter()
+        """Full-scan check of the runs against everything derived from them."""
+        derived_postings: dict[int, dict[int, list[int]]] = {}
         derived_levels = [len(self._word_ids), 0, 0, len(self.article_runs)]
-        for article_id, packed in self.article_runs.items():
+        for ordinal, article_id in enumerate(self.article_order):
+            packed = self.article_runs[article_id]
             if sum(packed.sentence_runs) != len(packed.words) or sum(
                 packed.paragraph_sentences
             ) != len(packed.sentence_runs):
@@ -335,10 +323,11 @@ class KnowledgeBase:
                 article_id
             ]:
                 raise AssertionError(f"stored bag of article {article_id} disagrees with its runs")
-            derived_df.update(bag.keys())
+            for word_id, count in bag.items():
+                derived_postings.setdefault(word_id, {}).setdefault(count, []).append(ordinal)
             derived_levels[SENTENCE] += len(packed.sentence_runs)
             derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
-        if derived_df != dict(self.df):
+        if derived_postings != {w: groups for w, groups in self.postings.items() if groups}:
             raise AssertionError("postings disagree with the runs")
         if sum(self.article_len.values()) != self.total_tokens:
             raise AssertionError("stored total_tokens disagrees with the runs")
@@ -543,8 +532,7 @@ def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
         raise IndexFormatError("article title is not a string", line)
     try:
         runs = ArticleRuns.pack(paragraphs)
-        word_ids = kb._word_ids
-        runs.words = [word_ids[token] for token in runs.words]
+        runs.words = list(map(kb._word_ids.__getitem__, runs.words))
         article_id = kb.add_article(label, runs)
     except KeyError as exc:
         raise IndexFormatError(

@@ -179,7 +179,9 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
     The delta sequence is then parsed greedily (longest flattened match;
     composites beat primitives on ties, then earliest-created) and the
     parse registers as a new top-level composite unless an identical one
-    already exists.
+    already exists. InvalidDemonstrationError, raised before anything is
+    added, for a non-unit step no action explains or an unknown unit
+    step whose canonical label already names another action.
     """
     states = [(int(x), int(y)) for x, y in states]
     if len(states) < 2:
@@ -187,6 +189,18 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
     deltas = [
         (b[0] - a[0], b[1] - a[1]) for a, b in zip(states, states[1:])
     ]
+
+    for position, delta in enumerate(deltas, start=1):
+        if delta not in UNIT_LABELS:
+            if akb.action_with_net(delta) is None:
+                raise InvalidDemonstrationError(
+                    f"step {position} jumps by {delta}, which no known action explains"
+                )
+        elif akb.primitive_for_effect(delta) is None and UNIT_LABELS[delta] in akb.known_ids():
+            raise InvalidDemonstrationError(
+                f"step {position} moves by {delta}, but its label "
+                f"{UNIT_LABELS[delta]!r} names another action"
+            )
 
     new_primitives = []
     for delta in deltas:
@@ -200,13 +214,8 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
         if delta in UNIT_LABELS:
             action = _longest_match(akb, deltas, position)
             steps = len(akb.flattened(action))
-        else:
+        else:  # explained, checked above
             action, steps = akb.action_with_net(delta), 1
-            if action is None:
-                raise InvalidDemonstrationError(
-                    f"step {position + 1} jumps by {delta}, which no known "
-                    "action explains"
-                )
         parsed.append(action)
         position += steps
 

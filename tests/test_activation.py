@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import mcrx.activation
 from mcrx import (
     PARAGRAPH,
     SENTENCE,
@@ -235,15 +234,15 @@ def test_trace_word_level_sums_to_activation_bit_for_bit():
         assert math.fsum(e.contribution for e in entries) == total
 
 
-# Forward collection reuses per-article term bins owned by the knowledge
-# base. Every test below compares, with ==, a knowledge base whose bins
-# have served earlier queries with one built fresh for the comparison.
+# Forward collection keeps no state between queries. Every test below
+# compares, with ==, a knowledge base that has served earlier queries with
+# one built fresh for the comparison.
 
 
 def bin_corpus(seed, docs=40):
     rng = random.Random(seed)
     corpus = random_corpus(rng, max_docs=docs, max_vocab=50, max_len=60)
-    # keep the document count fixed so that every seed exercises the bins
+    # keep the document count fixed across seeds
     while len(corpus) < docs:
         corpus.update(random_corpus(rng, max_docs=docs, max_vocab=50, max_len=60))
     return [RawDocument(doc_id, text) for doc_id, text in sorted(corpus.items())[:docs]]
@@ -285,7 +284,6 @@ def test_reused_bins_interleaved_long_and_short_queries():
     for query in bin_queries(12, docs, 60):
         assert labeled(kb, activate(kb, query)) == expected(docs, query)
         assert rows(rank(kb, query, k=8, n=5)) == rows(rank(fresh(docs), query, k=8, n=5))
-    assert not any(kb.term_bins)
 
 
 def test_reused_bins_across_ingest_and_reweighting():
@@ -297,7 +295,6 @@ def test_reused_bins_across_ingest_and_reweighting():
     for doc in docs[25:]:
         ingest_document(kb, doc)
     compute_weights(kb)
-    assert len(kb.term_bins) == len(docs)
     for query in queries:
         assert labeled(kb, activate(kb, query)) == expected(docs, query)
 
@@ -314,31 +311,40 @@ def test_reused_bins_under_attention_changes():
         got = labeled(kb, activate(kb, query))
         assert muted not in got
         assert got == expected(docs, query, rules)
-    # the muted article's terms were gathered and must not outlive the query
+    # the muted article's terms were summed and must not outlive the query
     apply_rules(kb, dict.fromkeys(rules, 1.0))
     for query in [docs[0].body] + queries:
         assert labeled(kb, activate(kb, query)) == expected(docs, query)
 
 
-def test_reused_bins_clean_after_interrupted_collect(monkeypatch):
+class InterruptingAttention(dict):
+    """An attention map whose get raises KeyboardInterrupt on call number at."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+        self.calls = 0
+
+    def get(self, key, default=None):
+        self.calls += 1
+        if self.calls == self.at:
+            raise KeyboardInterrupt
+        return super().get(key, default)
+
+
+def test_interrupted_collect_leaves_no_state():
     docs = bin_corpus(41)
     kb = fresh(docs)
     query = docs[3].body
-    calls = []
-
-    def failing_fsum(values):
-        calls.append(1)
-        if len(calls) == 3:
-            raise RuntimeError("interrupted")
-        return math.fsum(values)
-
-    monkeypatch.setattr(mcrx.activation, "fsum", failing_fsum)
-    with pytest.raises(RuntimeError):
-        activate(kb, query)
-    monkeypatch.undo()
-    assert len(calls) == 3 and not any(kb.term_bins)
+    emission = emit(kb, query)
+    # past the word factors, inside the per-article loop
+    attention = InterruptingAttention(len(emission.values) + 3)
+    with pytest.raises(KeyboardInterrupt):
+        collect(kb, emission, attention)
+    assert attention.calls == attention.at
     for follow_up in (query, docs[5].body, "w1 w2"):
         assert labeled(kb, activate(kb, follow_up)) == expected(docs, follow_up)
+        assert rows(rank(kb, follow_up, k=8, n=5)) == rows(rank(fresh(docs), follow_up, k=8, n=5))
 
 
 def test_exact_sum_past_float_range_is_unscorable():
@@ -359,8 +365,6 @@ def test_exact_sum_past_float_range_is_unscorable():
             trace(kb, "a b", d2, level, 5, attention)
     # one word's share stays finite
     assert all(math.isfinite(e.contribution) for e in trace(kb, "a b", d2, WORD, 5, attention))
-    # the refused collect left no terms in the bins
-    assert not any(kb.term_bins)
     reference = make_kb(texts)
     for query in ("a b", "a a b b c", "c"):
         assert labeled(kb, activate(kb, query)) == labeled(reference, activate(reference, query))
@@ -392,4 +396,90 @@ def test_reused_bins_concurrent_ranking_matches_sequential():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
-    assert not any(kb.term_bins)
+
+
+def fsum_collect(kb, emission, attention):
+    """Per-article math.fsum of factor * tf, in article order; None when unscorable."""
+    factors = {}
+    for word_id, value in emission.values.items():
+        factor = value * attention.get(word_id, 1.0) * kb.nodes[word_id].weight
+        if factor != 0.0:
+            factors[word_id] = factor
+    if not all(math.isfinite(f) for f in factors.values()):
+        return None
+    articles = {}
+    for article_id in kb.article_order:
+        terms = [factors[w] * tf for w, tf in kb.article_bags[article_id].items() if w in factors]
+        if not terms:
+            continue
+        if not all(math.isfinite(t) for t in terms):
+            return None
+        try:
+            activation = math.fsum(terms) * attention.get(article_id, 1.0)
+        except OverflowError:
+            return None
+        if activation != 0.0:
+            articles[article_id] = activation
+    return articles
+
+
+def repeated_corpus(rng):
+    """Documents of 1-12 distinct words, each repeated 1-50 times, shuffled."""
+    vocab = [f"w{i}" for i in range(rng.randint(3, 30))]
+    docs = []
+    for index in range(rng.randint(2, 25)):
+        words = [
+            word
+            for word in rng.sample(vocab, rng.randint(1, min(12, len(vocab))))
+            for _ in range(rng.choice([1, 1, 2, 3, rng.randint(1, 50)]))
+        ]
+        rng.shuffle(words)
+        docs.append(RawDocument(f"d{index:02d}", " ".join(words)))
+    return docs
+
+
+# 1e308 drives some factors, terms or sums past the float range
+MULTIPLIERS = (0.0, 5e-324, 1e-300, 0.5, 3.0, 1e300, 1e308)
+
+
+def test_collect_equals_fsum_oracle():
+    rng = random.Random(2024)
+    checked = unscorable = 0
+    for _ in range(80):
+        docs = repeated_corpus(rng)
+        kb, _ = build_corpus(docs)
+        word_ids, article_ids = list(kb.word_ids()), list(kb.article_order)
+        for _ in range(6):
+            attention = {}
+            for ids in (word_ids, article_ids):
+                for node_id in rng.sample(ids, rng.randint(0, len(ids))):
+                    attention[node_id] = rng.choice(MULTIPLIERS)
+            if rng.random() < 0.5:
+                query = rng.choice(docs).body
+            else:
+                query = " ".join(rng.choices([kb.nodes[w].label for w in word_ids], k=5))
+            emission = emit(kb, query)
+            oracle = fsum_collect(kb, emission, attention)
+            if oracle is None:
+                unscorable += 1
+                with pytest.raises(UnscorableQueryError):
+                    collect(kb, emission, attention)
+                continue
+            got = collect(kb, emission, attention)
+            assert list(got.items()) == list(oracle.items())
+            checked += 1
+    assert checked > 300 and unscorable > 0
+
+
+def test_infinite_word_factor_is_unscorable():
+    kb = make_kb({f"d{i}": "a b" if i == 0 else "b c" for i in range(7)})
+    a = kb.word_id("a")
+    assert kb.nodes[a].weight > 1.0
+    # e(a) * 1e308 * wt(a) is inf for the query "a"
+    with pytest.raises(UnscorableQueryError):
+        collect(kb, emit(kb, "a"), {a: 1e308})
+    with pytest.raises(UnscorableQueryError):
+        activate(kb, "a", {a: 1e308})
+    # the same multiplier with a smaller emission stays finite
+    assert activate(kb, "a b b b", {a: 1e308})
+

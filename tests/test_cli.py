@@ -587,6 +587,22 @@ def test_scl_demo_non_object_action_record_exit_1(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_scl_demo_learn_taken_unit_label_exit_6(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    kb_path.write_text('{"t":"prim","label":"U","dx":0,"dy":2}\n')
+    before = kb_path.read_bytes()
+    demo = tmp_path / "demo.txt"
+    demo.write_text("0,0\n0,1\n")
+    argv = ["scl-demo", "--kb", str(kb_path), "--learn", str(demo)]
+    code = main([*argv, "--start", "0,0", "--target", "0,2"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert_one_error_line(captured.err)
+    assert "'U'" in captured.err
+    assert captured.out == ""
+    assert kb_path.read_bytes() == before
+
+
 def test_scl_demo_single_primitive_plan_is_no_composite(tmp_path, capsys):
     kb_path = tmp_path / "actions.jsonl"
     code = main(["scl-demo", "--kb", str(kb_path), "--start", "-5,3", "--target", "-4,3"])

@@ -160,6 +160,25 @@ def test_invariants_hold_after_build(c2):
     c2.validate()
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {2: [1], 1: [0]},  # ordinals swapped between tf groups
+        {3: [0], 1: [1]},  # a group under the wrong tf
+        {1: [0, 1]},  # two groups merged
+    ],
+)
+def test_validate_checks_every_tf_group(corrupt):
+    kb = make_kb({"d1": "a a b", "d2": "a b"})
+    a = kb.word_id("a")
+    assert kb.postings[a] == {2: [0], 1: [1]}
+    kb.validate()
+    kb.postings[a] = corrupt
+    assert kb.df[a] == 2  # a df count alone does not see it
+    with pytest.raises(AssertionError, match="postings"):
+        kb.validate()
+
+
 def test_save_load_round_trip_scores(tmp_path, c2):
     path = tmp_path / "c2.mcrx"
     save_index(c2, str(path))

@@ -60,6 +60,29 @@ def test_non_unit_unknown_delta_rejected():
         learn_demonstration(akb, [(0, 0), (2, 2)])
 
 
+def records(akb):
+    return list(akb)
+
+
+def test_taken_unit_label_rejected_before_any_change():
+    akb = ActionKB()
+    akb.add_primitive("U", (0, 2))
+    before = records(akb)
+    # the step (0, 1) is unknown, and its canonical label U names (0, 2)
+    with pytest.raises(InvalidDemonstrationError, match="'U'"):
+        learn_demonstration(akb, [(0, 0), (0, 1)])
+    assert records(akb) == before
+
+
+def test_unexplained_jump_rejected_before_any_change():
+    akb = up_down_kb()
+    before = records(akb)
+    # L would be new, but the later jump by (2, 2) refuses the whole demonstration
+    with pytest.raises(InvalidDemonstrationError, match="step 2"):
+        learn_demonstration(akb, [(0, 0), (-1, 0), (1, 2)])
+    assert records(akb) == before
+
+
 def test_non_unit_known_delta_matches_composite():
     akb = up_down_kb()
     composite_id, _ = akb.add_composite(["U", "U"])
