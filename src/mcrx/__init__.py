@@ -10,6 +10,7 @@ _SUBMODULES = ("activation", "errors", "ingest", "kb", "scl", "seqdemo", "simila
 
 _EXPORTS = {
     "activation": (
+        "ActivationMap",
         "Emission",
         "TraceEntry",
         "activate",
@@ -19,9 +20,7 @@ _EXPORTS = {
         "trace",
     ),
     "ingest": (
-        "DEFAULT_RULES",
         "RawDocument",
-        "TokenizationRules",
         "build_corpus",
         "compute_weights",
         "ingest_document",
@@ -33,12 +32,14 @@ _EXPORTS = {
     ),
     "kb": (
         "ARTICLE",
+        "DEFAULT_RULES",
         "PARAGRAPH",
         "SENTENCE",
         "WORD",
         "ArticleRuns",
         "KnowledgeBase",
         "Node",
+        "TokenizationRules",
         "load_index",
         "save_index",
     ),

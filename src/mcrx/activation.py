@@ -16,13 +16,18 @@ Each word's postings group article ordinals by term frequency, so a
 word's term factor * tf is computed once per group. Collection sums the
 terms exactly, in integers: every term is a float, so all terms of one
 query are integer multiples of one power-of-two unit (see collect), and
-each article's sum is one integer that a single int / int division
-rounds correctly, the same value math.fsum gives. The accumulator is a
-list local to the call: concurrent queries on one knowledge base share
-no collect state, and an interrupted pass leaves nothing behind
-(inserting articles while another thread queries is not supported). An
-exact sum past the float range, or an infinite word factor (finite
-attention multipliers near 1e308), raises UnscorableQueryError. Because
+each article's sum is one integer. collect returns those integers as an
+ActivationMap: an article's float value is made only when it is read,
+by one int / int division that rounds correctly, the same value
+math.fsum gives. Choosing the top k (ActivationMap.top) compares the
+integers and divides only the sums it may keep; iterating the whole map,
+as activate's callers do, divides every activated article's sum. The
+accumulator is local to the call: concurrent queries on one knowledge
+base share no collect state, and an interrupted pass leaves nothing
+behind (inserting articles while another thread queries is not
+supported). An exact sum past the float range, or an infinite word
+factor (finite attention multipliers near 1e308), raises
+UnscorableQueryError from collect itself. Because
 the sums are exactly rounded, activation values are bit-identical
 regardless of ingestion order, of the order or partition of the summed
 terms, and of save/load cycles. collect_on_bag and trace, one small sum
@@ -35,12 +40,14 @@ to them, by position (p2, p2.s3).
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from math import fsum
 
 from .errors import EmptyDocumentError, StaleWeightsError, UnscorableQueryError
-from .ingest import DEFAULT_RULES, TokenizationRules, tokenize
-from .kb import SENTENCE, WORD, KnowledgeBase
+from .ingest import tokenize
+from .kb import SENTENCE, WORD, KnowledgeBase, TokenizationRules
 
 Source = int | str  # article node id, or raw text
 
@@ -73,12 +80,14 @@ class TraceEntry:
 def emit(
     kb: KnowledgeBase,
     source: Source,
-    rules: TokenizationRules = DEFAULT_RULES,
+    rules: TokenizationRules | None = None,
 ) -> Emission:
     """Project a source onto the word layer.
 
-    Unknown words contribute nothing and are only counted; external text
-    is first-class, it does not need to be in the corpus.
+    Text is tokenized by rules, by default the knowledge base's own
+    (kb.tokenization). Unknown words contribute nothing and are only
+    counted; external text is first-class, it does not need to be in the
+    corpus.
     """
     if isinstance(source, int):
         node = kb.node(source)
@@ -88,7 +97,7 @@ def emit(
         length = kb.article_len[source]
         unknown = 0
     else:
-        tokens = tokenize(source, rules)
+        tokens = tokenize(source, kb.tokenization if rules is None else rules)
         length = len(tokens)
         bag = {}
         missing = set()
@@ -108,7 +117,7 @@ def emit(
 def exact_sum(terms) -> float:
     """math.fsum; UnscorableQueryError when finite terms sum past the float range."""
     try:
-        return fsum(terms)
+        return math.fsum(terms)
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
 
@@ -127,23 +136,122 @@ def _word_factors(
     return factors
 
 
+class ActivationMap(Mapping):
+    """Article id -> forward activation, read off one query's integer sums.
+
+    sums[ordinal] is an article's exact activation before its multiplier,
+    in units of 1/scale. A value is made when it is read, as
+    sums[ordinal] / scale * m(d): the int / int division is correctly
+    rounded, so it equals the math.fsum of the article's terms. Articles
+    whose value is 0.0 are absent (KeyError), and iteration follows
+    article insertion order; len, ==, get and the views behave as those
+    of a dict holding every value. Reading every item divides every
+    activated article's sum; top(k) divides only the sums it may keep.
+    """
+
+    __slots__ = ("_kb", "sums", "scale", "_multipliers")
+
+    def __init__(
+        self, kb: KnowledgeBase, sums: list[int], scale: int, multipliers: dict[int, float]
+    ):
+        self._kb = kb
+        self.sums = sums
+        self.scale = scale
+        self._multipliers = multipliers  # article id -> m(d), articles only
+
+    def __getitem__(self, article_id: int) -> float:
+        ordinal = self._kb.article_ordinals.get(article_id)
+        if ordinal is None or ordinal >= len(self.sums):
+            raise KeyError(article_id)
+        value = self.sums[ordinal] / self.scale * self._multipliers.get(article_id, 1.0)
+        if value == 0.0:
+            raise KeyError(article_id)
+        return value
+
+    def __iter__(self) -> Iterator[int]:
+        scale, multipliers = self.scale, self._multipliers
+        # a nonzero sum is at least one unit, 1/scale >= 2**-1074, so its
+        # value is 0.0 only through a multiplier: no other sum is divided
+        for article_id, units in zip(self._kb.article_order, self.sums):
+            if units and (
+                article_id not in multipliers or units / scale * multipliers[article_id] != 0.0
+            ):
+                yield article_id
+
+    def __len__(self) -> int:
+        sums, scale, ordinals = self.sums, self.scale, self._kb.article_ordinals
+        count = len(sums) - sums.count(0)
+        for article_id, multiplier in self._multipliers.items():
+            units = sums[ordinals[article_id]]
+            if units and units / scale * multiplier == 0.0:
+                count -= 1
+        return count
+
+    def top(self, k: int) -> list[int]:
+        """The ids of the k largest values, ties broken by label.
+
+        A value without a multiplier is monotone in its sum. So with m
+        the number of multiplied articles and t the (k+m)-th largest sum,
+        at least k unmultiplied articles reach t, and an unmultiplied
+        article can only be kept if its value reaches t's value,
+        fl(t / scale); a smaller sum may round to that same float and
+        win the tie on its label. Only the sums from the least one that
+        rounds to fl(t / scale) up, and the multiplied articles, are
+        divided and sorted. ValueError for k < 1.
+        """
+        if k < 1:
+            raise ValueError("need k >= 1")
+        sums, scale, multipliers = self.sums, self.scale, self._multipliers
+        order, ordinals = self._kb.article_order, self._kb.article_ordinals
+        least = 1
+        if k + len(multipliers) < len(sums):
+            t = heapq.nlargest(k + len(multipliers), sums)[-1]
+            if t:
+                least = _least_rounding_to(t, scale)
+        kept = {ordinal for ordinal, units in enumerate(sums) if units >= least}
+        kept.update(ordinals[article_id] for article_id in multipliers)
+        values = []
+        for ordinal in kept:
+            article_id = order[ordinal]
+            value = sums[ordinal] / scale * multipliers.get(article_id, 1.0)
+            if value != 0.0:
+                values.append((value, article_id))
+        nodes = self._kb.nodes
+        values.sort(key=lambda item: (-item[0], nodes[item[1]].label))
+        return [article_id for _, article_id in values[:k]]
+
+
+def _least_rounding_to(t: int, scale: int) -> int:
+    """The least integer x with x / scale >= t / scale, both rounded to floats."""
+    upper = t / scale
+    a, b = upper.as_integer_ratio()
+    c, d = math.nextafter(upper, 0.0).as_integer_ratio()
+    # a value rounds to upper when it passes the midpoint of upper and the
+    # float below it: x / scale >= (a/b + c/d) / 2, smallest x by ceiling
+    x = -(-(a * d + c * b) * scale // (2 * b * d))
+    if x / scale < upper:  # exactly on the midpoint, rounded to the even float below
+        x += 1
+    return x
+
+
 def collect(
     kb: KnowledgeBase,
     emission: Emission,
     attention: dict[int, float] | None = None,
     workers: int = 1,
-) -> dict[int, float]:
+) -> ActivationMap:
     """Collect word activation up to the article layer via posting lists.
 
-    Articles with zero activation are absent from the map; the others
-    follow article insertion order. The sum is exact, so no split of the
-    terms could change it: workers is accepted for compatibility and the
-    collection runs in one pass.
+    Returns an ActivationMap over one exact integer sum per article;
+    articles with zero activation are absent from it, the others follow
+    article insertion order. The sum is exact, so no split of the terms
+    could change it: workers is accepted for compatibility and the
+    collection runs in one pass. UnscorableQueryError for an infinite
+    factor or a sum past the float range.
     """
     if attention is None:
         attention = kb.attention_snapshot()
     factors = _word_factors(kb, emission, attention)
-    order = kb.article_order
     try:
         # A float factor is n / 2**k (as_integer_ratio). A term factor * tf,
         # tf >= 1, is at least factor: either exact, hence a multiple of
@@ -153,23 +261,21 @@ def collect(
         # denominator, and the sums below are exact integers.
         # OverflowError: an infinite factor or term.
         scale = max((factor.as_integer_ratio()[1] for _, factor in factors), default=1)
-        sums = [0] * len(order)
+        sums = [0] * len(kb.article_order)
         for word_id, factor in factors:
             for tf, ordinals in kb.postings[word_id].items():
                 n, d = (factor * tf).as_integer_ratio()
                 units = n * (scale // d)
                 for ordinal in ordinals:
                     sums[ordinal] += units
-        articles = {}
-        for article_id, units in zip(order, sums):
-            if units:
-                # int / int is correctly rounded; OverflowError past the float range
-                activation = units / scale * attention.get(article_id, 1.0)
-                if activation != 0.0:
-                    articles[article_id] = activation
+        # every sum is >= 0, so if the largest divides into the float range
+        # (OverflowError otherwise), so does every other
+        max(sums, default=0) / scale
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
-    return articles
+    ordinals = kb.article_ordinals
+    multipliers = {node_id: m for node_id, m in attention.items() if node_id in ordinals}
+    return ActivationMap(kb, sums, scale, multipliers)
 
 
 def collect_on_bag(
@@ -189,7 +295,7 @@ def activate(
     kb: KnowledgeBase,
     source: Source,
     attention: dict[int, float] | None = None,
-    rules: TokenizationRules = DEFAULT_RULES,
+    rules: TokenizationRules | None = None,
 ) -> dict[int, float]:
     """Article activation map for a source (emit + collect)."""
     return collect(kb, emit(kb, source, rules), attention)
@@ -202,7 +308,7 @@ def trace(
     level: int,
     top_n: int,
     attention: dict[int, float] | None = None,
-    rules: TokenizationRules = DEFAULT_RULES,
+    rules: TokenizationRules | None = None,
 ) -> list[TraceEntry]:
     """Attribute a document's activation to its words, sentences or paragraphs.
 

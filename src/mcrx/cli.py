@@ -99,7 +99,10 @@ def _read_doc(path: str) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    rules = TokenizationRules(lowercase=args.lowercase, min_token_len=args.min_token_len)
+    try:
+        rules = TokenizationRules(lowercase=args.lowercase, min_token_len=args.min_token_len)
+    except ValueError:
+        return _fail(EXIT_MALFORMED, "need --min-token-len >= 1")
     try:
         corpus_path = Path(args.corpus)
         if corpus_path.is_dir():

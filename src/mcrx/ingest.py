@@ -1,7 +1,8 @@
 """Deterministic text segmentation and hierarchy construction.
 
 Tokenization is deliberately crude: maximal runs of Unicode letters and
-digits, lowercased; everything else separates. Sentences end after
+digits, lowercased unless the TokenizationRules say otherwise;
+everything else separates. Sentences end after
 '.', '!' or '?'; paragraphs are separated by one or more blank lines.
 No stemming, no stopwords, no markup handling. The same input always
 segments the same way.
@@ -23,20 +24,11 @@ from .errors import (
     EmptyDocumentError,
     IndexFormatError,
 )
-from .kb import ArticleRuns, KnowledgeBase, read_utf8_text
+from .kb import DEFAULT_RULES, ArticleRuns, KnowledgeBase, TokenizationRules, read_utf8_text
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])")
-
-
-@dataclass(frozen=True)
-class TokenizationRules:
-    lowercase: bool = True
-    min_token_len: int = 1
-
-
-DEFAULT_RULES = TokenizationRules()
 
 
 @dataclass(frozen=True)
@@ -93,14 +85,15 @@ def _paragraph_blocks(text: str) -> list[str]:
 def ingest_document(
     kb: KnowledgeBase,
     doc: RawDocument,
-    rules: TokenizationRules = DEFAULT_RULES,
+    rules: TokenizationRules | None = None,
 ) -> int:
     """Segment one document and insert it as one article of word runs.
 
-    Returns the article node id. Word weights become stale until
-    compute_weights runs again.
+    rules defaults to the knowledge base's own (kb.tokenization). Returns
+    the article node id. Word weights become stale until compute_weights
+    runs again.
     """
-    segmented = segment(doc.body, rules)
+    segmented = segment(doc.body, kb.tokenization if rules is None else rules)
     return ingest_segmented(kb, doc, segmented)
 
 
@@ -180,13 +173,15 @@ def build_corpus(
     Documents are segmented and inserted in one sequential pass ordered
     by document id, so the input order cannot change the result.
     Documents that are empty after segmentation are skipped; their ids
-    are returned.
+    are returned. The knowledge base records the rules, so that queries
+    and a saved index use them too.
     """
     ordered = sorted(docs, key=lambda doc: doc.id)
     for left, right in zip(ordered, ordered[1:]):
         if left.id == right.id:
             raise DuplicateDocumentError(f"document {left.id!r} appears twice")
     kb = KnowledgeBase()
+    kb.tokenization = rules
     skipped = []
     for doc in ordered:
         segmented = segment(doc.body, rules)

@@ -17,6 +17,9 @@ fills the article's token bag and postings from them (kb.df is read off
 the postings, which group each word's article ordinals by term
 frequency); kb.runs(article_id) gives the nested form back.
 
+The knowledge base also keeps the tokenization rules its articles were
+segmented with (kb.tokenization); queries tokenize by the same rules.
+
 Persistence uses the line-delimited MCRX-1 format, see save_index. A save
 writes a temporary file beside the target and moves it into place, so a
 failed save leaves the old file intact.
@@ -30,7 +33,7 @@ import os
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     DuplicateDocumentError,
@@ -54,6 +57,27 @@ FORMAT_VERSION = "MCRX-1"
 def render_real(x: float) -> str:
     """Render a float with 17 significant digits (lossless round trip)."""
     return format(x, ".17g")
+
+
+@dataclass(frozen=True)
+class TokenizationRules:
+    """Whether tokens are lowercased, and the least token length kept.
+
+    ValueError for a lowercase that is not a bool or a min_token_len that
+    is not an int >= 1.
+    """
+
+    lowercase: bool = True
+    min_token_len: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.lowercase, bool):
+            raise ValueError(f"lowercase {self.lowercase!r} is not a bool")
+        if type(self.min_token_len) is not int or self.min_token_len < 1:
+            raise ValueError(f"min_token_len {self.min_token_len!r} is not an int >= 1")
+
+
+DEFAULT_RULES = TokenizationRules()
 
 
 def check_multiplier(value: object, name: str) -> float:
@@ -161,8 +185,9 @@ class KnowledgeBase:
         self._article_ids: dict[str, int] = {}
         self.attention: dict[int, float] = {}
         self.total_tokens = 0
-        # article ordinal -> article node id, in insertion order
+        # article ordinal -> article node id, in insertion order, and back
         self.article_order: list[int] = []
+        self.article_ordinals: dict[int, int] = {}
         # word id -> tf -> ordinals of the articles holding the word tf times,
         # ascending; add_word gives every word an entry
         self.postings: dict[int, dict[int, list[int]]] = {}
@@ -171,6 +196,7 @@ class KnowledgeBase:
         self.article_bags: dict[int, dict[int, int]] = {}
         self.article_len: dict[int, int] = {}
         self.titles: dict[int, str] = {}
+        self.tokenization = DEFAULT_RULES
         self.weights_computed = True  # vacuously true while empty
 
     @property
@@ -278,6 +304,7 @@ class KnowledgeBase:
         self.total_tokens += length
         ordinal = len(self.article_order)
         self.article_order.append(article_id)
+        self.article_ordinals[article_id] = ordinal
         for word_id, count in bag.items():
             postings[word_id].setdefault(count, []).append(ordinal)
         return article_id
@@ -327,6 +354,8 @@ class KnowledgeBase:
                 derived_postings.setdefault(word_id, {}).setdefault(count, []).append(ordinal)
             derived_levels[SENTENCE] += len(packed.sentence_runs)
             derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
+        if self.article_ordinals != {a: i for i, a in enumerate(self.article_order)}:
+            raise AssertionError("article ordinals disagree with the article order")
         if derived_postings != {w: groups for w, groups in self.postings.items() if groups}:
             raise AssertionError("postings disagree with the runs")
         if sum(self.article_len.values()) != self.total_tokens:
@@ -343,22 +372,22 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
     Line 1 is a header object; then one word record per line sorted by
     token; then one article record per line sorted by label, carrying the
     nested paragraph/sentence structure as arrays of arrays of
-    (token, count) pairs. Reals carry 17 significant digits.
+    (token, count) pairs. Reals carry 17 significant digits. The header
+    carries a "tokenization" object only for rules other than the
+    defaults, so an index built with the defaults has the same bytes as
+    one written before the key existed.
     """
     if not kb.weights_computed and kb.word_count > 0:
         raise StaleWeightsError("compute weights before saving the index")
-    lines = [
-        json.dumps(
-            {
-                "format": FORMAT_VERSION,
-                "levels": list(kb.levels),
-                "D": kb.article_count,
-                "total_tokens": kb.total_tokens,
-            },
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
-    ]
+    header = {
+        "format": FORMAT_VERSION,
+        "levels": list(kb.levels),
+        "D": kb.article_count,
+        "total_tokens": kb.total_tokens,
+    }
+    if kb.tokenization != DEFAULT_RULES:
+        header["tokenization"] = asdict(kb.tokenization)
+    lines = [json.dumps(header, separators=(",", ":"), ensure_ascii=False)]
     for token in sorted(kb._word_ids):
         word_id = kb._word_ids[token]
         node = kb.nodes[word_id]
@@ -427,7 +456,7 @@ def load_index(path: str) -> KnowledgeBase:
 
     Raises VersionMismatchError for a foreign format string and
     IndexFormatError (with the line number) for a file that is not UTF-8
-    text or for malformed records.
+    text, for malformed records or for bad header tokenization rules.
     """
     # split on newlines only: a title may hold U+2028, U+2029 or U+0085
     raw_lines = read_utf8_text(path).split("\n")
@@ -448,6 +477,7 @@ def load_index(path: str) -> KnowledgeBase:
         raise IndexFormatError("header must carry a four-entry level list", 1)
 
     kb = KnowledgeBase(tuple(levels))
+    kb.tokenization = _load_tokenization(header.get("tokenization", {}))
     declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
     for offset, raw in enumerate(raw_lines[1:], start=2):
         if not raw.strip():
@@ -492,6 +522,16 @@ def load_index(path: str) -> KnowledgeBase:
             )
     kb.weights_computed = True
     return kb
+
+
+def _load_tokenization(record: object) -> TokenizationRules:
+    """The header's tokenization rules; absent keys take the defaults."""
+    if not isinstance(record, dict) or not record.keys() <= {"lowercase", "min_token_len"}:
+        raise IndexFormatError("header tokenization must hold lowercase/min_token_len only", 1)
+    try:
+        return TokenizationRules(**record)
+    except ValueError as exc:
+        raise IndexFormatError(f"header tokenization: {exc}", 1) from exc
 
 
 def _parse_record(raw: str, line: int) -> dict:

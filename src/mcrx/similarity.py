@@ -1,8 +1,10 @@
 """Asymmetric document similarity: candidates, combination, ranking.
 
 The forward pass activates the whole corpus from the query and the
-best-activated articles become candidates: a heap finds the k-th
-largest activation and only the articles at or above it are sorted.
+best-activated articles become candidates. The forward values stay
+collect's exact integer sums (activation.ActivationMap): a heap finds
+the cut on the integers, and only the articles at or above it, plus
+those with an article multiplier, are divided into floats and sorted.
 Each candidate is then re-scored in reverse (its own emission collected
 on the query's token bag), as one exact sum over the words the article
 and the query share, walked from the smaller of the two bags. The two
@@ -21,7 +23,6 @@ range (huge attention multipliers), raises UnscorableQueryError.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,7 @@ from .errors import (
     StaleWeightsError,
     UnscorableQueryError,
 )
-from .ingest import DEFAULT_RULES, TokenizationRules
-from .kb import KnowledgeBase, render_real
+from .kb import KnowledgeBase, TokenizationRules, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
@@ -72,7 +72,8 @@ class QueryScorer:
 
     Builds the forward activation map and the self score once; score()
     then runs only the target's reverse pass, plus the forward pass on
-    its bag for a text target.
+    its bag for a text target. Text is tokenized by rules, by default
+    the knowledge base's own.
     """
 
     def __init__(
@@ -80,7 +81,7 @@ class QueryScorer:
         kb: KnowledgeBase,
         query: Source,
         attention: dict[int, float] | None = None,
-        rules: TokenizationRules = DEFAULT_RULES,
+        rules: TokenizationRules | None = None,
     ):
         self.kb = kb
         self.attention = (
@@ -104,15 +105,7 @@ class QueryScorer:
 
         Raises ValueError for k < 1.
         """
-        if k < 1:
-            raise ValueError("need k >= 1")
-        items = self.forward_map.items()
-        if k < len(self.forward_map):
-            cut = heapq.nlargest(k, self.forward_map.values())[-1]
-            items = [item for item in items if item[1] >= cut]
-        nodes = self.kb.nodes
-        ranked = sorted(items, key=lambda item: (-item[1], nodes[item[0]].label))
-        top = [article_id for article_id, _ in ranked[:k]]
+        top = self.forward_map.top(k)
         if exclude_self and self.source_article is not None:
             top = [a for a in top if a != self.source_article]
         return top
@@ -193,7 +186,7 @@ def rank(
     n: int = DEFAULT_RESULTS,
     exclude_self: bool = True,
     attention: dict[int, float] | None = None,
-    rules: TokenizationRules = DEFAULT_RULES,
+    rules: TokenizationRules | None = None,
 ) -> list[RankedResult]:
     """Ranked retrieval for one query.
 

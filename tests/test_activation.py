@@ -13,6 +13,7 @@ from mcrx import (
     QueryScorer,
     RawDocument,
     activate,
+    KnowledgeBase,
     build_corpus,
     collect,
     collect_on_bag,
@@ -22,6 +23,7 @@ from mcrx import (
     rank,
     trace,
 )
+from mcrx.activation import _least_rounding_to
 from mcrx.errors import EmptyDocumentError, UnscorableQueryError
 from mcrx.ingest import read_corpus_jsonl
 from mcrx.scl import apply_rules
@@ -317,19 +319,11 @@ def test_reused_bins_under_attention_changes():
         assert labeled(kb, activate(kb, query)) == expected(docs, query)
 
 
-class InterruptingAttention(dict):
-    """An attention map whose get raises KeyboardInterrupt on call number at."""
+class InterruptingGroups(dict):
+    """A word's tf groups whose items() raises KeyboardInterrupt."""
 
-    def __init__(self, at):
-        super().__init__()
-        self.at = at
-        self.calls = 0
-
-    def get(self, key, default=None):
-        self.calls += 1
-        if self.calls == self.at:
-            raise KeyboardInterrupt
-        return super().get(key, default)
+    def items(self):
+        raise KeyboardInterrupt
 
 
 def test_interrupted_collect_leaves_no_state():
@@ -337,11 +331,15 @@ def test_interrupted_collect_leaves_no_state():
     kb = fresh(docs)
     query = docs[3].body
     emission = emit(kb, query)
-    # past the word factors, inside the per-article loop
-    attention = InterruptingAttention(len(emission.values) + 3)
-    with pytest.raises(KeyboardInterrupt):
-        collect(kb, emission, attention)
-    assert attention.calls == attention.at
+    # the query's last word: the sums already hold every other word's terms
+    last = list(emission.values)[-1]
+    groups = kb.postings[last]
+    kb.postings[last] = InterruptingGroups(groups)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            collect(kb, emission, {})
+    finally:
+        kb.postings[last] = groups
     for follow_up in (query, docs[5].body, "w1 w2"):
         assert labeled(kb, activate(kb, follow_up)) == expected(docs, follow_up)
         assert rows(rank(kb, follow_up, k=8, n=5)) == rows(rank(fresh(docs), follow_up, k=8, n=5))
@@ -483,3 +481,154 @@ def test_infinite_word_factor_is_unscorable():
     # the same multiplier with a smaller emission stays finite
     assert activate(kb, "a b b b", {a: 1e308})
 
+
+
+def test_collect_result_is_a_read_only_map_like_a_dict():
+    kb = KnowledgeBase()
+    for label, text in (("d3", "a b"), ("d1", "b c"), ("d2", "x"), ("d4", "a c")):
+        ingest_document(kb, RawDocument(label, text))
+    compute_weights(kb)
+    d1, d2, d3, d4 = (kb.article_id(label) for label in ("d1", "d2", "d3", "d4"))
+    emission = emit(kb, "a b b b")
+    got = collect(kb, emission, {})
+    oracle = fsum_collect(kb, emission, {})
+    # insertion order, not label order; d2 shares no word with the query
+    assert list(got) == [d3, d1, d4] == list(oracle)
+    assert list(got.items()) == list(oracle.items())
+    assert list(got.values()) == list(oracle.values())
+    assert got == oracle and oracle == got and dict(got) == oracle
+    assert got != {**oracle, d2: 1.0} and got != {}
+    assert len(got) == 3 and got
+    assert got[d1] == oracle[d1] and got.get(d1) == oracle[d1]
+    for absent in (d2, kb.word_id("a"), 10**6):
+        assert absent not in got and got.get(absent) is None and got.get(absent, 0.0) == 0.0
+        with pytest.raises(KeyError):
+            got[absent]
+    # a value of 0.0, from a zero multiplier or an underflowing one, is absent
+    assert 0.0 < got[d4] < 0.5
+    zeroed = collect(kb, emission, {d1: 0.0, d4: 5e-324})
+    assert zeroed == {d3: got[d3]}
+    assert list(zeroed) == [d3] and len(zeroed) == 1
+    for gone in (d1, d4):
+        assert gone not in zeroed and zeroed.get(gone) is None
+        with pytest.raises(KeyError):
+            zeroed[gone]
+    empty = collect(kb, emission, {kb.word_id("a"): 0.0, kb.word_id("b"): 0.0})
+    assert empty == {} and {} == empty and not empty and len(empty) == 0
+    assert list(empty.items()) == [] and empty.get(d3) is None
+    assert not activate(kb, "a b b b", {d1: 0.0, d3: 0.0, d4: 0.0})
+    with pytest.raises(TypeError):
+        got[d1] = 1.0  # read-only
+
+
+@pytest.mark.parametrize(
+    "texts, query, multipliers",
+    [
+        # d2's terms are finite, their sum is not
+        ({"d1": "a b", "d2": "a a b b c"}, "a b", {"a": 1.5e308, "b": 1.5e308}),
+        # an infinite word factor
+        ({f"d{i}": "a b" if i == 0 else "b c" for i in range(7)}, "a", {"a": 1e308}),
+    ],
+)
+def test_collect_itself_raises_unscorable(texts, query, multipliers):
+    kb = make_kb(texts)
+    attention = {kb.word_id(word): m for word, m in multipliers.items()}
+    # raised by the call, before any value is read
+    with pytest.raises(UnscorableQueryError):
+        collect(kb, emit(kb, query), attention)
+
+
+def test_least_rounding_to_is_the_exact_threshold():
+    """x / scale rounds to at least fl(t / scale); (x - 1) / scale does not."""
+    rng = random.Random(1093)
+    cases = [
+        (2**53 + 1, 1),  # halfway, rounds down to the even 2**53
+        (2**53 + 3, 1),  # halfway, rounds up to the even 2**53 + 4
+        (2**53 + 5, 1),
+        (2**60, 2**60),  # 1.0: the float below it is half an ulp closer
+        (2**60 + 2**7, 2**60),
+        (1, 2**1074),  # the least subnormal
+        (3, 2**1074),
+        (2**52 + 1, 2**1074),  # just past the subnormal range
+        (2**80 + 1, 2**1074),
+    ]
+    for _ in range(3000):
+        shift = rng.choice((0, 10, 53, 60, 200, 1074))
+        bits = rng.randint(1, 120)
+        t = rng.getrandbits(bits) | 1
+        if rng.random() < 0.3:  # near a midpoint: 54 significant bits, odd
+            t = (rng.getrandbits(53) | 2**53) | 1
+        cases.append((t, 2**shift))
+    for t, scale in cases:
+        x = _least_rounding_to(t, scale)
+        assert x <= t
+        assert x / scale >= t / scale
+        assert (x - 1) / scale < t / scale
+
+
+def tie_corpus(rng):
+    """Pairs of documents whose sums differ only by a word the attention makes tiny.
+
+    dNNa holds a text and dNNb the same text plus the word "tiny": their
+    sums differ as integers, and round to the same float once "tiny"
+    carries a multiplier of 1e-18, so only the label orders them.
+    """
+    vocab = [f"w{i}" for i in range(rng.randint(3, 12))]
+    docs = []
+    for index in range(rng.randint(3, 12)):
+        text = " ".join(rng.choices(vocab, k=rng.randint(1, 8)))
+        docs.append(RawDocument(f"d{index:02d}a", text))
+        if rng.random() < 0.7:
+            docs.append(RawDocument(f"d{index:02d}b", text + " tiny"))
+    docs.append(RawDocument("zz", "tiny " + " ".join(vocab)))
+    return docs
+
+
+def test_top_equals_sorting_the_full_map():
+    """ActivationMap.top(k) and candidates(k) against sorting every item, with ==."""
+    rng = random.Random(4099)
+    seen = dict.fromkeys(("float_ties_at_cut", "zeroed_in_top", "subnormal", "underflow"), 0)
+    checked = 0
+    for _ in range(60):
+        docs = tie_corpus(rng)
+        kb, _ = build_corpus(docs)
+        articles = list(kb.article_order)
+        nodes, ordinal = kb.nodes, kb.article_ordinals
+        tiny = kb.word_id("tiny")
+        for _ in range(5):
+            attention = {tiny: rng.choice((1e-18, 1e-18, 1.0, 5e-324))}
+            for article_id in rng.sample(articles, rng.randint(0, len(articles) // 2)):
+                attention[article_id] = rng.choice((0.0, 0.5, 3.0, 5e-324, 1e-300))
+            if rng.random() < 0.2:  # subnormal word factors, scale 2**1074
+                for word_id in rng.sample(list(kb.word_ids()), 2):
+                    attention[word_id] = 5e-324
+            if rng.random() < 0.25:
+                query = rng.choice(articles)
+            else:
+                query = rng.choice(docs).body + " " + rng.choice(("", "tiny", "w0 w1"))
+            try:
+                scorer = QueryScorer(kb, query, attention)
+            except UnscorableQueryError:  # a self score that underflows to 0.0
+                continue
+            checked += 1
+            forward = scorer.forward_map
+            ranked = sorted(forward.items(), key=lambda item: (-item[1], nodes[item[0]].label))
+            full = [article_id for article_id, _ in ranked]
+            sums = forward.sums
+            seen["subnormal"] += any(0.0 < value < sys.float_info.min for _, value in ranked)
+            seen["underflow"] += any(
+                sums[ordinal[a]] and attention.get(a) != 0.0 and a not in forward
+                for a in articles
+            )
+            for k in range(1, len(articles) + 3):
+                assert forward.top(k) == full[:k]
+                assert scorer.candidates(k, exclude_self=False) == full[:k]
+                assert scorer.candidates(k) == [a for a in full[:k] if a != query]
+                if k < len(ranked):
+                    (a, value), (b, below) = ranked[k - 1], ranked[k]
+                    seen["float_ties_at_cut"] += (
+                        value == below and sums[ordinal[a]] < sums[ordinal[b]]
+                    )
+                sums_top = sorted(articles, key=lambda a: -sums[ordinal[a]])[:k]
+                seen["zeroed_in_top"] += any(attention.get(a) == 0.0 for a in sums_top)
+    assert checked > 250 and all(count > 20 for count in seen.values()), (checked, seen)

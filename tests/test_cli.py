@@ -448,6 +448,118 @@ def test_build_tokenization_flags(tmp_path, capsys):
     assert '"tok":"WORDS"' in content and '"tok":"ok"' not in content
 
 
+def build_cased(tmp_path, *flags):
+    """d1..d3 with Alpha/alpha and one-letter words, built with flags."""
+    corpus = tmp_path / "cased"
+    corpus.mkdir(exist_ok=True)
+    for label, text in (
+        ("d1", "Alpha beta gamma."),
+        ("d2", "alpha Beta delta."),
+        ("d3", "x Alpha y z."),
+    ):
+        (corpus / f"{label}.txt").write_text(text)
+    index = tmp_path / f"cased{''.join(flags)}.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index), *flags]) == 0
+    return index
+
+
+def query_labels(capsys, index, doc, *flags):
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc), *flags]) == 0
+    return [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_query_applies_the_index_lowercase_rule(tmp_path, capsys):
+    index = build_cased(tmp_path, "--lowercase", "false")
+    header = json.loads(index.read_text("utf-8").splitlines()[0])
+    assert header["tokenization"] == {"lowercase": False, "min_token_len": 1}
+    doc = tmp_path / "q.txt"
+    doc.write_text("Alpha")
+    # lowercased, the query would reach d2 only
+    assert sorted(row[1] for row in query_labels(capsys, index, doc)) == ["d1", "d3"]
+    rows = query_labels(capsys, index, doc, "--watch", "Alpha,alpha")
+    assert rows[0][:2] == ["watch", "Alpha"] and float(rows[0][2]) > 0.0
+    assert rows[1] == ["watch", "alpha", "0"]
+    doc.write_text("Alpha beta gamma.")
+    assert query_labels(capsys, index, doc, "--include-self")[0] == ["1", "d1", "100.0"]
+    assert main(["compare", "--index", str(index), "--a", "d1", "--b", str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "percent\t100.0"
+    doc.write_text("Alpha")
+    argv = ["trace", "--index", str(index), "--source", str(doc), "--dest", "d3"]
+    assert main([*argv, "--level", "word", "--top", "1"]) == 0
+    _, contribution, text = capsys.readouterr().out.split("\t")[1:]
+    assert float(contribution) > 0.0 and text.strip() == "Alpha"
+
+
+def test_query_applies_the_index_min_token_len_rule(tmp_path, capsys):
+    index = build_cased(tmp_path, "--min-token-len", "2")
+    header = json.loads(index.read_text("utf-8").splitlines()[0])
+    assert header["tokenization"] == {"lowercase": True, "min_token_len": 2}
+    doc = tmp_path / "q.txt"
+    # x, y and z are dropped from d3 and, under the index's rules, from its query
+    doc.write_text("x Alpha y z.")
+    assert query_labels(capsys, index, doc, "--include-self")[0] == ["1", "d3", "100.0"]
+    assert main(["compare", "--index", str(index), "--a", "d3", "--b", str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "percent\t100.0"
+    argv = ["trace", "--index", str(index), "--source", "d3", "--dest", "d3", "--level", "word"]
+    assert main(argv) == 0
+    assert [line.split("\t")[3] for line in capsys.readouterr().out.splitlines()] == ["alpha"]
+    doc.write_text("x")
+    assert main(["query", "--index", str(index), "--doc", str(doc)]) == 4
+
+
+def test_default_rules_index_bytes_unchanged(tmp_path):
+    index = build_cased(tmp_path)
+    explicit = build_cased(tmp_path, "--lowercase", "true", "--min-token-len", "1")
+    assert "tokenization" not in index.read_text("utf-8").splitlines()[0]
+    assert explicit.read_bytes() == index.read_bytes()
+    # recorded on the commit before the header key existed
+    assert hashlib.sha256(index.read_bytes()).hexdigest() == (
+        "c59fb1ab266ee81a3aae53a47809d9de9e7d9a7a4e75c13788b3c1dc807eba6e"
+    )
+
+
+def test_build_min_token_len_below_one_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b")
+    index = tmp_path / "x.mcrx"
+    argv = ["build", "--corpus", str(corpus), "--index", str(index), "--min-token-len", "0"]
+    assert main(argv) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not index.exists()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        '"no"',
+        "[]",
+        "null",
+        '{"lowercase":"false"}',
+        '{"lowercase":0}',
+        '{"min_token_len":0}',
+        '{"min_token_len":true}',
+        '{"min_token_len":1.5}',
+        '{"lowercase":false,"stem":true}',
+    ],
+)
+def test_bad_tokenization_header_exit_1(tmp_path, capsys, value):
+    index = build_cased(tmp_path, "--lowercase", "false")
+    lines = index.read_text("utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["tokenization"] = json.loads(value)
+    lines[0] = json.dumps(header, separators=(",", ":")) + "\n"
+    index.write_text("".join(lines), "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("Alpha")
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "tokenization" in err
+
+
 def test_stats_missing_index_exit_1(tmp_path):
     assert main(["stats", "--index", str(tmp_path / "none.mcrx")]) == 1
 

@@ -39,6 +39,16 @@ def test_tokenize_respects_rules():
     assert tokenize("Ab cde FGH", rules) == ["cde", "FGH"]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"min_token_len": 0}, {"min_token_len": True}, {"min_token_len": 2.0}, {"lowercase": "no"}],
+)
+def test_tokenization_rules_refuse_bad_values(fields):
+    # a saved index could not be loaded back with these
+    with pytest.raises(ValueError):
+        TokenizationRules(**fields)
+
+
 def test_segment_sentences():
     assert segment("A b. C d? E") == [[["a", "b"], ["c", "d"], ["e"]]]
 

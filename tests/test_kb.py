@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mcrx import (
+    DEFAULT_RULES,
     PARAGRAPH,
     SENTENCE,
     WORD,
@@ -10,8 +11,11 @@ from mcrx import (
     KnowledgeBase,
     RawDocument,
     activate,
+    TokenizationRules,
     build_corpus,
+    ingest_document,
     load_index,
+    rank,
     reconstruct,
     save_index,
     segment,
@@ -177,6 +181,36 @@ def test_validate_checks_every_tf_group(corrupt):
     assert kb.df[a] == 2  # a df count alone does not see it
     with pytest.raises(AssertionError, match="postings"):
         kb.validate()
+
+
+def test_validate_checks_article_ordinals():
+    kb = make_kb({"d1": "a", "d2": "b", "d3": "a b"})
+    assert kb.article_ordinals == {a: i for i, a in enumerate(kb.article_order)}
+    kb.validate()
+    d1, d2 = kb.article_id("d1"), kb.article_id("d2")
+    ordinals = kb.article_ordinals
+    ordinals[d1], ordinals[d2] = ordinals[d2], ordinals[d1]
+    with pytest.raises(AssertionError, match="ordinals"):
+        kb.validate()
+
+
+def test_tokenization_rules_saved_loaded_and_applied(tmp_path):
+    rules = TokenizationRules(lowercase=False, min_token_len=2)
+    docs = [RawDocument("d1", "Alpha beta."), RawDocument("d2", "alpha x Beta.")]
+    kb, _ = build_corpus(docs, rules)
+    assert kb.tokenization == rules
+    path = tmp_path / "rules.mcrx"
+    save_index(kb, str(path))
+    loaded = load_index(str(path))
+    assert loaded.tokenization == rules
+    resaved = tmp_path / "resaved.mcrx"
+    save_index(loaded, str(resaved))
+    assert resaved.read_bytes() == path.read_bytes()
+    # queries and inserts default to the knowledge base's rules
+    assert [r.label for r in rank(loaded, "Alpha x", k=2, n=2)] == ["d1"]
+    assert [r.label for r in rank(loaded, "Alpha x", k=2, n=2, rules=DEFAULT_RULES)] == ["d2"]
+    ingest_document(loaded, RawDocument("d3", "ALPHA y"))
+    assert reconstruct(loaded, loaded.article_id("d3")) == [[["ALPHA"]]]
 
 
 def test_save_load_round_trip_scores(tmp_path, c2):
