@@ -30,8 +30,10 @@ factor (finite attention multipliers near 1e308), raises
 UnscorableQueryError from collect itself. Because
 the sums are exactly rounded, activation values are bit-identical
 regardless of ingestion order, of the order or partition of the summed
-terms, and of save/load cycles. collect_on_bag and trace, one small sum
-each, use math.fsum (exact_sum).
+terms, and of save/load cycles. Every other activation, one bag's
+emission collected on another bag (collect_on_bag, the reverse pass of
+similarity.QueryScorer, trace's per-member shares), is one math.fsum
+over the words the two bags share (_bag_sum).
 
 Sentences and paragraphs never modulate cross-document activation;
 trace reads an article's packed runs only to attribute its activation
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyDocumentError, StaleWeightsError, UnscorableQueryError
 from .ingest import tokenize
-from .kb import SENTENCE, WORD, KnowledgeBase, TokenizationRules
+from .kb import SENTENCE, WORD, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
 
@@ -56,8 +58,7 @@ Source = int | str  # article node id, or raw text
 class Emission:
     """Word-layer activation of one source."""
 
-    values: dict[int, float]  # word id -> e(w) = tf/len
-    bag: dict[int, int]  # word id -> tf, KB words only
+    bag: dict[int, int]  # word id -> tf, KB words only; e(w) = tf/length
     length: int  # total source tokens, unknown ones included
     unknown_words: int  # distinct source tokens absent from the KB
 
@@ -77,27 +78,22 @@ class TraceEntry:
     position: tuple[int, ...] = ()
 
 
-def emit(
-    kb: KnowledgeBase,
-    source: Source,
-    rules: TokenizationRules | None = None,
-) -> Emission:
+def emit(kb: KnowledgeBase, source: Source) -> Emission:
     """Project a source onto the word layer.
 
-    Text is tokenized by rules, by default the knowledge base's own
-    (kb.tokenization). Unknown words contribute nothing and are only
-    counted; external text is first-class, it does not need to be in the
-    corpus.
+    Text is tokenized by the knowledge base's rules (kb.tokenization).
+    Unknown words contribute nothing and are only counted; external text
+    is first-class, it does not need to be in the corpus.
     """
     if isinstance(source, int):
         node = kb.node(source)
         if node.level != kb.top_level:
             raise ValueError(f"node {source} is not an article")
-        bag = kb.article_bags[source]
+        bag = dict(kb.article_bags[source])
         length = kb.article_len[source]
         unknown = 0
     else:
-        tokens = tokenize(source, kb.tokenization if rules is None else rules)
+        tokens = tokenize(source, kb.tokenization)
         length = len(tokens)
         bag = {}
         missing = set()
@@ -110,8 +106,7 @@ def emit(
         unknown = len(missing)
     if length == 0:
         raise EmptyDocumentError("source is empty after segmentation")
-    values = {word_id: count / length for word_id, count in bag.items()}
-    return Emission(values, dict(bag), length, unknown)
+    return Emission(bag, length, unknown)
 
 
 def exact_sum(terms) -> float:
@@ -122,18 +117,37 @@ def exact_sum(terms) -> float:
         raise UnscorableQueryError() from exc
 
 
-def _word_factors(
-    kb: KnowledgeBase, emission: Emission, attention: dict[int, float]
-) -> list[tuple[int, float]]:
-    """Per-word factor e(w)*m(w)*wt(w); zero factors drop out entirely."""
+def _bag_sum(
+    kb: KnowledgeBase,
+    bag: dict[int, int],
+    length: int,
+    other: dict[int, int],
+    attention: dict[int, float],
+) -> float:
+    """A bag's emission, tf/length per word, collected on another bag.
+
+    One exact sum over the words the two bags share, walked from the
+    smaller bag. Each term is tf/length * m(w) * wt(w) * other[w], always
+    in that operand order, so every caller gets the same bits.
+    EmptyDocumentError for length 0, StaleWeightsError before
+    compute_weights.
+    """
+    if length == 0:
+        raise EmptyDocumentError("source is empty after segmentation")
     if not kb.weights_computed:
         raise StaleWeightsError("compute weights before running activation")
-    factors = []
-    for word_id, value in emission.values.items():
-        factor = value * attention.get(word_id, 1.0) * kb.nodes[word_id].weight
-        if factor != 0.0:
-            factors.append((word_id, factor))
-    return factors
+    nodes = kb.nodes
+    if len(bag) <= len(other):
+        return exact_sum(
+            tf / length * attention.get(w, 1.0) * nodes[w].weight * other[w]
+            for w, tf in bag.items()
+            if w in other
+        )
+    return exact_sum(
+        bag[w] / length * attention.get(w, 1.0) * nodes[w].weight * tf
+        for w, tf in other.items()
+        if w in bag
+    )
 
 
 class ActivationMap(Mapping):
@@ -251,7 +265,14 @@ def collect(
     """
     if attention is None:
         attention = kb.attention_snapshot()
-    factors = _word_factors(kb, emission, attention)
+    if not kb.weights_computed:
+        raise StaleWeightsError("compute weights before running activation")
+    nodes, length = kb.nodes, emission.length
+    factors = []  # (word id, e(w) * m(w) * wt(w)); zero factors drop out
+    for word_id, count in emission.bag.items():
+        factor = count / length * attention.get(word_id, 1.0) * nodes[word_id].weight
+        if factor != 0.0:
+            factors.append((word_id, factor))
     try:
         # A float factor is n / 2**k (as_integer_ratio). A term factor * tf,
         # tf >= 1, is at least factor: either exact, hence a multiple of
@@ -287,18 +308,14 @@ def collect_on_bag(
     """Collect an emission against one explicit token bag."""
     if attention is None:
         attention = kb.attention_snapshot()
-    factors = _word_factors(kb, emission, attention)
-    return exact_sum(factor * bag[word_id] for word_id, factor in factors if word_id in bag)
+    return _bag_sum(kb, emission.bag, emission.length, bag, attention)
 
 
 def activate(
-    kb: KnowledgeBase,
-    source: Source,
-    attention: dict[int, float] | None = None,
-    rules: TokenizationRules | None = None,
+    kb: KnowledgeBase, source: Source, attention: dict[int, float] | None = None
 ) -> dict[int, float]:
     """Article activation map for a source (emit + collect)."""
-    return collect(kb, emit(kb, source, rules), attention)
+    return collect(kb, emit(kb, source), attention)
 
 
 def trace(
@@ -308,24 +325,24 @@ def trace(
     level: int,
     top_n: int,
     attention: dict[int, float] | None = None,
-    rules: TokenizationRules | None = None,
 ) -> list[TraceEntry]:
     """Attribute a document's activation to its words, sentences or paragraphs.
 
     Contributions at any level sum to the document's activation (before
     the article's own attention multiplier). Ties break by token at the
     word level, which is word id order in a loaded index, and by position
-    in the document above it.
+    in the document above it. ValueError for top_n < 1.
     """
     node = kb.node(article_id)
     if node.level != kb.top_level:
         raise ValueError(f"node {article_id} is not an article")
     if not WORD <= level < kb.top_level:
         raise ValueError("trace level must be below the article level")
+    if top_n < 1:
+        raise ValueError("need top_n >= 1")
     if attention is None:
         attention = kb.attention_snapshot()
-    emission = emit(kb, source, rules)
-    factors = dict(_word_factors(kb, emission, attention))
+    emission = emit(kb, source)
 
     if level == WORD:
         nodes = kb.nodes
@@ -347,9 +364,7 @@ def trace(
         bag: dict[int, int] = {}
         for word_id, count in runs:
             bag[word_id] = bag.get(word_id, 0) + count
-        contribution = exact_sum(
-            factors[word_id] * count for word_id, count in bag.items() if word_id in factors
-        )
+        contribution = _bag_sum(kb, emission.bag, emission.length, bag, attention)
         entries.append(TraceEntry(node_id, level, contribution, position))
     entries.sort(key=lambda entry: -entry.contribution)  # stable: ties keep member order
-    return entries[: max(top_n, 0)]
+    return entries[:top_n]

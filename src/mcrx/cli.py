@@ -235,6 +235,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        return _fail(EXIT_MALFORMED, "need --top >= 1")
     kb = _open_index(args)
     if isinstance(kb, int):
         return kb
@@ -270,6 +272,8 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
     from . import seqdemo
     from .scl import ExitCriteria
 
+    if args.max_iter < 1:
+        return _fail(EXIT_MALFORMED, "need --max-iter >= 1")
     missing = not Path(args.kb).exists()
     if missing:
         akb = seqdemo.default_actions()
@@ -298,10 +302,7 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
         else:
             print(f"recognized composite {learned.composite_id}")
 
-    try:
-        budget = ExitCriteria(max_iterations=args.max_iter, score_threshold=100.0)
-    except ValueError as exc:
-        return _fail(EXIT_UNREADABLE, str(exc))
+    budget = ExitCriteria(max_iterations=args.max_iter, score_threshold=100.0)
     try:
         result = seqdemo.solve(akb, args.start, args.target, budget)
     except NoActionsError:
@@ -342,7 +343,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if isinstance(kb, int):
         return kb
     weights = [
-        node.weight for node in kb.nodes if node.level == WORD and kb.df.get(node.id)
+        node.weight for node in kb.nodes if node.level == WORD and kb.df(node.id)
     ]
     print(f"documents: {kb.article_count}")
     print(f"words: {kb.word_count}")

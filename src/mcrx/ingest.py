@@ -82,18 +82,14 @@ def _paragraph_blocks(text: str) -> list[str]:
     return blocks
 
 
-def ingest_document(
-    kb: KnowledgeBase,
-    doc: RawDocument,
-    rules: TokenizationRules | None = None,
-) -> int:
+def ingest_document(kb: KnowledgeBase, doc: RawDocument) -> int:
     """Segment one document and insert it as one article of word runs.
 
-    rules defaults to the knowledge base's own (kb.tokenization). Returns
-    the article node id. Word weights become stale until compute_weights
-    runs again.
+    The document is tokenized by the knowledge base's rules
+    (kb.tokenization). Returns the article node id. Word weights become
+    stale until compute_weights runs again.
     """
-    segmented = segment(doc.body, kb.tokenization if rules is None else rules)
+    segmented = segment(doc.body, kb.tokenization)
     return ingest_segmented(kb, doc, segmented)
 
 
@@ -136,7 +132,7 @@ def compute_weights(kb: KnowledgeBase) -> None:
         raise ValueError("cannot compute weights on an empty knowledge base")
     nodes = kb.nodes
     for word_id in kb.word_ids():
-        df = kb.df.get(word_id, 0)
+        df = kb.df(word_id)
         nodes[word_id].weight = math.log(1.0 + d / df) if df else 0.0
     kb.weights_computed = True
 

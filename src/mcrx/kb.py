@@ -13,8 +13,8 @@ survives and top-down regeneration reproduces the ingested text exactly.
 Articles enter through one path, add_article, which both ingestion and
 load_index call with ArticleRuns.pack(paragraphs of sentences of
 (word id, count) runs). It checks the runs, stores them as arrays and
-fills the article's token bag and postings from them (kb.df is read off
-the postings, which group each word's article ordinals by term
+fills the article's token bag and postings from them (kb.df(word_id) is
+read off the postings, which group each word's article ordinals by term
 frequency); kb.runs(article_id) gives the nested form back.
 
 The knowledge base also keeps the tokenization rules its articles were
@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 
 from .errors import (
@@ -146,30 +146,6 @@ class ArticleRuns:
         return paragraphs
 
 
-class _DocumentFrequencies(Mapping):
-    """Word id -> number of articles holding the word, read off the postings.
-
-    Words that no article holds are absent, as in a plain count table.
-    """
-
-    __slots__ = ("_postings",)
-
-    def __init__(self, postings: dict[int, dict[int, list[int]]]):
-        self._postings = postings
-
-    def __getitem__(self, word_id: int) -> int:
-        groups = self._postings[word_id]
-        if not groups:
-            raise KeyError(word_id)
-        return sum(map(len, groups.values()))
-
-    def __iter__(self) -> Iterator[int]:
-        return (word_id for word_id, groups in self._postings.items() if groups)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 class KnowledgeBase:
     """Graph store plus corpus statistics and attention multipliers."""
 
@@ -191,7 +167,6 @@ class KnowledgeBase:
         # word id -> tf -> ordinals of the articles holding the word tf times,
         # ascending; add_word gives every word an entry
         self.postings: dict[int, dict[int, list[int]]] = {}
-        self.df: Mapping[int, int] = _DocumentFrequencies(self.postings)
         self.article_runs: dict[int, ArticleRuns] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
         self.article_len: dict[int, int] = {}
@@ -218,6 +193,10 @@ class KnowledgeBase:
 
     def word_id(self, token: str) -> int | None:
         return self._word_ids.get(token)
+
+    def df(self, word_id: int) -> int:
+        """Number of articles holding a word, read off its postings."""
+        return sum(map(len, self.postings[word_id].values()))
 
     def word_ids(self) -> Iterable[int]:
         """Ids of every word node, in creation order."""
@@ -390,15 +369,15 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
     lines = [json.dumps(header, separators=(",", ":"), ensure_ascii=False)]
     for token in sorted(kb._word_ids):
         word_id = kb._word_ids[token]
-        node = kb.nodes[word_id]
-        if kb.df.get(word_id, 0) < 1:
+        df = kb.df(word_id)
+        if df < 1:
             continue  # orphan word, reachable from no article
         lines.append(
             '{"t":"word","tok":%s,"df":%d,"w":%s}'
             % (
                 json.dumps(token, ensure_ascii=False),
-                kb.df.get(word_id, 0),
-                render_real(node.weight),
+                df,
+                render_real(kb.nodes[word_id].weight),
             )
         )
     for label in kb.article_labels():
@@ -493,11 +472,11 @@ def load_index(path: str) -> KnowledgeBase:
             raise IndexFormatError(f"unknown record type {kind!r}", offset)
 
     for word_id, (declared, line) in declared_df.items():
-        if kb.df.get(word_id, 0) != declared:
+        derived = kb.df(word_id)
+        if derived != declared:
             token = kb.nodes[word_id].label
             raise IndexFormatError(
-                f"stored df {declared} for {token!r} disagrees with "
-                f"derived df {kb.df.get(word_id, 0)}",
+                f"stored df {declared} for {token!r} disagrees with derived df {derived}",
                 line,
             )
     if header.get("D") != kb.article_count:

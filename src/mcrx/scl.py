@@ -172,7 +172,7 @@ def watch_read(scorer: QueryScorer, labels: tuple[str, ...] | list[str]) -> dict
     for label in labels:
         word_id = kb.word_id(label)
         if word_id is not None:
-            emission = scorer.emission.values.get(word_id, 0.0)
+            emission = scorer.emission.bag.get(word_id, 0) / scorer.emission.length
             multiplier = scorer.attention.get(word_id, 1.0)
             values[label] = emission * multiplier * kb.nodes[word_id].weight
             continue

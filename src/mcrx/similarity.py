@@ -6,8 +6,9 @@ collect's exact integer sums (activation.ActivationMap): a heap finds
 the cut on the integers, and only the articles at or above it, plus
 those with an article multiplier, are divided into floats and sorted.
 Each candidate is then re-scored in reverse (its own emission collected
-on the query's token bag), as one exact sum over the words the article
-and the query share, walked from the smaller of the two bags. The two
+on the query's token bag) by activation._bag_sum, straight from the
+article's bag and length: one exact sum over the words the article and
+the query share, walked from the smaller of the two bags. The two
 directions fold into one raw score that is linear in the reverse
 direction and logarithmic in the forward one. Raw scores are reported
 as a percentage of the query's self score, so querying a document's own
@@ -26,14 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .activation import Source, collect, collect_on_bag, emit, exact_sum
-from .errors import (
-    EmptyDocumentError,
-    EmptyIndexError,
-    StaleWeightsError,
-    UnscorableQueryError,
-)
-from .kb import KnowledgeBase, TokenizationRules, render_real
+from .activation import Source, _bag_sum, collect, collect_on_bag, emit
+from .errors import EmptyIndexError, UnscorableQueryError
+from .kb import KnowledgeBase, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
@@ -72,24 +68,19 @@ class QueryScorer:
 
     Builds the forward activation map and the self score once; score()
     then runs only the target's reverse pass, plus the forward pass on
-    its bag for a text target. Text is tokenized by rules, by default
-    the knowledge base's own.
+    its bag for a text target. Text is tokenized by the knowledge base's
+    rules.
     """
 
     def __init__(
-        self,
-        kb: KnowledgeBase,
-        query: Source,
-        attention: dict[int, float] | None = None,
-        rules: TokenizationRules | None = None,
+        self, kb: KnowledgeBase, query: Source, attention: dict[int, float] | None = None
     ):
         self.kb = kb
         self.attention = (
             kb.attention_snapshot() if attention is None else dict(attention)
         )
-        self.rules = rules
         self.source_article = query if isinstance(query, int) else None
-        self.emission = emit(kb, query, rules)
+        self.emission = emit(kb, query)
         self.forward_map = collect(kb, self.emission, self.attention)
         self.self_activation = collect_on_bag(
             kb, self.emission, self.emission.bag, self.attention
@@ -124,46 +115,20 @@ class QueryScorer:
             node = kb.node(target)
             if node.level != kb.top_level:
                 raise ValueError(f"node {target} is not an article")
-            if not kb.weights_computed:
-                raise StaleWeightsError("compute weights before running activation")
             article_id, label, title = target, node.label or "", kb.title(target)
             bag, length = kb.article_bags[target], kb.article_len[target]
             forward = self.forward_map.get(target, 0.0)
         else:
-            emission = emit(kb, target, self.rules)
+            emission = emit(kb, target)
             article_id, label, title = None, "", ""
             bag, length = emission.bag, emission.length
             forward = collect_on_bag(kb, self.emission, bag, self.attention)
-        reverse = self._reverse(bag, length)
+        reverse = _bag_sum(kb, bag, length, self.emission.bag, self.attention)
         raw = combine(reverse, forward)
         percent = normalize(raw, self.self_raw)
         if not percent < math.inf:  # inf, or NaN from inf * ln(1 + 0)
             raise UnscorableQueryError()
         return RankedResult(article_id, label, title, percent, raw, reverse, forward)
-
-    def _reverse(self, bag: dict[int, int], length: int) -> float:
-        """A target's emission, from its bag and length, collected on the query bag.
-
-        One fsum; each term is tf_d/len_d * m(w) * wt(w) * tf_q, the same
-        operands in the same order as emit + collect_on_bag, so the value
-        is identical.
-        """
-        if length == 0:
-            raise EmptyDocumentError("source is empty after segmentation")
-        query_bag = self.emission.bag
-        attention = self.attention
-        nodes = self.kb.nodes
-        if len(bag) <= len(query_bag):
-            return exact_sum(
-                tf_d / length * attention.get(w, 1.0) * nodes[w].weight * query_bag[w]
-                for w, tf_d in bag.items()
-                if w in query_bag
-            )
-        return exact_sum(
-            bag[w] / length * attention.get(w, 1.0) * nodes[w].weight * tf_q
-            for w, tf_q in query_bag.items()
-            if w in bag
-        )
 
     def top(self, k: int, n: int, exclude_self: bool = True) -> list[RankedResult]:
         """Score the top-k candidates; the best n by percent, ties by label."""
@@ -186,7 +151,6 @@ def rank(
     n: int = DEFAULT_RESULTS,
     exclude_self: bool = True,
     attention: dict[int, float] | None = None,
-    rules: TokenizationRules | None = None,
 ) -> list[RankedResult]:
     """Ranked retrieval for one query.
 
@@ -197,7 +161,7 @@ def rank(
     check_cut(k, n)
     if kb.article_count == 0:
         raise EmptyIndexError("the index holds no documents")
-    scorer = QueryScorer(kb, query, attention, rules)
+    scorer = QueryScorer(kb, query, attention)
     return scorer.top(k, n, exclude_self)
 
 

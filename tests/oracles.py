@@ -4,9 +4,10 @@ Everything here is written from the definitions, not from the library
 code paths: dense loops over whole documents instead of posting lists,
 plain accumulation instead of exact summation, and a queue-based BFS
 instead of the best-first planner. The exceptions are reference_rank
-and reference_compare, which compose the library's own emit and
-collect_on_bag per article or text so that rank and QueryScorer.score
-can be compared with them bit for bit.
+and reference_compare, which tokenize with the library's own emit and
+sum each directional activation as one plain math.fsum per article or
+text (directional_sum), so that rank and QueryScorer.score can be
+compared with them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import re
 from collections import Counter, deque
 
-from mcrx.activation import collect_on_bag, emit
+from mcrx.activation import emit
 from mcrx.errors import UnscorableQueryError
 from mcrx.similarity import combine, normalize
 
@@ -96,23 +97,42 @@ def dense_rank(bags, weights, query_tokens, k=100, word_att=None, doc_att=None):
     return rows
 
 
+def directional_sum(kb, bag, length, other, attention):
+    """fsum of count/length * m(w) * wt(w) * tf over the words bag shares with other.
+
+    bag emits, other receives; UnscorableQueryError when the exact sum
+    leaves the float range.
+    """
+    nodes = kb.nodes
+    try:
+        return math.fsum(
+            count / length * attention.get(word, 1.0) * nodes[word].weight * other[word]
+            for word, count in bag.items()
+            if word in other
+        )
+    except OverflowError as exc:
+        raise UnscorableQueryError() from exc
+
+
 def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
     """rank() as a pipeline of per-article passes and full sorts.
 
-    Forward: emit once, collect_on_bag on every article bag, times the
-    article's multiplier. Candidates: every activated article sorted by
-    (-forward, label), cut at k, self removed after the cut. Reverse: a
-    fresh emission per candidate collected on the query bag. Returns
+    Forward: emit once, one directional_sum on every article bag, times
+    the article's multiplier. Candidates: every activated article sorted
+    by (-forward, label), cut at k, self removed after the cut. Reverse:
+    each candidate's bag and length summed on the query bag. Returns
     (label, percent, raw, reverse, forward) rows, best n by percent.
     """
     attention = kb.attention_snapshot() if attention is None else dict(attention)
     emission = emit(kb, query)
+    query_bag, query_length = emission.bag, emission.length
     forward = {}
     for article_id, bag in kb.article_bags.items():
-        value = collect_on_bag(kb, emission, bag, attention) * attention.get(article_id, 1.0)
+        value = directional_sum(kb, query_bag, query_length, bag, attention)
+        value *= attention.get(article_id, 1.0)
         if value != 0.0:
             forward[article_id] = value
-    self_activation = collect_on_bag(kb, emission, emission.bag, attention)
+    self_activation = directional_sum(kb, query_bag, query_length, query_bag, attention)
     self_raw = combine(self_activation, self_activation)
     if self_raw <= 0:
         raise UnscorableQueryError(emission.unknown_words)
@@ -122,7 +142,8 @@ def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
     for article_id, value in ranked:
         if exclude_self and article_id == query:
             continue
-        reverse = collect_on_bag(kb, emit(kb, article_id), emission.bag, attention)
+        bag, length = kb.article_bags[article_id], kb.article_len[article_id]
+        reverse = directional_sum(kb, bag, length, query_bag, attention)
         raw = combine(reverse, value)
         rows.append((nodes[article_id].label, normalize(raw, self_raw), raw, reverse, value))
     rows.sort(key=lambda row: (-row[1], row[0]))
@@ -144,7 +165,8 @@ def reference_compare(kb, a, b, attention=None):
             bag = kb.article_bags[destination]
         else:
             bag = emit(kb, destination).bag
-        value = collect_on_bag(kb, emit(kb, source), bag, attention)
+        emission = emit(kb, source)
+        value = directional_sum(kb, emission.bag, emission.length, bag, attention)
         if multiply and isinstance(destination, int):
             value *= attention.get(destination, 1.0)
         return value
@@ -152,7 +174,7 @@ def reference_compare(kb, a, b, attention=None):
     forward = directional(a, b, True)
     reverse = directional(b, a, False)
     emission = emit(kb, a)
-    self_activation = collect_on_bag(kb, emission, emission.bag, attention)
+    self_activation = directional_sum(kb, emission.bag, emission.length, emission.bag, attention)
     raw = combine(reverse, forward)
     return forward, reverse, raw, normalize(raw, combine(self_activation, self_activation))
 

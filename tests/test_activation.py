@@ -41,26 +41,32 @@ def labeled(kb, activations):
 
 def test_emit_two_tokens(c2):
     emission = emit(c2, "a b")
-    values = {c2.nodes[w].label: v for w, v in emission.values.items()}
+    assert {c2.nodes[w].label: n for w, n in emission.bag.items()} == {"a": 1, "b": 1}
+    assert emission.length == 2
+    values = {c2.nodes[w].label: n / emission.length for w, n in emission.bag.items()}
     assert values == {"a": 0.5, "b": 0.5}
     assert emission.unknown_words == 0
 
 
 def test_emit_weighted_by_tf(c2):
     emission = emit(c2, "a a a b")
-    values = {c2.nodes[w].label: v for w, v in emission.values.items()}
+    assert {c2.nodes[w].label: n for w, n in emission.bag.items()} == {"a": 3, "b": 1}
+    values = {c2.nodes[w].label: n / emission.length for w, n in emission.bag.items()}
     assert values == {"a": 0.75, "b": 0.25}
 
 
 def test_emit_unknown_words_counted(c2):
     emission = emit(c2, "q z")
-    assert emission.values == {}
+    assert emission.bag == {}
+    assert emission.length == 2  # unknown tokens still count toward the length
     assert emission.unknown_words == 2
 
 
 def test_emit_mass_sums_to_one_without_unknowns(c2):
     emission = emit(c2, "a b b c c c")
-    assert math.fsum(emission.values.values()) == pytest.approx(1.0, abs=1e-15)
+    assert sum(emission.bag.values()) == emission.length
+    masses = (n / emission.length for n in emission.bag.values())
+    assert math.fsum(masses) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_emit_empty_source_rejected(c2):
@@ -168,7 +174,9 @@ def test_trace_sorted_and_truncated():
     entries = trace(kb, "hit", d, SENTENCE, 2)
     assert len(entries) == 2
     assert entries[0].contribution >= entries[1].contribution
-    assert trace(kb, "hit", d, SENTENCE, 0) == []
+    for top_n in (0, -1):
+        with pytest.raises(ValueError):
+            trace(kb, "hit", d, SENTENCE, top_n)
 
 
 def test_trace_ties_break_by_position_and_token():
@@ -332,7 +340,7 @@ def test_interrupted_collect_leaves_no_state():
     query = docs[3].body
     emission = emit(kb, query)
     # the query's last word: the sums already hold every other word's terms
-    last = list(emission.values)[-1]
+    last = list(emission.bag)[-1]
     groups = kb.postings[last]
     kb.postings[last] = InterruptingGroups(groups)
     try:
@@ -399,8 +407,8 @@ def test_reused_bins_concurrent_ranking_matches_sequential():
 def fsum_collect(kb, emission, attention):
     """Per-article math.fsum of factor * tf, in article order; None when unscorable."""
     factors = {}
-    for word_id, value in emission.values.items():
-        factor = value * attention.get(word_id, 1.0) * kb.nodes[word_id].weight
+    for word_id, count in emission.bag.items():
+        factor = count / emission.length * attention.get(word_id, 1.0) * kb.nodes[word_id].weight
         if factor != 0.0:
             factors[word_id] = factor
     if not all(math.isfinite(f) for f in factors.values()):

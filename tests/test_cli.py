@@ -268,26 +268,17 @@ def test_trace_single_row(tmp_path, capsys):
     assert lines[0].endswith("a b")
 
 
-def test_trace_top_zero_empty(tmp_path, capsys):
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_trace_top_out_of_range_exit_2(tmp_path, capsys, top):
     index = build_c2(tmp_path)
     capsys.readouterr()
-    code = main(
-        [
-            "trace",
-            "--index",
-            str(index),
-            "--source",
-            "d1",
-            "--dest",
-            "d1",
-            "--level",
-            "sentence",
-            "--top",
-            "0",
-        ]
-    )
-    assert code == 0
-    assert capsys.readouterr().out == ""
+    argv = ["trace", "--index", str(index), "--source", "d1", "--dest", "d1"]
+    code = main([*argv, "--level", "sentence", "--top", top])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "--top" in captured.err
 
 
 def test_trace_article_level_usage_error(tmp_path):
@@ -922,6 +913,31 @@ def test_scl_demo_empty_action_file_exit_1(tmp_path, capsys):
     code, captured = scl_demo_exit(tmp_path, capsys, b"\n")
     assert code == 1
     assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_scl_demo_max_iter_out_of_range_exit_2(tmp_path, capsys, max_iter, existing):
+    kb_path = tmp_path / "actions.jsonl"
+    if existing:
+        kb_path.write_bytes(ACTIONS.encode())
+    demo = tmp_path / "demo.txt"
+    demo.write_text("0,0\n0,1\n1,1\n")
+    capsys.readouterr()
+    argv = ["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "1,1"]
+    code = main([*argv, "--learn", str(demo), "--max-iter", max_iter])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "--max-iter" in captured.err
+    if existing:
+        assert kb_path.read_bytes() == ACTIONS.encode()
+    else:
+        assert not kb_path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["demo.txt", *["actions.jsonl"] * existing]
+    )
 
 
 def test_scl_demo_coordinate_flag_beyond_limit_exit_2(tmp_path, capsys):

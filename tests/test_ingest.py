@@ -70,8 +70,8 @@ def test_ingest_document_builds_hierarchy():
 
 
 def test_ingest_shared_word_df(c2):
-    assert c2.df[c2.word_id("b")] == 2
-    assert c2.df[c2.word_id("a")] == 1
+    assert c2.df(c2.word_id("b")) == 2
+    assert c2.df(c2.word_id("a")) == 1
 
 
 def test_ingest_duplicate_id_rejected(c2):

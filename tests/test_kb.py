@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mcrx import (
-    DEFAULT_RULES,
     PARAGRAPH,
     SENTENCE,
     WORD,
@@ -47,7 +46,7 @@ def test_article_insertion_counts_documents():
     word = kb.add_word("x")
     kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
     assert kb.article_count == 1
-    assert kb.df[word] == 1
+    assert kb.df(word) == 1
     assert kb.total_tokens == 1
 
 
@@ -178,7 +177,7 @@ def test_validate_checks_every_tf_group(corrupt):
     assert kb.postings[a] == {2: [0], 1: [1]}
     kb.validate()
     kb.postings[a] = corrupt
-    assert kb.df[a] == 2  # a df count alone does not see it
+    assert kb.df(a) == 2  # a df count alone does not see it
     with pytest.raises(AssertionError, match="postings"):
         kb.validate()
 
@@ -208,7 +207,6 @@ def test_tokenization_rules_saved_loaded_and_applied(tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
     # queries and inserts default to the knowledge base's rules
     assert [r.label for r in rank(loaded, "Alpha x", k=2, n=2)] == ["d1"]
-    assert [r.label for r in rank(loaded, "Alpha x", k=2, n=2, rules=DEFAULT_RULES)] == ["d2"]
     ingest_document(loaded, RawDocument("d3", "ALPHA y"))
     assert reconstruct(loaded, loaded.article_id("d3")) == [[["ALPHA"]]]
 
@@ -365,7 +363,9 @@ def test_load_equals_build_node_for_node(tmp_path):
             assert loaded.article_len[loaded_id] == built.article_len[built_id]
         assert len(loaded.article_bags) == len(built.article_bags)
         assert loaded.postings == {to_loaded[w]: entry for w, entry in built.postings.items()}
-        assert loaded.df == {to_loaded[w]: n for w, n in built.df.items()}
+        assert {w: loaded.df(w) for w in loaded.word_ids()} == {
+            to_loaded[w]: built.df(w) for w in built.word_ids()
+        }
         assert loaded.total_tokens == built.total_tokens
         built.validate()
 
