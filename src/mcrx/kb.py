@@ -4,25 +4,28 @@ Four levels: word=0, sentence=1, paragraph=2, article=3. Words and
 articles are nodes (kb.nodes, indexed by id, carrying label, level and
 weight); word nodes are deduplicated globally by token (add_word).
 Sentences and paragraphs are not nodes. Each article keeps its text
-structure as packed runs (ArticleRuns): four integer arrays holding the
-word id and count of every run of a repeated token, in text order, the
-number of runs in each sentence and the number of sentences in each
-paragraph. The same word may appear in several runs, so the token order
-survives and top-down regeneration reproduces the ingested text exactly.
+structure as packed runs (ArticleRuns): four 32-bit integer arrays
+holding the word id and count of every run of a repeated token, in text
+order, the number of runs in each sentence and the number of sentences
+in each paragraph. The same word may appear in several runs, so the
+token order survives and top-down regeneration reproduces the ingested
+text exactly.
 
 Articles enter through one path, add_article, which both ingestion and
 load_index call with ArticleRuns.pack(paragraphs of sentences of
 (word id, count) runs). It checks the runs, stores them as arrays and
 fills the article's token bag and postings from them (kb.df(word_id) is
 read off the postings, which group each word's article ordinals by term
-frequency); kb.runs(article_id) gives the nested form back.
+frequency, each group a 32-bit integer array); kb.runs(article_id) gives
+the nested form back.
 
 The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
 
-Persistence uses the line-delimited MCRX-1 format, see save_index. A save
-writes a temporary file beside the target and moves it into place, so a
-failed save leaves the old file intact.
+Persistence uses the line-delimited MCRX-1 format, see save_index. Save
+and load stream the file one record at a time, so neither holds the
+whole file's text. A save writes a temporary file beside the target and
+moves it into place, so a failed save leaves the old file intact.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 
 from .errors import (
@@ -112,7 +115,8 @@ class ArticleRuns:
     A run is one token repeated count >= 1 times. words and counts hold
     each run's word id and count in text order, sentence_runs the number
     of runs in each sentence, paragraph_sentences the number of sentences
-    in each paragraph. A knowledge base stores them as int64 arrays.
+    in each paragraph. A knowledge base stores them as 32-bit int arrays
+    (array('i')), so every value lies below 2**31.
     """
 
     words: Sequence
@@ -165,8 +169,8 @@ class KnowledgeBase:
         self.article_order: list[int] = []
         self.article_ordinals: dict[int, int] = {}
         # word id -> tf -> ordinals of the articles holding the word tf times,
-        # ascending; add_word gives every word an entry
-        self.postings: dict[int, dict[int, list[int]]] = {}
+        # ascending, as array('i'); add_word gives every word an entry
+        self.postings: dict[int, dict[int, array]] = {}
         self.article_runs: dict[int, ArticleRuns] = {}
         self.article_bags: dict[int, dict[int, int]] = {}
         self.article_len: dict[int, int] = {}
@@ -235,8 +239,10 @@ class KnowledgeBase:
         postings are filled from them. Nothing is inserted if a check
         fails: DuplicateDocumentError for a known label, MissingNodeError
         for an unknown id, LayeringError for an id that is not a word,
-        ValueError for a count that is not a positive int or for run
-        lengths that do not add up.
+        ValueError for a count that is not a positive int, for a value
+        outside the 32-bit range (a count of 2**31 or more), for run
+        lengths that do not add up and for an article, paragraph or
+        sentence with nothing in it.
         """
         if label in self._article_ids:
             raise DuplicateDocumentError(f"document {label!r} already ingested")
@@ -246,10 +252,10 @@ class KnowledgeBase:
             raise ValueError(f"word count {bad!r} is not a positive int")
         try:
             packed = ArticleRuns(
-                array("q", words),
-                array("q", counts),
-                array("q", runs.sentence_runs),
-                array("q", runs.paragraph_sentences),
+                array("i", words),
+                array("i", counts),
+                array("i", runs.sentence_runs),
+                array("i", runs.paragraph_sentences),
             )
         except OverflowError as exc:
             raise ValueError(f"run value out of range ({exc})") from exc
@@ -258,10 +264,10 @@ class KnowledgeBase:
             len(counts) != len(words)
             or sum(sentence_runs) != len(words)
             or sum(paragraph_sentences) != len(sentence_runs)
-            or min(sentence_runs, default=0) < 0
-            or min(paragraph_sentences, default=0) < 0
         ):
             raise ValueError("run lengths do not add up")
+        if min(sentence_runs, default=0) < 1 or min(paragraph_sentences, default=0) < 1:
+            raise ValueError("empty article, paragraph or sentence")
         bag = {}  # first-occurrence order
         for word_id, count in zip(words, counts):
             bag[word_id] = bag.get(word_id, 0) + count
@@ -285,7 +291,12 @@ class KnowledgeBase:
         self.article_order.append(article_id)
         self.article_ordinals[article_id] = ordinal
         for word_id, count in bag.items():
-            postings[word_id].setdefault(count, []).append(ordinal)
+            groups = postings[word_id]
+            group = groups.get(count)
+            if group is None:
+                groups[count] = array("i", (ordinal,))
+            else:
+                group.append(ordinal)
         return article_id
 
     def runs(self, article_id: int) -> list[list[list[tuple[int, int]]]]:
@@ -312,7 +323,7 @@ class KnowledgeBase:
 
     def validate(self) -> None:
         """Full-scan check of the runs against everything derived from them."""
-        derived_postings: dict[int, dict[int, list[int]]] = {}
+        derived_postings: dict[int, dict[int, array]] = {}
         derived_levels = [len(self._word_ids), 0, 0, len(self.article_runs)]
         for ordinal, article_id in enumerate(self.article_order):
             packed = self.article_runs[article_id]
@@ -330,7 +341,7 @@ class KnowledgeBase:
             ]:
                 raise AssertionError(f"stored bag of article {article_id} disagrees with its runs")
             for word_id, count in bag.items():
-                derived_postings.setdefault(word_id, {}).setdefault(count, []).append(ordinal)
+                derived_postings.setdefault(word_id, {}).setdefault(count, array("i")).append(ordinal)
             derived_levels[SENTENCE] += len(packed.sentence_runs)
             derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
         if self.article_ordinals != {a: i for i, a in enumerate(self.article_order)}:
@@ -358,6 +369,11 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
     """
     if not kb.weights_computed and kb.word_count > 0:
         raise StaleWeightsError("compute weights before saving the index")
+    write_lines_atomic(path, _index_lines(kb))
+
+
+def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
+    """The MCRX-1 lines of a knowledge base, one record at a time."""
     header = {
         "format": FORMAT_VERSION,
         "levels": list(kb.levels),
@@ -366,19 +382,16 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
     }
     if kb.tokenization != DEFAULT_RULES:
         header["tokenization"] = asdict(kb.tokenization)
-    lines = [json.dumps(header, separators=(",", ":"), ensure_ascii=False)]
+    yield json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n"
     for token in sorted(kb._word_ids):
         word_id = kb._word_ids[token]
         df = kb.df(word_id)
         if df < 1:
             continue  # orphan word, reachable from no article
-        lines.append(
-            '{"t":"word","tok":%s,"df":%d,"w":%s}'
-            % (
-                json.dumps(token, ensure_ascii=False),
-                df,
-                render_real(kb.nodes[word_id].weight),
-            )
+        yield '{"t":"word","tok":%s,"df":%d,"w":%s}\n' % (
+            json.dumps(token, ensure_ascii=False),
+            df,
+            render_real(kb.nodes[word_id].weight),
         )
     for label in kb.article_labels():
         article_id = kb._article_ids[label]
@@ -387,21 +400,23 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
         if title is not None:
             record["title"] = title
         record["paragraphs"] = _nested_structure(kb, article_id)
-        lines.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        yield json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Replace a file's content with text as UTF-8, all or nothing.
+def write_lines_atomic(path: str, lines: Iterable[str]) -> None:
+    """Replace a file's content with lines as UTF-8, all or nothing.
 
-    The text goes to a temporary file beside the target, and os.replace
-    then moves it onto the target. If anything fails on the way, the
-    temporary file is removed and the old target is left as it was.
+    Each line is written as given, its line break included, as soon as it
+    is produced, so no whole-file text is held. The lines go to a temporary
+    file beside the target, and os.replace then moves it onto the target.
+    If anything fails on the way, the temporary file is removed and the
+    old target is left as it was.
     """
     temp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(temp, "x", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line)
         os.replace(temp, path)
     except BaseException:
         try:
@@ -409,6 +424,21 @@ def write_text_atomic(path: str, text: str) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def _utf8_lines(handle: Iterable[bytes]) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of a binary file, without its b"\\n".
+
+    Lines end at b"\\n" only. Each is decoded by itself, line break
+    included, so a bad byte gets the reason a whole-file decode would
+    give; IndexFormatError names the line of the first non-UTF-8 byte.
+    """
+    for number, raw in enumerate(handle, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"not UTF-8 text ({exc.reason})", number) from exc
+        yield number, text.removesuffix("\n")
 
 
 def read_utf8_text(path: str | os.PathLike[str]) -> str:
@@ -437,39 +467,39 @@ def load_index(path: str) -> KnowledgeBase:
     IndexFormatError (with the line number) for a file that is not UTF-8
     text, for malformed records or for bad header tokenization rules.
     """
-    # split on newlines only: a title may hold U+2028, U+2029 or U+0085
-    raw_lines = read_utf8_text(path).split("\n")
-    if raw_lines[-1] == "":
-        raw_lines.pop()
-    if not raw_lines:
-        raise IndexFormatError("empty index file", 1)
+    # a 64 KiB buffer reads the long article lines in fewer chunks
+    with open(path, "rb", buffering=1 << 16) as handle:
+        # lines end at b"\n" only: a title may hold U+2028, U+2029 or U+0085
+        lines = _utf8_lines(handle)
+        first = next(lines, None)
+        if first is None:
+            raise IndexFormatError("empty index file", 1)
+        header = _parse_record(first[1], 1)
+        version = header.get("format")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"expected format {FORMAT_VERSION!r}, found {version!r}"
+            )
+        levels = header.get("levels")
+        # article records nest exactly paragraph/sentence/word
+        if not isinstance(levels, list) or len(levels) != 4:
+            raise IndexFormatError("header must carry a four-entry level list", 1)
 
-    header = _parse_record(raw_lines[0], 1)
-    version = header.get("format")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"expected format {FORMAT_VERSION!r}, found {version!r}"
-        )
-    levels = header.get("levels")
-    # article records nest exactly paragraph/sentence/word
-    if not isinstance(levels, list) or len(levels) != 4:
-        raise IndexFormatError("header must carry a four-entry level list", 1)
-
-    kb = KnowledgeBase(tuple(levels))
-    kb.tokenization = _load_tokenization(header.get("tokenization", {}))
-    declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
-    for offset, raw in enumerate(raw_lines[1:], start=2):
-        if not raw.strip():
-            raise IndexFormatError("blank line inside index", offset)
-        record = _parse_record(raw, offset)
-        kind = record.get("t")
-        if kind == "word":
-            word_id = _load_word(kb, record, offset)
-            declared_df[word_id] = (record["df"], offset)
-        elif kind == "article":
-            _load_article(kb, record, offset)
-        else:
-            raise IndexFormatError(f"unknown record type {kind!r}", offset)
+        kb = KnowledgeBase(tuple(levels))
+        kb.tokenization = _load_tokenization(header.get("tokenization", {}))
+        declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
+        for number, raw in lines:
+            if not raw.strip():
+                raise IndexFormatError("blank line inside index", number)
+            record = _parse_record(raw, number)
+            kind = record.get("t")
+            if kind == "word":
+                word_id = _load_word(kb, record, number)
+                declared_df[word_id] = (record["df"], number)
+            elif kind == "article":
+                _load_article(kb, record, number)
+            else:
+                raise IndexFormatError(f"unknown record type {kind!r}", number)
 
     for word_id, (declared, line) in declared_df.items():
         derived = kb.df(word_id)

@@ -23,7 +23,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
-from .kb import read_utf8_text, write_text_atomic
+from .kb import read_utf8_text, write_lines_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]
@@ -347,7 +347,7 @@ def save_actions(akb: ActionKB, path: str) -> None:
         else:
             record = {"t": "prim", "label": action.id, "dx": action.net[0], "dy": action.net[1]}
         lines.append(json.dumps(record, separators=(",", ":")) + "\n")
-    write_text_atomic(path, "".join(lines))
+    write_lines_atomic(path, lines)
 
 
 def load_actions(path: str) -> ActionKB:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -662,6 +663,7 @@ def test_scl_demo_negative_coordinates(tmp_path, capsys):
         ('["a",1]', '["a",true]', 5),
         ('"label":"d2"', '"label":"d1"', 6),
         ('"label":"d1",', '"label":"d1","title":5,', 5),
+        ('["a",1]', '["a",2147483648]', 5),  # past the 32-bit run count
     ],
 )
 def test_query_hand_edited_index_exit_1(tmp_path, capsys, old, new, line):
@@ -678,6 +680,35 @@ def test_query_hand_edited_index_exit_1(tmp_path, capsys, old, new, line):
     assert captured.out == ""
     assert_one_error_line(captured.err)
     assert f"line {line}:" in captured.err
+
+
+@pytest.mark.parametrize("paragraphs", [[], [[]], [[[]]]])
+@pytest.mark.parametrize(
+    "command", [["stats"], ["compare", "--a", "d1", "--b", "d3"], ["compare", "--a", "d3", "--b", "d1"]]
+)
+def test_empty_article_record_exit_1(tmp_path, capsys, paragraphs, command):
+    # build never writes an article with no paragraph, an empty paragraph or
+    # an empty sentence; the rest of the file is made consistent with a third
+    # article, so only the empty structure is at fault
+    index = build_c2(tmp_path)
+    lines = index.read_text("utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["D"] = 3
+    lines[0] = json.dumps(header, separators=(",", ":"))
+    for number in (1, 2, 3):
+        word = json.loads(lines[number])
+        word["w"] = math.log(1.0 + 3 / word["df"])
+        lines[number] = json.dumps(word, separators=(",", ":"))
+    record = {"t": "article", "label": "d3", "paragraphs": paragraphs}
+    lines.append(json.dumps(record, separators=(",", ":")))
+    index.write_text("\n".join(lines) + "\n", "utf-8")
+    capsys.readouterr()
+    code = main([command[0], "--index", str(index), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "line 7:" in captured.err and "empty article, paragraph or sentence" in captured.err
 
 
 def test_scl_demo_non_object_action_record_exit_1(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -77,6 +79,9 @@ def test_layering_violation_rejected():
         ArticleRuns([0], [1], [1], [2]),  # a paragraph with a missing sentence
         ArticleRuns([0], [1, 1], [1], [1]),  # a count without a word
         ArticleRuns([0, 0], [1, 1], [3, -1], [2]),  # a negative sentence length
+        ArticleRuns([], [], [], []),  # no paragraph
+        ArticleRuns([0], [1], [1], [1, 0]),  # an empty paragraph
+        ArticleRuns([0], [1], [1, 0], [2]),  # an empty sentence
     ],
 )
 def test_run_lengths_must_add_up(runs):
@@ -94,13 +99,26 @@ def test_unknown_child_rejected():
     assert kb.nodes == [] and kb.article_count == 0
 
 
-@pytest.mark.parametrize("count", [0, -1, 1.5, True, "2"])
+@pytest.mark.parametrize("count", [0, -1, 1.5, True, "2", 2**31])
 def test_article_count_must_be_positive_int(count):
     kb = KnowledgeBase()
     word = kb.add_word("x")
     with pytest.raises(ValueError):
         kb.add_article("doc1", ArticleRuns.pack([[((word, count),)]]))
     assert kb.article_count == 0 and len(kb.nodes) == 1
+
+
+def test_runs_and_posting_groups_are_32_bit_arrays():
+    kb = KnowledgeBase()
+    word = kb.add_word("x")
+    article = kb.add_article("doc1", ArticleRuns.pack([[((word, 2**31 - 1),)]]))
+    packed = kb.article_runs[article]
+    for values in (packed.words, packed.counts, packed.sentence_runs, packed.paragraph_sentences):
+        assert (values.typecode, values.itemsize) == ("i", 4)
+    assert kb.postings[word] == {2**31 - 1: array("i", [0])}
+    with pytest.raises(ValueError, match="out of range"):
+        kb.add_article("doc2", ArticleRuns.pack([[((word, 2**31),)]]))
+    assert kb.article_count == 1
 
 
 def test_levels_are_exactly_four():
@@ -174,9 +192,9 @@ def test_invariants_hold_after_build(c2):
 def test_validate_checks_every_tf_group(corrupt):
     kb = make_kb({"d1": "a a b", "d2": "a b"})
     a = kb.word_id("a")
-    assert kb.postings[a] == {2: [0], 1: [1]}
+    assert {tf: list(group) for tf, group in kb.postings[a].items()} == {2: [0], 1: [1]}
     kb.validate()
-    kb.postings[a] = corrupt
+    kb.postings[a] = {tf: array("i", group) for tf, group in corrupt.items()}
     assert kb.df(a) == 2  # a df count alone does not see it
     with pytest.raises(AssertionError, match="postings"):
         kb.validate()
@@ -381,3 +399,111 @@ def test_failed_save_keeps_old_index(tmp_path, monkeypatch, how):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.mcrx"]
+
+
+def save_c2(tmp_path, texts=None):
+    """An MCRX-1 file of make_kb(texts) and its lines, split on b"\\n"."""
+    path = tmp_path / "index.mcrx"
+    save_index(make_kb(texts or {"d1": "a b", "d2": "b c"}), str(path))
+    return path, path.read_bytes().split(b"\n")
+
+
+def load_error(path, lines):
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IndexFormatError) as excinfo:
+        load_index(str(path))
+    return excinfo.value
+
+
+@pytest.mark.parametrize(
+    "line, at_end",
+    [(1, False), (5, False), (6, True)],  # the header, an article, a sequence cut by b"\n"
+)
+def test_load_names_the_line_of_a_non_utf8_byte(tmp_path, line, at_end):
+    path, lines = save_c2(tmp_path)
+    raw = lines[line - 1]
+    lines[line - 1] = raw + b"\xe9" if at_end else raw.replace(b'"', b'"\xe9', 1)
+    error = load_error(path, lines)
+    assert error.line == line
+    assert str(error) == f"line {line}: not UTF-8 text (invalid continuation byte)"
+
+
+def test_load_refuses_a_blank_line_inside_the_file(tmp_path):
+    path, lines = save_c2(tmp_path)
+    lines.insert(4, b"")
+    error = load_error(path, lines)
+    assert (error.line, str(error)) == (5, "line 5: blank line inside index")
+
+
+def test_load_reads_a_file_without_a_final_newline(tmp_path):
+    path, lines = save_c2(tmp_path)
+    assert lines[-1] == b""
+    path.write_bytes(b"\n".join(lines[:-1]))
+    loaded = load_index(str(path))
+    loaded.validate()
+    resaved = tmp_path / "resaved.mcrx"
+    save_index(loaded, str(resaved))
+    assert resaved.read_bytes() == b"\n".join(lines)
+
+
+def test_title_with_unicode_line_separators_round_trips_byte_for_byte(tmp_path):
+    docs = [
+        RawDocument("d1", "a b", title="one\u2028two\u2029three\u0085four"),
+        RawDocument("d2", "b c", title="\u2028"),
+    ]
+    path = tmp_path / "titled.mcrx"
+    save_index(build_corpus(docs)[0], str(path))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 6 and "\u2029".encode() in data
+    loaded = load_index(str(path))
+    assert loaded.title(loaded.article_id("d1")) == "one\u2028two\u2029three\u0085four"
+    resaved = tmp_path / "resaved.mcrx"
+    save_index(loaded, str(resaved))
+    assert resaved.read_bytes() == data
+
+
+def test_a_record_cut_at_its_line_break_is_unterminated(tmp_path):
+    # the line break ends the record and is not part of it
+    path, lines = save_c2(tmp_path)
+    lines[2] = lines[2][: lines[2].index(b'"b"') + 2]
+    error = load_error(path, lines)
+    assert str(error) == "line 3: invalid record (Unterminated string starting at)"
+
+
+def test_first_bad_line_wins(tmp_path):
+    # a streamed load stops at the first bad line, whether the fault is its
+    # JSON or its bytes
+    path, lines = save_c2(tmp_path, {"d1": "a b", "d2": "b c", "d3": "c d", "d4": "d e"})
+    assert len(lines) == 11  # header, 5 words, 4 articles, final newline
+    word_b = lines[2]
+    lines[2] = b"{not json"
+    lines[9] = lines[9].replace(b'"', b'"\xff', 1)
+    error = load_error(path, lines)
+    assert error.line == 3 and "invalid record" in str(error)
+    lines[2] = word_b
+    error = load_error(path, lines)
+    assert error.line == 10 and "not UTF-8 text" in str(error)
+
+
+def test_load_and_save_hold_no_copy_of_the_whole_file(tmp_path):
+    rng = random.Random(20261019)
+    vocabulary = [f"w{i}" for i in range(400)]
+    kb = make_kb(
+        {f"d{i:04d}": " ".join(rng.choices(vocabulary, k=12)) for i in range(3000)}
+    )
+    path = tmp_path / "index.mcrx"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_index(kb, str(path))
+        save_extra = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        loaded = load_index(str(path))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 200_000 and loaded.article_count == 3000
+    assert save_extra < size / 2, (save_extra, size)
+    assert peak - after < size / 2, (peak - after, size)
