@@ -36,6 +36,7 @@ _EXPORTS = {
         "PARAGRAPH",
         "SENTENCE",
         "WORD",
+        "Article",
         "ArticleRuns",
         "KnowledgeBase",
         "Node",

@@ -47,9 +47,9 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
-from .errors import EmptyDocumentError, StaleWeightsError, UnscorableQueryError
+from .errors import EmptyDocumentError, MissingNodeError, StaleWeightsError, UnscorableQueryError
 from .ingest import tokenize
-from .kb import SENTENCE, WORD, KnowledgeBase
+from .kb import ARTICLE, SENTENCE, WORD, Article, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
 
@@ -86,12 +86,8 @@ def emit(kb: KnowledgeBase, source: Source) -> Emission:
     is first-class, it does not need to be in the corpus.
     """
     if isinstance(source, int):
-        node = kb.node(source)
-        if node.level != kb.top_level:
-            raise ValueError(f"node {source} is not an article")
-        bag = dict(kb.article_bags[source])
-        length = kb.article_len[source]
-        unknown = 0
+        article = kb.article(source)
+        bag, length, unknown = dict(article.bag), article.length, 0
     else:
         tokens = tokenize(source, kb.tokenization)
         length = len(tokens)
@@ -171,32 +167,39 @@ class ActivationMap(Mapping):
         self._kb = kb
         self.sums = sums
         self.scale = scale
-        self._multipliers = multipliers  # article id -> m(d), articles only
+        self._multipliers = multipliers  # article ordinal -> m(d)
 
     def __getitem__(self, article_id: int) -> float:
-        ordinal = self._kb.article_ordinals.get(article_id)
-        if ordinal is None or ordinal >= len(self.sums):
-            raise KeyError(article_id)
-        value = self.sums[ordinal] / self.scale * self._multipliers.get(article_id, 1.0)
+        try:
+            value = self.value(self._kb.article(article_id))
+        except (MissingNodeError, ValueError):
+            raise KeyError(article_id) from None
         if value == 0.0:
             raise KeyError(article_id)
         return value
 
+    def value(self, article: Article) -> float:
+        """An article record's value, 0.0 for one absent from the map."""
+        ordinal = article.ordinal
+        if ordinal < len(self.sums):
+            return self.sums[ordinal] / self.scale * self._multipliers.get(ordinal, 1.0)
+        return 0.0  # inserted after the collect
+
     def __iter__(self) -> Iterator[int]:
-        scale, multipliers = self.scale, self._multipliers
+        scale, multipliers, articles = self.scale, self._multipliers, self._kb.articles
         # a nonzero sum is at least one unit, 1/scale >= 2**-1074, so its
         # value is 0.0 only through a multiplier: no other sum is divided
-        for article_id, units in zip(self._kb.article_order, self.sums):
+        for ordinal, units in enumerate(self.sums):
             if units and (
-                article_id not in multipliers or units / scale * multipliers[article_id] != 0.0
+                ordinal not in multipliers or units / scale * multipliers[ordinal] != 0.0
             ):
-                yield article_id
+                yield articles[ordinal].id
 
     def __len__(self) -> int:
-        sums, scale, ordinals = self.sums, self.scale, self._kb.article_ordinals
+        sums, scale = self.sums, self.scale
         count = len(sums) - sums.count(0)
-        for article_id, multiplier in self._multipliers.items():
-            units = sums[ordinals[article_id]]
+        for ordinal, multiplier in self._multipliers.items():
+            units = sums[ordinal]
             if units and units / scale * multiplier == 0.0:
                 count -= 1
         return count
@@ -216,23 +219,21 @@ class ActivationMap(Mapping):
         if k < 1:
             raise ValueError("need k >= 1")
         sums, scale, multipliers = self.sums, self.scale, self._multipliers
-        order, ordinals = self._kb.article_order, self._kb.article_ordinals
         least = 1
         if k + len(multipliers) < len(sums):
             t = heapq.nlargest(k + len(multipliers), sums)[-1]
             if t:
                 least = _least_rounding_to(t, scale)
         kept = {ordinal for ordinal, units in enumerate(sums) if units >= least}
-        kept.update(ordinals[article_id] for article_id in multipliers)
+        kept.update(multipliers)
+        articles = self._kb.articles
         values = []
         for ordinal in kept:
-            article_id = order[ordinal]
-            value = sums[ordinal] / scale * multipliers.get(article_id, 1.0)
+            value = sums[ordinal] / scale * multipliers.get(ordinal, 1.0)
             if value != 0.0:
-                values.append((value, article_id))
-        nodes = self._kb.nodes
-        values.sort(key=lambda item: (-item[0], nodes[item[1]].label))
-        return [article_id for _, article_id in values[:k]]
+                values.append((value, articles[ordinal]))
+        values.sort(key=lambda item: (-item[0], item[1].label))
+        return [article.id for _, article in values[:k]]
 
 
 def _least_rounding_to(t: int, scale: int) -> int:
@@ -282,7 +283,7 @@ def collect(
         # denominator, and the sums below are exact integers.
         # OverflowError: an infinite factor or term.
         scale = max((factor.as_integer_ratio()[1] for _, factor in factors), default=1)
-        sums = [0] * len(kb.article_order)
+        sums = [0] * len(kb.articles)
         for word_id, factor in factors:
             for tf, ordinals in kb.postings[word_id].items():
                 n, d = (factor * tf).as_integer_ratio()
@@ -294,8 +295,12 @@ def collect(
         max(sums, default=0) / scale
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
-    ordinals = kb.article_ordinals
-    multipliers = {node_id: m for node_id, m in attention.items() if node_id in ordinals}
+    multipliers = {}
+    for node_id, multiplier in attention.items():
+        try:
+            multipliers[kb.article(node_id).ordinal] = multiplier
+        except (MissingNodeError, ValueError):
+            pass  # a word's multiplier, already in its factor
     return ActivationMap(kb, sums, scale, multipliers)
 
 
@@ -333,10 +338,8 @@ def trace(
     word level, which is word id order in a loaded index, and by position
     in the document above it. ValueError for top_n < 1.
     """
-    node = kb.node(article_id)
-    if node.level != kb.top_level:
-        raise ValueError(f"node {article_id} is not an article")
-    if not WORD <= level < kb.top_level:
+    article = kb.article(article_id)
+    if not WORD <= level < ARTICLE:
         raise ValueError("trace level must be below the article level")
     if top_n < 1:
         raise ValueError("need top_n >= 1")
@@ -348,9 +351,7 @@ def trace(
         nodes = kb.nodes
         members = [
             (word_id, (), [(word_id, count)])
-            for word_id, count in sorted(
-                kb.article_bags[article_id].items(), key=lambda item: nodes[item[0]].label
-            )
+            for word_id, count in sorted(article.bag.items(), key=lambda item: nodes[item[0]].label)
         ]
     else:
         members = []

@@ -29,7 +29,7 @@ from .ingest import (
     reconstruct,
 )
 from .kb import WORD, KnowledgeBase, load_index, render_real, save_index
-from .similarity import QueryScorer, check_cut, results_to_tsv
+from .similarity import QueryScorer, check_cut, escape_field, results_to_tsv
 
 EXIT_UNREADABLE = 1
 EXIT_MALFORMED = 2  # also a flag out of range, the code argparse uses for usage errors
@@ -138,7 +138,7 @@ def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
         return None
     try:
         rules = json.loads(read_utf8(path))
-    except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, or nested too deep
         return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     if not isinstance(rules, dict):
         return _fail(EXIT_UNREADABLE, "attention rules must map labels to numbers")
@@ -191,8 +191,8 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(results_to_tsv(results))
     else:
         for position, result in enumerate(results, start=1):
-            title = f"  {result.title}" if result.title != result.label else ""
-            print(f"{position}\t{result.label}\t{result.percent:.1f}{title}")
+            title = f"  {escape_field(result.title)}" if result.title != result.label else ""
+            print(f"{position}\t{escape_field(result.label)}\t{result.percent:.1f}{title}")
     return 0
 
 

@@ -10,8 +10,6 @@ segments the same way.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +22,14 @@ from .errors import (
     EmptyDocumentError,
     IndexFormatError,
 )
-from .kb import DEFAULT_RULES, ArticleRuns, KnowledgeBase, TokenizationRules, read_utf8_text
+from .kb import (
+    DEFAULT_RULES,
+    ArticleRuns,
+    KnowledgeBase,
+    TokenizationRules,
+    json_records,
+    read_utf8_text,
+)
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -114,10 +119,7 @@ def ingest_segmented(
         ]
         for sentences in segmented
     ]
-    article_id = kb.add_article(doc.id, ArticleRuns.pack(runs))
-    if doc.title is not None:
-        kb.titles[article_id] = doc.title
-    return article_id
+    return kb.add_article(doc.id, ArticleRuns.pack(runs), doc.title)
 
 
 def compute_weights(kb: KnowledgeBase) -> None:
@@ -141,12 +143,8 @@ def reconstruct(kb: KnowledgeBase, article_id: int) -> list[list[list[str]]]:
     """Regenerate an article's nested token structure top-down.
 
     The result equals segment(original body) token for token.
+    MissingNodeError or ValueError for an id that is no article.
     """
-    node = kb.node(article_id)
-    if node.level != kb.top_level:
-        raise ValueError(
-            f"node {article_id} is at level {node.level}, not an article"
-        )
     nodes = kb.nodes
     paragraphs = []
     for sentences in kb.runs(article_id):
@@ -214,34 +212,22 @@ def read_corpus_jsonl(path: str) -> list[RawDocument]:
 
     A line that is not UTF-8 raises OSError with its line number.
     """
-    content = read_utf8(path)
     docs = []
     seen: dict[str, int] = {}
-    with io.StringIO(content, newline=None) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise CorpusFormatError(
-                    f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no
-                ) from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError("record is not an object", line_no)
-            doc_id = record.get("id")
-            text = record.get("text")
-            title = record.get("title")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError("missing or empty 'id'", line_no)
-            if not isinstance(text, str):
-                raise CorpusFormatError("missing 'text'", line_no)
-            if title is not None and not isinstance(title, str):
-                raise CorpusFormatError("'title' is not a string", line_no)
-            if doc_id in seen:
-                raise CorpusFormatError(
-                    f"duplicate id {doc_id!r} (first at line {seen[doc_id]})", line_no
-                )
-            seen[doc_id] = line_no
-            docs.append(RawDocument(id=doc_id, body=text, title=title))
+    for line_no, record in json_records(read_utf8(path), CorpusFormatError):
+        doc_id = record.get("id")
+        text = record.get("text")
+        title = record.get("title")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError("missing or empty 'id'", line_no)
+        if not isinstance(text, str):
+            raise CorpusFormatError("missing 'text'", line_no)
+        if title is not None and not isinstance(title, str):
+            raise CorpusFormatError("'title' is not a string", line_no)
+        if doc_id in seen:
+            raise CorpusFormatError(
+                f"duplicate id {doc_id!r} (first at line {seen[doc_id]})", line_no
+            )
+        seen[doc_id] = line_no
+        docs.append(RawDocument(id=doc_id, body=text, title=title))
     return docs

@@ -1,15 +1,15 @@
 """Layered compositional knowledge base.
 
 Four levels: word=0, sentence=1, paragraph=2, article=3. Words and
-articles are nodes (kb.nodes, indexed by id, carrying label, level and
-weight); word nodes are deduplicated globally by token (add_word).
-Sentences and paragraphs are not nodes. Each article keeps its text
-structure as packed runs (ArticleRuns): four 32-bit integer arrays
-holding the word id and count of every run of a repeated token, in text
-order, the number of runs in each sentence and the number of sentences
-in each paragraph. The same word may appear in several runs, so the
-token order survives and top-down regeneration reproduces the ingested
-text exactly.
+articles are nodes (kb.nodes, by id): a word is a Node, deduplicated by
+token (add_word); an article is one Article record holding all of its
+facts, also at kb.articles[ordinal]. Sentences and paragraphs are not
+nodes. An article's text structure is packed runs (ArticleRuns): four
+32-bit integer arrays holding the word id and count of every run of a
+repeated token, in text order, the number of runs in each sentence and
+the number of sentences in each paragraph. The same word may appear in
+several runs, so the token order survives and top-down regeneration
+reproduces the ingested text exactly.
 
 Articles enter through one path, add_article, which both ingestion and
 load_index call with ArticleRuns.pack(paragraphs of sentences of
@@ -30,6 +30,7 @@ moves it into place, so a failed save leaves the old file intact.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -100,12 +101,12 @@ def check_multiplier(value: object, name: str) -> float:
 
 @dataclass(slots=True)
 class Node:
-    """A word or an article."""
+    """A word: its token (label) and weight wt(w)."""
 
     id: int
-    level: int
-    label: str | None = None
+    label: str
     weight: float = 1.0
+    level = WORD
 
 
 @dataclass(slots=True)
@@ -150,6 +151,26 @@ class ArticleRuns:
         return paragraphs
 
 
+@dataclass(slots=True)
+class Article:
+    """An article: its packed runs and the facts derived from them.
+
+    The same record is kb.nodes[id] and kb.articles[ordinal]; ordinal is
+    its place in insertion order, which the postings hold. bag maps word
+    id -> tf in first-occurrence order and length sums it. title is None
+    when the article has none.
+    """
+
+    id: int
+    label: str
+    ordinal: int
+    runs: ArticleRuns
+    bag: dict[int, int]
+    length: int
+    title: str | None
+    level = ARTICLE
+
+
 class KnowledgeBase:
     """Graph store plus corpus statistics and attention multipliers."""
 
@@ -157,7 +178,8 @@ class KnowledgeBase:
         if len(levels) != 4:
             raise ValueError("need four level names: word, sentence, paragraph, article")
         self.levels = tuple(levels)
-        self.nodes: list[Node] = []
+        self.nodes: list[Node | Article] = []  # words and articles, by id
+        self.articles: list[Article] = []  # the same article records, by ordinal
         # words, sentences, paragraphs, articles
         self.level_counts = [0] * 4
         # label -> id, kept for the levels where labels are meaningful
@@ -165,35 +187,31 @@ class KnowledgeBase:
         self._article_ids: dict[str, int] = {}
         self.attention: dict[int, float] = {}
         self.total_tokens = 0
-        # article ordinal -> article node id, in insertion order, and back
-        self.article_order: list[int] = []
-        self.article_ordinals: dict[int, int] = {}
         # word id -> tf -> ordinals of the articles holding the word tf times,
         # ascending, as array('i'); add_word gives every word an entry
         self.postings: dict[int, dict[int, array]] = {}
-        self.article_runs: dict[int, ArticleRuns] = {}
-        self.article_bags: dict[int, dict[int, int]] = {}
-        self.article_len: dict[int, int] = {}
-        self.titles: dict[int, str] = {}
         self.tokenization = DEFAULT_RULES
         self.weights_computed = True  # vacuously true while empty
 
     @property
-    def top_level(self) -> int:
-        return ARTICLE
-
-    @property
     def article_count(self) -> int:
-        return self.level_counts[self.top_level]
+        return self.level_counts[ARTICLE]
 
     @property
     def word_count(self) -> int:
         return self.level_counts[WORD]
 
-    def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < len(self.nodes):
+    def node(self, node_id: int) -> Node | Article:
+        if type(node_id) is not int or not 0 <= node_id < len(self.nodes):
             raise MissingNodeError(f"no node with id {node_id}")
         return self.nodes[node_id]
+
+    def article(self, node_id: int) -> Article:
+        """An article id's record; MissingNodeError, or ValueError for a word's id."""
+        node = self.node(node_id)
+        if node.level != ARTICLE:
+            raise ValueError(f"node {node_id} is not an article")
+        return node
 
     def word_id(self, token: str) -> int | None:
         return self._word_ids.get(token)
@@ -213,26 +231,23 @@ class KnowledgeBase:
         return sorted(self._article_ids)
 
     def title(self, article_id: int) -> str:
-        label = self.node(article_id).label
-        return self.titles.get(article_id, label or "")
-
-    def _new_node(self, level: int, label: str) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, level, label))
-        self.level_counts[level] += 1
-        return node_id
+        """An article's title, or its label when it has none."""
+        article = self.article(article_id)
+        return article.label if article.title is None else article.title
 
     def add_word(self, token: str) -> int:
         """Id of the word node for token, created on first sight."""
         word_id = self._word_ids.get(token)
         if word_id is None:
-            word_id = self._new_node(WORD, token)
+            word_id = len(self.nodes)
+            self.nodes.append(Node(word_id, token))
+            self.level_counts[WORD] += 1
             self._word_ids[token] = word_id
             self.postings[word_id] = {}
             self.weights_computed = False
         return word_id
 
-    def add_article(self, label: str, runs: ArticleRuns) -> int:
+    def add_article(self, label: str, runs: ArticleRuns, title: str | None = None) -> int:
         """Insert an article and return its id.
 
         The runs are stored packed; the article's bag, length and
@@ -278,18 +293,16 @@ class KnowledgeBase:
                 if self.node(word_id).level != WORD:
                     raise LayeringError(f"node {word_id} is not a word")
 
-        article_id = self._new_node(ARTICLE, label)
+        article_id, ordinal = len(self.nodes), len(self.articles)
+        article = Article(article_id, label, ordinal, packed, bag, length, title)
+        self.nodes.append(article)
+        self.articles.append(article)
         self._article_ids[label] = article_id
         self.level_counts[SENTENCE] += len(sentence_runs)
         self.level_counts[PARAGRAPH] += len(paragraph_sentences)
+        self.level_counts[ARTICLE] += 1
         self.weights_computed = False
-        self.article_runs[article_id] = packed
-        self.article_bags[article_id] = bag
-        self.article_len[article_id] = length
         self.total_tokens += length
-        ordinal = len(self.article_order)
-        self.article_order.append(article_id)
-        self.article_ordinals[article_id] = ordinal
         for word_id, count in bag.items():
             groups = postings[word_id]
             group = groups.get(count)
@@ -301,7 +314,7 @@ class KnowledgeBase:
 
     def runs(self, article_id: int) -> list[list[list[tuple[int, int]]]]:
         """An article's paragraphs of sentences of (word id, count) runs."""
-        packed = self.article_runs[article_id]
+        packed = self.article(article_id).runs
         return packed.nest(list(zip(packed.words, packed.counts)))
 
     def set_attention(self, node_id: int, multiplier: float) -> None:
@@ -324,36 +337,36 @@ class KnowledgeBase:
     def validate(self) -> None:
         """Full-scan check of the runs against everything derived from them."""
         derived_postings: dict[int, dict[int, array]] = {}
-        derived_levels = [len(self._word_ids), 0, 0, len(self.article_runs)]
-        for ordinal, article_id in enumerate(self.article_order):
-            packed = self.article_runs[article_id]
+        derived_levels = [len(self._word_ids), 0, 0, len(self.articles)]
+        if len(self.nodes) != derived_levels[WORD] + derived_levels[ARTICLE]:
+            raise AssertionError("node table disagrees with the word and article tables")
+        for ordinal, article in enumerate(self.articles):
+            if article.ordinal != ordinal or self.node(article.id) is not article:
+                raise AssertionError(f"article {article.label!r} is off its ordinal or node slot")
+            packed = article.runs
             if sum(packed.sentence_runs) != len(packed.words) or sum(
                 packed.paragraph_sentences
             ) != len(packed.sentence_runs):
-                raise AssertionError(f"run lengths of article {article_id} do not add up")
+                raise AssertionError(f"run lengths of article {article.id} do not add up")
             bag: dict[int, int] = {}
             for word_id, count in zip(packed.words, packed.counts):
                 if self.node(word_id).level != WORD:
-                    raise LayeringError(f"article {article_id} holds node {word_id}, not a word")
+                    raise LayeringError(f"article {article.id} holds node {word_id}, not a word")
                 bag[word_id] = bag.get(word_id, 0) + count
-            if bag != self.article_bags[article_id] or sum(bag.values()) != self.article_len[
-                article_id
-            ]:
-                raise AssertionError(f"stored bag of article {article_id} disagrees with its runs")
+            if bag != article.bag or sum(bag.values()) != article.length:
+                raise AssertionError(f"stored bag of article {article.id} disagrees with its runs")
             for word_id, count in bag.items():
                 derived_postings.setdefault(word_id, {}).setdefault(count, array("i")).append(ordinal)
             derived_levels[SENTENCE] += len(packed.sentence_runs)
             derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
-        if self.article_ordinals != {a: i for i, a in enumerate(self.article_order)}:
-            raise AssertionError("article ordinals disagree with the article order")
         if derived_postings != {w: groups for w, groups in self.postings.items() if groups}:
             raise AssertionError("postings disagree with the runs")
-        if sum(self.article_len.values()) != self.total_tokens:
+        if sum(article.length for article in self.articles) != self.total_tokens:
             raise AssertionError("stored total_tokens disagrees with the runs")
         if self.level_counts != derived_levels:
             raise AssertionError("level counts disagree with the runs")
-        if self.article_count != len(self._article_ids):
-            raise AssertionError("article count disagrees with label table")
+        if self._article_ids != {article.label: article.id for article in self.articles}:
+            raise AssertionError("article label table disagrees with the articles")
 
 
 def save_index(kb: KnowledgeBase, path: str) -> None:
@@ -393,13 +406,15 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
             df,
             render_real(kb.nodes[word_id].weight),
         )
-    for label in kb.article_labels():
-        article_id = kb._article_ids[label]
-        record: dict = {"t": "article", "label": label}
-        title = kb.titles.get(article_id)
-        if title is not None:
-            record["title"] = title
-        record["paragraphs"] = _nested_structure(kb, article_id)
+    nodes = kb.nodes
+    for article in sorted(kb.articles, key=lambda article: article.label):
+        record: dict = {"t": "article", "label": article.label}
+        if article.title is not None:
+            record["title"] = article.title
+        runs = article.runs
+        record["paragraphs"] = runs.nest(
+            [[nodes[w].label, n] for w, n in zip(runs.words, runs.counts)]
+        )
         yield json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
@@ -450,14 +465,6 @@ def read_utf8_text(path: str | os.PathLike[str]) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise IndexFormatError(f"not UTF-8 text ({exc.reason})", line) from exc
-
-
-def _nested_structure(kb: KnowledgeBase, article_id: int) -> list:
-    packed = kb.article_runs[article_id]
-    nodes = kb.nodes
-    return packed.nest(
-        [[nodes[word_id].label, count] for word_id, count in zip(packed.words, packed.counts)]
-    )
 
 
 def load_index(path: str) -> KnowledgeBase:
@@ -543,13 +550,21 @@ def _load_tokenization(record: object) -> TokenizationRules:
         raise IndexFormatError(f"header tokenization: {exc}", 1) from exc
 
 
-def _parse_record(raw: str, line: int) -> dict:
+def json_records(text: str, error: type = IndexFormatError) -> Iterator[tuple[int, dict]]:
+    """Number and object of each non-blank line; error(message, line) for a bad one."""
+    with io.StringIO(text, newline=None) as handle:
+        for number, raw in enumerate(handle, start=1):
+            if raw.strip():
+                yield number, _parse_record(raw, number, error)
+
+
+def _parse_record(raw: str, line: int, error: type = IndexFormatError) -> dict:
     try:
         record = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise IndexFormatError(f"invalid record ({getattr(exc, 'msg', exc)})", line) from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep
+        raise error(f"invalid record ({getattr(exc, 'msg', exc)})", line) from exc
     if not isinstance(record, dict):
-        raise IndexFormatError("record is not an object", line)
+        raise error("record is not an object", line)
     return record
 
 
@@ -582,7 +597,7 @@ def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
     try:
         runs = ArticleRuns.pack(paragraphs)
         runs.words = list(map(kb._word_ids.__getitem__, runs.words))
-        article_id = kb.add_article(label, runs)
+        kb.add_article(label, runs, title)
     except KeyError as exc:
         raise IndexFormatError(
             f"article references unlisted word {exc.args[0]!r}", line
@@ -591,5 +606,3 @@ def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
         raise IndexFormatError(f"duplicate article record for {label!r}", line) from exc
     except (TypeError, ValueError) as exc:
         raise IndexFormatError(f"malformed article structure ({exc})", line) from exc
-    if title is not None:
-        kb.titles[article_id] = title

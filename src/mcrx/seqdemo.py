@@ -12,7 +12,6 @@ so solved problems become single reusable actions.
 from __future__ import annotations
 
 import heapq
-import io
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
-from .kb import read_utf8_text, write_lines_atomic
+from .kb import json_records, read_utf8_text, write_lines_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]
@@ -359,22 +358,11 @@ def load_actions(path: str) -> ActionKB:
     of ids defined on earlier lines.
     """
     akb = ActionKB()
-    with io.StringIO(read_utf8_text(path), newline=None) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise IndexFormatError(
-                    f"invalid record ({getattr(exc, 'msg', exc)})", line_no
-                ) from exc
-            if not isinstance(record, dict):
-                raise IndexFormatError("record is not an object", line_no)
-            try:
-                _load_action(akb, record)
-            except (KeyError, TypeError, ValueError, MissingNodeError) as exc:
-                raise IndexFormatError(f"bad action record ({exc})", line_no) from exc
+    for line_no, record in json_records(read_utf8_text(path)):
+        try:
+            _load_action(akb, record)
+        except (KeyError, TypeError, ValueError, MissingNodeError) as exc:
+            raise IndexFormatError(f"bad action record ({exc})", line_no) from exc
     return akb
 
 

@@ -112,12 +112,10 @@ class QueryScorer:
         """
         kb = self.kb
         if isinstance(target, int):
-            node = kb.node(target)
-            if node.level != kb.top_level:
-                raise ValueError(f"node {target} is not an article")
-            article_id, label, title = target, node.label or "", kb.title(target)
-            bag, length = kb.article_bags[target], kb.article_len[target]
-            forward = self.forward_map.get(target, 0.0)
+            article = kb.article(target)
+            article_id, label, title = target, article.label, kb.title(target)
+            bag, length = article.bag, article.length
+            forward = self.forward_map.value(article)
         else:
             emission = emit(kb, target)
             article_id, label, title = None, "", ""
@@ -165,16 +163,24 @@ def rank(
     return scorer.top(k, n, exclude_self)
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def escape_field(text: str) -> str:
+    """text on one line, without tabs: backslash, tab, LF and CR as \\\\, \\t, \\n, \\r."""
+    return text.translate(_ESCAPES)
+
+
 def results_to_tsv(results: list[RankedResult]) -> str:
-    """Machine-readable results: rank, id, title, percent, reverse, forward."""
+    """One line per result: rank, id, title (escape_field), percent, reverse, forward."""
     lines = []
     for position, result in enumerate(results, start=1):
         lines.append(
             "\t".join(
                 (
                     str(position),
-                    result.label,
-                    result.title,
+                    escape_field(result.label),
+                    escape_field(result.title),
                     render_real(result.percent),
                     render_real(result.reverse),
                     render_real(result.forward),

@@ -127,11 +127,11 @@ def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
     emission = emit(kb, query)
     query_bag, query_length = emission.bag, emission.length
     forward = {}
-    for article_id, bag in kb.article_bags.items():
-        value = directional_sum(kb, query_bag, query_length, bag, attention)
-        value *= attention.get(article_id, 1.0)
+    for article in kb.articles:
+        value = directional_sum(kb, query_bag, query_length, article.bag, attention)
+        value *= attention.get(article.id, 1.0)
         if value != 0.0:
-            forward[article_id] = value
+            forward[article.id] = value
     self_activation = directional_sum(kb, query_bag, query_length, query_bag, attention)
     self_raw = combine(self_activation, self_activation)
     if self_raw <= 0:
@@ -142,7 +142,7 @@ def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
     for article_id, value in ranked:
         if exclude_self and article_id == query:
             continue
-        bag, length = kb.article_bags[article_id], kb.article_len[article_id]
+        bag, length = kb.nodes[article_id].bag, kb.nodes[article_id].length
         reverse = directional_sum(kb, bag, length, query_bag, attention)
         raw = combine(reverse, value)
         rows.append((nodes[article_id].label, normalize(raw, self_raw), raw, reverse, value))
@@ -162,7 +162,7 @@ def reference_compare(kb, a, b, attention=None):
 
     def directional(source, destination, multiply):
         if isinstance(destination, int):
-            bag = kb.article_bags[destination]
+            bag = kb.nodes[destination].bag
         else:
             bag = emit(kb, destination).bag
         emission = emit(kb, source)

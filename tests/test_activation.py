@@ -365,7 +365,7 @@ def test_exact_sum_past_float_range_is_unscorable():
     with pytest.raises(UnscorableQueryError):
         activate(kb, "a b", attention)
     with pytest.raises(UnscorableQueryError):
-        collect_on_bag(kb, emission, kb.article_bags[d2], attention)
+        collect_on_bag(kb, emission, kb.article(d2).bag, attention)
     for level in (SENTENCE, PARAGRAPH):
         with pytest.raises(UnscorableQueryError):
             trace(kb, "a b", d2, level, 5, attention)
@@ -414,8 +414,9 @@ def fsum_collect(kb, emission, attention):
     if not all(math.isfinite(f) for f in factors.values()):
         return None
     articles = {}
-    for article_id in kb.article_order:
-        terms = [factors[w] * tf for w, tf in kb.article_bags[article_id].items() if w in factors]
+    for article in kb.articles:
+        article_id = article.id
+        terms = [factors[w] * tf for w, tf in article.bag.items() if w in factors]
         if not terms:
             continue
         if not all(math.isfinite(t) for t in terms):
@@ -454,7 +455,7 @@ def test_collect_equals_fsum_oracle():
     for _ in range(80):
         docs = repeated_corpus(rng)
         kb, _ = build_corpus(docs)
-        word_ids, article_ids = list(kb.word_ids()), list(kb.article_order)
+        word_ids, article_ids = list(kb.word_ids()), [a.id for a in kb.articles]
         for _ in range(6):
             attention = {}
             for ids in (word_ids, article_ids):
@@ -508,7 +509,10 @@ def test_collect_result_is_a_read_only_map_like_a_dict():
     assert got != {**oracle, d2: 1.0} and got != {}
     assert len(got) == 3 and got
     assert got[d1] == oracle[d1] and got.get(d1) == oracle[d1]
-    for absent in (d2, kb.word_id("a"), 10**6):
+    # kb.nodes[-1] is d4, which is present: a negative key must not reach it
+    assert kb.nodes[-1].id == d4
+    absent_keys = (d2, kb.word_id("a"), -1, len(kb.nodes), 10**6, "d1", None, (d1,))
+    for absent in absent_keys:
         assert absent not in got and got.get(absent) is None and got.get(absent, 0.0) == 0.0
         with pytest.raises(KeyError):
             got[absent]
@@ -600,8 +604,8 @@ def test_top_equals_sorting_the_full_map():
     for _ in range(60):
         docs = tie_corpus(rng)
         kb, _ = build_corpus(docs)
-        articles = list(kb.article_order)
-        nodes, ordinal = kb.nodes, kb.article_ordinals
+        articles = [a.id for a in kb.articles]
+        nodes, ordinal = kb.nodes, {a.id: a.ordinal for a in kb.articles}
         tiny = kb.word_id("tiny")
         for _ in range(5):
             attention = {tiny: rng.choice((1e-18, 1e-18, 1.0, 5e-324))}

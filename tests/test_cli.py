@@ -137,18 +137,29 @@ def test_query_tsv_full_precision(tmp_path, capsys):
 
 
 def test_query_tsv_and_human_rank_identically(tmp_path, capsys):
-    index = build_c2(tmp_path)
+    # a tab, line break or backslash in an id or title is escaped: one line per result
+    tabbed = tmp_path / "tabbed.jsonl"
+    records = [{"id": "d1", "text": "a b"}, {"id": "d\t2", "title": "A\tB\nC\r\\", "text": "b c"}]
+    tabbed.write_text("".join(json.dumps(record) + "\n" for record in records))
+    tabbed_index = tmp_path / "tabbed.mcrx"
+    assert main(["build", "--corpus", str(tabbed), "--index", str(tabbed_index)]) == 0
     doc = tmp_path / "query.txt"
     doc.write_text("b c a")
-    capsys.readouterr()
-    assert main(["query", "--index", str(index), "--doc", str(doc), "--include-self"]) == 0
-    human = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
-    assert (
-        main(["query", "--index", str(index), "--doc", str(doc), "--tsv", "--include-self"])
-        == 0
-    )
-    tsv = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
-    assert human == tsv
+    for index, labels in ((build_c2(tmp_path), ["d1", "d2"]), (tabbed_index, ["d1", "d\\t2"])):
+        capsys.readouterr()
+        assert main(["query", "--index", str(index), "--doc", str(doc), "--include-self"]) == 0
+        human = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert (
+            main(["query", "--index", str(index), "--doc", str(doc), "--tsv", "--include-self"])
+            == 0
+        )
+        tsv = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert sorted(row[1] for row in human) == labels
+        assert [row[1] for row in human] == [row[1] for row in tsv]
+        assert {len(row) for row in human} == {3} and {len(row) for row in tsv} == {6}
+    assert {row[1]: row[2] for row in tsv}["d\\t2"] == "A\\tB\\nC\\r\\\\"
+    (shown,) = [row[2] for row in human if row[1] == "d\\t2"]
+    assert shown.endswith("  A\\tB\\nC\\r\\\\")
 
 
 def test_query_attention_file(tmp_path, capsys):
@@ -999,6 +1010,30 @@ def test_integer_too_long_to_parse_is_a_clean_error(tmp_path, capsys):
     index.write_text(index.read_text("utf-8").replace('"df":1', f'"df":{huge}', 1), "utf-8")
     assert main(["stats", "--index", str(index)]) == 1
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind", ["index", "corpus", "actions", "attention"])
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys, kind):
+    nested = "[" * 100_000
+    index = build_c2(tmp_path)
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    path = tmp_path / "nested"
+    path.write_text(nested + "\n")
+    argv = {
+        "index": ["stats", "--index", str(path)],
+        "corpus": ["build", "--corpus", str(path), "--index", str(tmp_path / "x.mcrx")],
+        "actions": ["scl-demo", "--kb", str(path), "--start", "0,0", "--target", "1,1"],
+        "attention": ["query", "--index", str(index), "--doc", str(doc), "--attention", str(path)],
+    }[kind]
+    if kind == "index":
+        path.write_text(index.read_text("utf-8").replace("\n", f"\n{nested}\n", 1), "utf-8")
+    capsys.readouterr()
+    assert main(argv) == (2 if kind == "corpus" else 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "recursion" in captured.err
 
 
 def test_trace_word_level(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The package's lazy export table against the modules it points into."""
+"""The package's lazy export table, and the imports of its modules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,22 @@ def test_export_table_resolves_in_a_fresh_interpreter():
         [sys.executable, "-c", CHECK], env=env, capture_output=True, text=True, timeout=60
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_modules_import_only_the_standard_library():
+    # mcrx has no runtime dependencies: every absolute import is stdlib or mcrx
+    foreign = []
+    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "mcrx":
+                    foreign.append(f"{path.name}: {name}")
+    assert Path(SRC, "mcrx", "kb.py").is_file()
+    assert not foreign, foreign

@@ -137,10 +137,10 @@ def test_reconstruct_rejects_non_article(c2):
 
 
 def test_count_conservation(c2):
-    tf_total = sum(sum(bag.values()) for bag in c2.article_bags.values())
+    tf_total = sum(sum(article.bag.values()) for article in c2.articles)
     assert tf_total == c2.total_tokens == 4
-    d1 = c2.article_id("d1")
-    assert sum(c2.article_bags[d1].values()) == c2.article_len[d1] == 2
+    d1 = c2.article(c2.article_id("d1"))
+    assert sum(d1.bag.values()) == d1.length == 2
 
 
 def test_build_determinism_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from array import array
@@ -5,6 +6,7 @@ from array import array
 import pytest
 
 from mcrx import (
+    ARTICLE,
     PARAGRAPH,
     SENTENCE,
     WORD,
@@ -112,7 +114,7 @@ def test_runs_and_posting_groups_are_32_bit_arrays():
     kb = KnowledgeBase()
     word = kb.add_word("x")
     article = kb.add_article("doc1", ArticleRuns.pack([[((word, 2**31 - 1),)]]))
-    packed = kb.article_runs[article]
+    packed = kb.article(article).runs
     for values in (packed.words, packed.counts, packed.sentence_runs, packed.paragraph_sentences):
         assert (values.typecode, values.itemsize) == ("i", 4)
     assert kb.postings[word] == {2**31 - 1: array("i", [0])}
@@ -202,12 +204,21 @@ def test_validate_checks_every_tf_group(corrupt):
 
 def test_validate_checks_article_ordinals():
     kb = make_kb({"d1": "a", "d2": "b", "d3": "a b"})
-    assert kb.article_ordinals == {a: i for i, a in enumerate(kb.article_order)}
+    for ordinal, article in enumerate(kb.articles):
+        assert article.ordinal == ordinal and kb.nodes[article.id] is article
     kb.validate()
-    d1, d2 = kb.article_id("d1"), kb.article_id("d2")
-    ordinals = kb.article_ordinals
-    ordinals[d1], ordinals[d2] = ordinals[d2], ordinals[d1]
-    with pytest.raises(AssertionError, match="ordinals"):
+    d1, d2 = kb.articles[0], kb.articles[1]
+    d1.ordinal, d2.ordinal = d2.ordinal, d1.ordinal
+    with pytest.raises(AssertionError, match="ordinal"):
+        kb.validate()
+    d1.ordinal, d2.ordinal = d2.ordinal, d1.ordinal
+    kb.validate()
+    kb.nodes[d1.id] = dataclasses.replace(d1)  # an equal record, not the same one
+    with pytest.raises(AssertionError, match="node slot"):
+        kb.validate()
+    kb.nodes[d1.id] = d1
+    d1.id, d2.id = d2.id, d1.id
+    with pytest.raises(AssertionError, match="node slot"):
         kb.validate()
 
 
@@ -311,7 +322,7 @@ def test_repeated_token_order_survives():
     sentence = kb.runs(article)[0][0]
     labels = [(kb.nodes[w].label, count) for w, count in sentence]
     assert labels == [("a", 1), ("b", 1), ("a", 1)]
-    assert kb.article_bags[article][kb.word_id("a")] == 2
+    assert kb.article(article).bag[kb.word_id("a")] == 2
 
 
 def _trace_rows(kb, query, article_id, level):
@@ -326,7 +337,8 @@ def test_load_equals_build_node_for_node(tmp_path):
     rng = random.Random(20261018)
     for trial in range(25):
         docs = random_corpus(rng)
-        built, skipped = build_corpus([RawDocument(i, t) for i, t in docs.items()])
+        titles = {i: f"title of {i}" if len(t) % 2 else None for i, t in docs.items()}
+        built, skipped = build_corpus([RawDocument(i, t, titles[i]) for i, t in docs.items()])
         path = tmp_path / f"{trial}.mcrx"
         save_index(built, str(path))
         loaded = load_index(str(path))
@@ -341,10 +353,23 @@ def test_load_equals_build_node_for_node(tmp_path):
             to_loaded[built.article_id(label)] = loaded.article_id(label)
         assert len(loaded.nodes) == len(built.nodes) == len(to_loaded)
         assert sorted(to_loaded.values()) == list(range(len(loaded.nodes)))
-        for built_id, loaded_id in to_loaded.items():
+        for built_id in built.word_ids():
+            loaded_id = to_loaded[built_id]
             b, l = built.nodes[built_id], loaded.nodes[loaded_id]
-            assert (l.id, l.level, l.label, l.weight) == (loaded_id, b.level, b.label, b.weight)
-        assert loaded.article_order == [to_loaded[a] for a in built.article_order]
+            assert (l.id, l.level, l.label, l.weight) == (loaded_id, WORD, b.label, b.weight)
+        assert [a.id for a in loaded.articles] == [to_loaded[a.id] for a in built.articles]
+        for b, l in zip(built.articles, loaded.articles):
+            assert loaded.nodes[l.id] is l and built.nodes[b.id] is b and b.title == titles[b.label]
+            assert (l.level, l.label, l.ordinal, l.length, l.title) == (
+                ARTICLE, b.label, b.ordinal, b.length, b.title
+            )
+            assert list(l.bag.items()) == [(to_loaded[w], n) for w, n in b.bag.items()]
+            assert l.runs == ArticleRuns(
+                array("i", [to_loaded[w] for w in b.runs.words]),
+                b.runs.counts,
+                b.runs.sentence_runs,
+                b.runs.paragraph_sentences,
+            )
 
         texts = [docs[label] for label in built.article_labels()]
         segmented = [segment(text) for text in texts]
@@ -375,11 +400,6 @@ def test_load_equals_build_node_for_node(tmp_path):
                     loaded, query, loaded_id, level
                 )
 
-            bag = built.article_bags[built_id]
-            loaded_bag = loaded.article_bags[loaded_id]
-            assert list(loaded_bag.items()) == [(to_loaded[w], n) for w, n in bag.items()]
-            assert loaded.article_len[loaded_id] == built.article_len[built_id]
-        assert len(loaded.article_bags) == len(built.article_bags)
         assert loaded.postings == {to_loaded[w]: entry for w, entry in built.postings.items()}
         assert {w: loaded.df(w) for w in loaded.word_ids()} == {
             to_loaded[w]: built.df(w) for w in built.word_ids()

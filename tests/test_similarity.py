@@ -191,7 +191,7 @@ def test_rank_matches_dense_oracle():
 def _attention_maps(kb, rng):
     """No attention, then 0, 0.5 and 3 on words, on articles, and on both."""
     word_ids = sorted(kb.postings)
-    article_ids = list(kb.article_order)
+    article_ids = [article.id for article in kb.articles]
     on_words = dict(zip(rng.sample(word_ids, min(3, len(word_ids))), (0.0, 0.5, 3.0)))
     on_articles = dict(zip(rng.sample(article_ids, min(3, len(article_ids))), (0.0, 0.5, 3.0)))
     return [{}, on_words, on_articles, {**on_words, **on_articles}]
@@ -231,12 +231,12 @@ def test_rank_bit_identical_to_reference_ranker():
         for label in rng.sample(sorted(docs), min(3, len(docs))):
             docs[f"{label}x"] = docs[label]
         kb = _shuffled_kb(docs, rng)
-        assert any(tf > 1 for bag in kb.article_bags.values() for tf in bag.values())
+        assert any(tf > 1 for article in kb.articles for tf in article.bag.values())
         vocab = sorted({word for text in docs.values() for word in toks(text)})
         queries = [
             docs[rng.choice(sorted(docs))],
             " ".join(rng.choices(vocab, k=3) + ["unknownword"]),
-            *rng.sample(list(kb.article_order), 2),
+            *rng.sample([article.id for article in kb.articles], 2),
         ]
         for attention in _attention_maps(kb, rng):
             for query in queries:
@@ -271,7 +271,7 @@ def test_score_bit_identical_to_reference_compare():
         docs = random_corpus(rng, max_docs=15, max_vocab=20, max_len=40)
         kb = _shuffled_kb(docs, rng)
         vocab = sorted({word for text in docs.values() for word in toks(text)})
-        articles = rng.sample(list(kb.article_order), min(4, kb.article_count))
+        articles = rng.sample([article.id for article in kb.articles], min(4, kb.article_count))
         sides = [
             *articles,
             docs[rng.choice(sorted(docs))],
