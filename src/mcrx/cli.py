@@ -1,4 +1,8 @@
-"""Command-line front end: build, query, compare, trace, scl-demo, stats."""
+"""Command-line front end: build, query, compare, trace, scl-demo, stats.
+
+A command that fails raises CliError; main alone prints it as one
+`error:` line and returns its exit code.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,8 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .activation import trace as trace_op
@@ -15,7 +21,6 @@ from .errors import (
     IndexFormatError,
     InvalidDemonstrationError,
     McrxError,
-    NoActionsError,
     UnknownLabelError,
     UnscorableQueryError,
     VersionMismatchError,
@@ -28,22 +33,39 @@ from .ingest import (
     read_utf8,
     reconstruct,
 )
-from .kb import WORD, KnowledgeBase, load_index, render_real, save_index
-from .similarity import QueryScorer, check_cut, escape_field, results_to_tsv
+from .kb import DEFAULT_LEVELS, WORD, KnowledgeBase, load_index, render_real, save_index
+from .similarity import (
+    DEFAULT_CANDIDATES, DEFAULT_RESULTS, QueryScorer, escape_field, results_to_tsv
+)
 
-EXIT_UNREADABLE = 1
-EXIT_MALFORMED = 2  # also a flag out of range, the code argparse uses for usage errors
-EXIT_NO_DOCUMENTS = 3
-EXIT_UNSCORABLE = 4
-EXIT_UNKNOWN_ID = 5
-EXIT_BAD_DEMO = 6
+# the exit code of each kind of failure, as the README lists them
+EXIT_CODES = {
+    "unreadable": 1,  # an input that cannot be read or fails its load checks
+    "malformed": 2,  # a malformed corpus, or a usage error such as a flag out of range
+    "no documents": 3,
+    "unscorable": 4,
+    "unknown id": 5,
+    "invalid demonstration": 6,
+}
 
 TRACE_LEVELS = ("word", "sentence", "paragraph")  # indexed by level number
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class CliError(Exception):
+    """A command's failure: one error line, and the kind that picks its exit code."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+@contextmanager
+def _failing(kind: str, prefix: str, *errors: type[BaseException]) -> Iterator[None]:
+    """Re-raise any of errors from the block as CliError(kind, prefix + message)."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(kind, f"{prefix}{exc}") from exc
 
 
 def _bool_flag(value: str) -> bool:
@@ -98,91 +120,68 @@ def _read_doc(path: str) -> str:
     return text
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        rules = TokenizationRules(lowercase=args.lowercase, min_token_len=args.min_token_len)
-    except ValueError:
-        return _fail(EXIT_MALFORMED, "need --min-token-len >= 1")
-    try:
-        corpus_path = Path(args.corpus)
-        if corpus_path.is_dir():
+def cmd_build(args: argparse.Namespace) -> None:
+    if args.min_token_len < 1:
+        raise CliError("malformed", "need --min-token-len >= 1")
+    rules = TokenizationRules(lowercase=args.lowercase, min_token_len=args.min_token_len)
+    with (
+        _failing("unreadable", "cannot read corpus: ", OSError),
+        _failing("malformed", "malformed corpus: ", CorpusFormatError),
+    ):
+        if Path(args.corpus).is_dir():
             docs = read_corpus_dir(args.corpus)
         else:
             docs = read_corpus_jsonl(args.corpus)
-    except CorpusFormatError as exc:
-        return _fail(EXIT_MALFORMED, f"malformed corpus: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot read corpus: {exc}")
     kb, skipped = build_corpus(docs, rules)
     for doc_id in skipped:
         print(f"skipping empty document {doc_id!r}", file=sys.stderr)
     if kb.article_count == 0:
-        return _fail(EXIT_NO_DOCUMENTS, "no ingestable documents in the corpus")
-    try:
+        raise CliError("no documents", "no ingestable documents in the corpus")
+    with _failing("unreadable", "cannot write index: ", OSError):
         save_index(kb, args.index)
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot write index: {exc}")
     print(f"{kb.article_count} documents, {kb.word_count} words, {kb.total_tokens} tokens")
-    return 0
 
 
-def _open_index(args: argparse.Namespace) -> KnowledgeBase | int:
-    try:
-        return load_index(args.index)
-    except (OSError, IndexFormatError, VersionMismatchError) as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot load index: {exc}")
+def _open_index(path: str) -> KnowledgeBase:
+    with _failing(
+        "unreadable", "cannot load index: ", OSError, IndexFormatError, VersionMismatchError
+    ):
+        return load_index(path)
 
 
-def _apply_attention_file(kb: KnowledgeBase, path: str | None) -> int | None:
-    if path is None:
-        return None
-    try:
-        rules = json.loads(read_utf8(path))
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, or nested too deep
-        return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
-    if not isinstance(rules, dict):
-        return _fail(EXIT_UNREADABLE, "attention rules must map labels to numbers")
+def _apply_attention_file(kb: KnowledgeBase, path: str) -> None:
     from .scl import apply_rules
 
-    try:
+    # bad JSON, nested too deep, or a multiplier that is not a finite number >= 0
+    prefix = "cannot load attention rules: "
+    with _failing("unreadable", prefix, OSError, ValueError, RecursionError):
+        rules = json.loads(read_utf8(path))
+        if not isinstance(rules, dict):
+            raise CliError("unreadable", "attention rules must map labels to numbers")
         _, unresolved = apply_rules(kb, rules)
-    except ValueError as exc:  # not a finite number >= 0, a JSON true/false included
-        return _fail(EXIT_UNREADABLE, f"cannot load attention rules: {exc}")
     for label in unresolved:
         print(f"attention label {label!r} resolves to no node", file=sys.stderr)
-    return None
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    try:
-        check_cut(args.candidates, args.top)
-    except ValueError:
-        return _fail(EXIT_MALFORMED, "need --candidates >= --top >= 1")
-    kb = _open_index(args)
-    if isinstance(kb, int):
-        return kb
-    failed = _apply_attention_file(kb, args.attention)
-    if failed is not None:
-        return failed
-    try:
+def cmd_query(args: argparse.Namespace) -> None:
+    if not args.candidates >= args.top >= 1:
+        raise CliError("malformed", "need --candidates >= --top >= 1")
+    kb = _open_index(args.index)
+    if args.attention is not None:
+        _apply_attention_file(kb, args.attention)
+    with _failing("unreadable", "cannot read document: ", OSError):
         text = _read_doc(args.doc)
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot read document: {exc}")
     labels = [label for label in (args.watch or "").split(",") if label]
     if labels:
         from .scl import watch_read
-    try:
-        if kb.article_count == 0:
-            raise EmptyIndexError("the index holds no documents")
+    with (
+        _failing("unscorable", "unscorable query: ", McrxError),
+        _failing("unscorable", "", UnscorableQueryError, EmptyIndexError),
+        _failing("unknown id", "", UnknownLabelError),
+    ):
         scorer = QueryScorer(kb, text)
         watched = watch_read(scorer, labels) if labels else {}
         results = scorer.top(args.candidates, args.top, not args.include_self)
-    except UnknownLabelError as exc:
-        return _fail(EXIT_UNKNOWN_ID, str(exc))
-    except (UnscorableQueryError, EmptyIndexError) as exc:
-        return _fail(EXIT_UNSCORABLE, str(exc))
-    except McrxError as exc:
-        return _fail(EXIT_UNSCORABLE, f"unscorable query: {exc}")
 
     for label in labels:
         print(f"watch\t{label}\t{render_real(watched[label])}")
@@ -193,67 +192,42 @@ def cmd_query(args: argparse.Namespace) -> int:
         for position, result in enumerate(results, start=1):
             title = f"  {escape_field(result.title)}" if result.title != result.label else ""
             print(f"{position}\t{escape_field(result.label)}\t{result.percent:.1f}{title}")
-    return 0
 
 
-def _resolve_source(kb: KnowledgeBase, ref: str) -> int | str | None:
-    """An ID|PATH argument: article label first, then readable file.
-
-    Raises OSError for a file that cannot be read as UTF-8 text.
-    """
+def _resolve_source(kb: KnowledgeBase, ref: str) -> int | str:
+    """An ID|PATH argument: article label first, then readable file."""
     article_id = kb.article_id(ref)
     if article_id is not None:
         return article_id
-    path = Path(ref)
-    if path.is_file():
-        return read_utf8(ref)
-    return None
+    with _failing("unreadable", "cannot read source: ", OSError):
+        if Path(ref).is_file():
+            return read_utf8(ref)
+    raise CliError("unknown id", f"unknown id or unreadable file {ref!r}")
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    kb = _open_index(args)
-    if isinstance(kb, int):
-        return kb
-    try:
-        side_a = _resolve_source(kb, args.a)
-        side_b = _resolve_source(kb, args.b)
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot read source: {exc}")
-    if side_a is None:
-        return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.a!r}")
-    if side_b is None:
-        return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.b!r}")
-    try:
+def cmd_compare(args: argparse.Namespace) -> None:
+    kb = _open_index(args.index)
+    side_a = _resolve_source(kb, args.a)
+    side_b = _resolve_source(kb, args.b)
+    with _failing("unscorable", "", McrxError):
         result = QueryScorer(kb, side_a).score(side_b)
-    except McrxError as exc:
-        return _fail(EXIT_UNSCORABLE, str(exc))
     print(f"T {args.a}->{args.b}\t{result.forward:.5f}")
     print(f"S {args.b}->{args.a}\t{result.reverse:.5f}")
     print(f"raw\t{result.raw:.5f}")
     print(f"percent\t{result.percent:.1f}")
-    return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> None:
     if args.top < 1:
-        return _fail(EXIT_MALFORMED, "need --top >= 1")
-    kb = _open_index(args)
-    if isinstance(kb, int):
-        return kb
-    try:
-        source = _resolve_source(kb, args.source)
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"cannot read source: {exc}")
-    if source is None:
-        return _fail(EXIT_UNKNOWN_ID, f"unknown id or unreadable file {args.source!r}")
+        raise CliError("malformed", "need --top >= 1")
+    kb = _open_index(args.index)
+    source = _resolve_source(kb, args.source)
     destination = kb.article_id(args.dest)
     if destination is None:
-        return _fail(EXIT_UNKNOWN_ID, f"unknown article id {args.dest!r}")
+        raise CliError("unknown id", f"unknown article id {args.dest!r}")
     level = TRACE_LEVELS.index(args.level)
-    try:
+    with _failing("unscorable", "", McrxError):
         entries = trace_op(kb, source, destination, level, args.top)
-    except McrxError as exc:
-        return _fail(EXIT_UNSCORABLE, str(exc))
     paragraphs = reconstruct(kb, destination)
     for rank, entry in enumerate(entries, start=1):
         if entry.node_id is not None:
@@ -265,36 +239,28 @@ def cmd_trace(args: argparse.Namespace) -> int:
             (p,) = entry.position
             name, text = f"p{p}", " ".join(" ".join(tokens) for tokens in paragraphs[p - 1])
         print(f"{rank}\t{name}\t{entry.contribution:.5f}\t{text}")
-    return 0
 
 
-def cmd_scl_demo(args: argparse.Namespace) -> int:
+def cmd_scl_demo(args: argparse.Namespace) -> None:
     from . import seqdemo
     from .scl import ExitCriteria
 
     if args.max_iter < 1:
-        return _fail(EXIT_MALFORMED, "need --max-iter >= 1")
+        raise CliError("malformed", "need --max-iter >= 1")
     missing = not Path(args.kb).exists()
     if missing:
         akb = seqdemo.default_actions()
     else:
-        try:
+        with _failing("unreadable", "cannot load action kb: ", OSError, IndexFormatError):
             akb = seqdemo.load_actions(args.kb)
-        except (OSError, IndexFormatError) as exc:
-            return _fail(EXIT_UNREADABLE, f"cannot load action kb: {exc}")
     known = len(akb.known_ids())  # actions are only ever added
 
     if args.learn:
-        try:
-            states = _read_demo(args.learn)
-        except OSError as exc:
-            return _fail(EXIT_UNREADABLE, f"cannot read demonstration: {exc}")
-        except InvalidDemonstrationError as exc:
-            return _fail(EXIT_BAD_DEMO, f"invalid demonstration: {exc}")
-        try:
-            learned = seqdemo.learn_demonstration(akb, states)
-        except InvalidDemonstrationError as exc:
-            return _fail(EXIT_BAD_DEMO, f"invalid demonstration: {exc}")
+        with (
+            _failing("unreadable", "cannot read demonstration: ", OSError),
+            _failing("invalid demonstration", "invalid demonstration: ", InvalidDemonstrationError),
+        ):
+            learned = seqdemo.learn_demonstration(akb, _read_demo(args.learn))
         for label in learned.new_primitives:
             print(f"learned primitive {label}")
         if learned.composite_created:
@@ -302,11 +268,10 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
         else:
             print(f"recognized composite {learned.composite_id}")
 
+    if not akb.known_ids():
+        raise CliError("unreadable", "the action kb holds no actions")
     budget = ExitCriteria(max_iterations=args.max_iter, score_threshold=100.0)
-    try:
-        result = seqdemo.solve(akb, args.start, args.target, budget)
-    except NoActionsError:
-        return _fail(EXIT_UNREADABLE, "the action kb holds no actions")
+    result = seqdemo.solve(akb, args.start, args.target, budget)
     sequence = " ".join(result.sequence) if result.sequence else "(empty)"
     print(f"sequence\t{sequence}")
     print(f"iterations\t{result.report.iterations}")
@@ -315,11 +280,8 @@ def cmd_scl_demo(args: argparse.Namespace) -> int:
         verb = "registered" if result.composite_created else "matched"
         print(f"{verb} composite {result.composite_id}")
     if missing or len(akb.known_ids()) > known:
-        try:
+        with _failing("unreadable", "cannot write action kb: ", OSError):
             seqdemo.save_actions(akb, args.kb)
-        except OSError as exc:
-            return _fail(EXIT_UNREADABLE, f"cannot write action kb: {exc}")
-    return 0
 
 
 def _read_demo(path: str) -> list[tuple[int, int]]:
@@ -338,27 +300,18 @@ def _read_demo(path: str) -> list[tuple[int, int]]:
     return states
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    kb = _open_index(args)
-    if isinstance(kb, int):
-        return kb
+def cmd_stats(args: argparse.Namespace) -> None:
+    kb = _open_index(args.index)
     weights = [
         node.weight for node in kb.nodes if node.level == WORD and kb.df(node.id)
     ]
     print(f"documents: {kb.article_count}")
     print(f"words: {kb.word_count}")
     print(f"tokens: {kb.total_tokens}")
-    if weights:
-        print(f"weight min: {min(weights):.5f}")
-        print(f"weight max: {max(weights):.5f}")
-        print(f"weight mean: {sum(weights) / len(weights):.5f}")
-    else:
-        print("weight min: n/a")
-        print("weight max: n/a")
-        print("weight mean: n/a")
-    for level, name in enumerate(kb.levels):
+    for name, summary in (("min", min), ("max", max), ("mean", lambda w: sum(w) / len(w))):
+        print(f"weight {name}: {summary(weights):.5f}" if weights else f"weight {name}: n/a")
+    for level, name in enumerate(DEFAULT_LEVELS):
         print(f"nodes[{name}]: {kb.level_counts[level]}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="rank index documents against a query")
     p_query.add_argument("--index", required=True)
     p_query.add_argument("--doc", required=True, help="query file, or - for stdin")
-    p_query.add_argument("--top", type=int, default=10)
-    p_query.add_argument("--candidates", type=int, default=100)
+    p_query.add_argument("--top", type=int, default=DEFAULT_RESULTS)
+    p_query.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p_query.add_argument("--include-self", action="store_true")
     p_query.add_argument("--attention", default=None, help="JSON label->multiplier file")
     p_query.add_argument("--watch", default=None, help="comma-separated labels")
@@ -416,10 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_coords(argv))
-    return args.handler(args)
+    args = build_parser().parse_args(_join_coords(sys.argv[1:] if argv is None else argv))
+    try:
+        args.handler(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODES[exc.kind]
+    return 0
 
 
 if __name__ == "__main__":

@@ -197,12 +197,20 @@ def read_utf8(path: str | Path) -> str:
 
 
 def read_corpus_dir(path: str) -> list[RawDocument]:
-    """Read a directory of *.txt files; the file stem is the document id."""
+    """Read a directory of *.txt files; the file stem is the document id.
+
+    OSError for a file name or a file that is not UTF-8.
+    """
     root = Path(path)
     if not root.is_dir():
         raise OSError(f"{path!r} is not a readable directory")
     docs = []
     for file in sorted(root.glob("*.txt")):
+        try:
+            file.name.encode("utf-8")
+        except UnicodeEncodeError as exc:  # its bytes were decoded to lone surrogates
+            name = file.name.encode("utf-8", "surrogateescape")
+            raise OSError(f"{path}: file name {name!r} is not UTF-8") from exc
         docs.append(RawDocument(id=file.stem, body=read_utf8(file)))
     return docs
 

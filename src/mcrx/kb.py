@@ -174,10 +174,7 @@ class Article:
 class KnowledgeBase:
     """Graph store plus corpus statistics and attention multipliers."""
 
-    def __init__(self, levels: tuple[str, ...] = DEFAULT_LEVELS):
-        if len(levels) != 4:
-            raise ValueError("need four level names: word, sentence, paragraph, article")
-        self.levels = tuple(levels)
+    def __init__(self):
         self.nodes: list[Node | Article] = []  # words and articles, by id
         self.articles: list[Article] = []  # the same article records, by ordinal
         # words, sentences, paragraphs, articles
@@ -389,7 +386,7 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
     """The MCRX-1 lines of a knowledge base, one record at a time."""
     header = {
         "format": FORMAT_VERSION,
-        "levels": list(kb.levels),
+        "levels": list(DEFAULT_LEVELS),
         "D": kb.article_count,
         "total_tokens": kb.total_tokens,
     }
@@ -472,7 +469,9 @@ def load_index(path: str) -> KnowledgeBase:
 
     Raises VersionMismatchError for a foreign format string and
     IndexFormatError (with the line number) for a file that is not UTF-8
-    text, for malformed records or for bad header tokenization rules.
+    text, for malformed records (a lone surrogate escape included), for
+    level names other than DEFAULT_LEVELS or for bad header tokenization
+    rules.
     """
     # a 64 KiB buffer reads the long article lines in fewer chunks
     with open(path, "rb", buffering=1 << 16) as handle:
@@ -487,12 +486,11 @@ def load_index(path: str) -> KnowledgeBase:
             raise VersionMismatchError(
                 f"expected format {FORMAT_VERSION!r}, found {version!r}"
             )
-        levels = header.get("levels")
         # article records nest exactly paragraph/sentence/word
-        if not isinstance(levels, list) or len(levels) != 4:
-            raise IndexFormatError("header must carry a four-entry level list", 1)
+        if header.get("levels") != list(DEFAULT_LEVELS):
+            raise IndexFormatError(f"header levels must be {list(DEFAULT_LEVELS)}", 1)
 
-        kb = KnowledgeBase(tuple(levels))
+        kb = KnowledgeBase()
         kb.tokenization = _load_tokenization(header.get("tokenization", {}))
         declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
         for number, raw in lines:
@@ -559,12 +557,25 @@ def json_records(text: str, error: type = IndexFormatError) -> Iterator[tuple[in
 
 
 def _parse_record(raw: str, line: int, error: type = IndexFormatError) -> dict:
+    """A line's JSON object; error(message, line) for anything else.
+
+    A string holding a lone surrogate (an unpaired \\ud800-\\udfff escape)
+    is refused too: it could not be written back as UTF-8. Only a line
+    holding such an escape pays for that check.
+    """
     try:
         record = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep
         raise error(f"invalid record ({getattr(exc, 'msg', exc)})", line) from exc
     if not isinstance(record, dict):
         raise error("record is not an object", line)
+    # memchr for a backslash first: most lines hold none and skip both scans
+    if "\\" in raw and ("\\ud" in raw or "\\uD" in raw):
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = ord(exc.object[exc.start])
+            raise error(f"invalid record (lone surrogate \\u{surrogate:04x})", line) from exc
     return record
 
 

@@ -18,8 +18,9 @@ QueryScorer is the one place a (query, target) pair is scored: rank,
 the solution-critic loop's DocumentCritic and `mcrx compare` all read
 it. A target is an indexed article or a text; a text is scored the same
 way, its forward value collected on its own bag with no article
-multiplier. A query sharing no indexed word, or a score past the float
-range (huge attention multipliers), raises UnscorableQueryError.
+multiplier. An index without articles raises EmptyIndexError; a query
+sharing no indexed word, or a score past the float range (huge attention
+multipliers), raises UnscorableQueryError.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class QueryScorer:
     def __init__(
         self, kb: KnowledgeBase, query: Source, attention: dict[int, float] | None = None
     ):
+        if kb.article_count == 0:
+            raise EmptyIndexError("the index holds no documents")
         self.kb = kb
         self.attention = (
             kb.attention_snapshot() if attention is None else dict(attention)
@@ -157,17 +160,27 @@ def rank(
     n results sorted by percent (ties by label).
     """
     check_cut(k, n)
-    if kb.article_count == 0:
-        raise EmptyIndexError("the index holds no documents")
     scorer = QueryScorer(kb, query, attention)
     return scorer.top(k, n, exclude_self)
 
 
-_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# backslash, tab, and every line boundary str.splitlines knows
+_ESCAPES = str.maketrans(
+    {
+        "\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r",
+        "\x0b": "\\x0b", "\x0c": "\\x0c", "\x1c": "\\x1c", "\x1d": "\\x1d",
+        "\x1e": "\\x1e", "\x85": "\\x85", "\u2028": "\\u2028", "\u2029": "\\u2029",
+    }
+)
 
 
 def escape_field(text: str) -> str:
-    """text on one line, without tabs: backslash, tab, LF and CR as \\\\, \\t, \\n, \\r."""
+    """text on one line, without tabs.
+
+    Backslash, tab, LF and CR become \\\\, \\t, \\n and \\r; the other line
+    boundaries of str.splitlines become \\x0b, \\x0c, \\x1c, \\x1d, \\x1e,
+    \\x85, \\u2028 and \\u2029.
+    """
     return text.translate(_ESCAPES)
 
 

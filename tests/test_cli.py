@@ -1111,8 +1111,10 @@ def test_title_with_unicode_line_separator_round_trips(tmp_path, capsys, separat
     capsys.readouterr()
     code = main(["query", "--index", str(index), "--doc", str(doc), "--tsv", "--include-self"])
     assert code == 0
-    rows = [line.split("\t") for line in capsys.readouterr().out.split("\n") if line]
-    assert [(row[1], row[2]) for row in rows] == [("d1", f"first{separator}title"), ("d2", separator)]
+    # query writes the separator escaped, so str.splitlines sees one line per result
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    escaped = {"\u2028": "\\u2028", "\u2029": "\\u2029", "\u0085": "\\x85"}[separator]
+    assert [(row[1], row[2]) for row in rows] == [("d1", f"first{escaped}title"), ("d2", escaped)]
 
 
 def test_trace_prints_positions(tmp_path, capsys):
@@ -1138,3 +1140,114 @@ def test_trace_prints_positions(tmp_path, capsys):
         ("1", "p1", "a b c a"),
         ("2", "p2", "b"),
     ]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        r'{"id":"d1","title":"bad \ud800 title","text":"alpha beta"}',
+        r'{"id":"d\udc80","text":"alpha beta"}',
+    ],
+)
+def test_lone_surrogate_in_a_jsonl_corpus_exit_2(tmp_path, capsys, record):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id":"d0","text":"fine"}\n' + record + "\n", "utf-8")
+    index = tmp_path / "x.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "line 2: invalid record (lone surrogate \\ud" in captured.err
+    assert not index.exists()
+
+
+def test_escaped_surrogate_pair_in_a_jsonl_corpus_builds(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(r'{"id":"d\ud83d\ude00","title":"\ud83d\ude00","text":"a b"}' + "\n", "utf-8")
+    index = tmp_path / "x.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc), "--include-self"]) == 0
+    assert capsys.readouterr().out == "1\td\U0001f600\t100.0  \U0001f600\n"
+
+
+def test_non_utf8_file_name_in_a_corpus_directory_exit_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b")
+    with open(bytes(corpus) + b"/x\xff.txt", "wb") as handle:
+        handle.write(b"c d")
+    index = tmp_path / "x.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "file name b'x\\xff.txt' is not UTF-8" in err
+    assert not index.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--tsv"]])
+def test_hand_edited_lone_surrogate_title_exit_1(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id":"d1","title":"t","text":"a b"}\n{"id":"d2","text":"b c"}\n')
+    index = tmp_path / "x.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    lines = index.read_text("utf-8").splitlines()
+    edited = [line.replace('"title":"t"', r'"title":"\ud800"') for line in lines]
+    (line,) = [number for number, text in enumerate(edited, start=1) if text != lines[number - 1]]
+    index.write_text("\n".join(edited) + "\n", "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert f"cannot load index: line {line}: invalid record (lone surrogate \\ud800)" in captured.err
+
+
+def test_lone_surrogate_action_label_exit_1(tmp_path, capsys):
+    kb_path = tmp_path / "actions.jsonl"
+    kb_path.write_text(r'{"t":"prim","label":"\ud800","dx":3,"dy":0}' + "\n", "utf-8")
+    before = kb_path.read_bytes()
+    assert main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "3,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "line 1: invalid record (lone surrogate \\ud800)" in captured.err
+    assert kb_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("flags", [[], ["--tsv"]])
+def test_query_escapes_every_line_boundary(tmp_path, capsys, flags):
+    # every character str.splitlines breaks at, in an id and in a title
+    boundaries = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    corpus = tmp_path / "corpus.jsonl"
+    docs = [
+        {"id": "d1", "title": "A\u2028B\u0085C\u000bD", "text": "a b"},
+        {"id": f"d{boundaries}2", "title": f"x{boundaries}y", "text": "b c"},
+    ]
+    corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    index = tmp_path / "x.mcrx"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b c")
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc), *flags]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 2
+    escaped = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    assert r"A\u2028B\x85C\x0bD" in out and f"d{escaped}2" in out and f"x{escaped}y" in out
+
+
+def test_compare_on_an_empty_index_exit_4(tmp_path, capsys):
+    from mcrx import KnowledgeBase, save_index
+
+    index = tmp_path / "empty.mcrx"
+    save_index(KnowledgeBase(), str(index))
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    for command in (["compare", "--a", str(doc), "--b", str(doc)], ["query", "--doc", str(doc)]):
+        assert main([*command, "--index", str(index)]) == 4
+        assert capsys.readouterr().err == "error: the index holds no documents\n"

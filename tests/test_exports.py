@@ -40,10 +40,12 @@ def test_export_table_resolves_in_a_fresh_interpreter():
 
 
 def test_modules_import_only_the_standard_library():
-    # mcrx has no runtime dependencies: every absolute import is stdlib or mcrx
+    # mcrx has no runtime dependencies: every absolute import is stdlib or mcrx;
+    # each module also parses as Python 3.10, the oldest version supported
     foreign = []
     for path in sorted(Path(SRC, "mcrx").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        tree = ast.parse(path.read_text("utf-8"), feature_version=(3, 10))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

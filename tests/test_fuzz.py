@@ -8,8 +8,10 @@ title or a text); in a *.txt corpus it is a word. Every mutant runs
 through cli.main. The command must return one of its documented exit
 codes without raising; a failure prints nothing on stdout and a single
 error: line on stderr, and a success prints no NaN or infinite score.
-The mutations are drawn from fixed seeds, so a failure reproduces
-exactly.
+A last case puts a surrogate escape inside a JSON string of an index,
+action or corpus file: a lone one is refused with the line named, a
+valid pair is read like any other character. The mutations are drawn
+from fixed seeds, so a failure reproduces exactly.
 """
 
 from __future__ import annotations
@@ -228,3 +230,54 @@ def test_fuzzed_txt_corpus_files(tmp_path, capsys):
         (corpus / f"doc{n:02}.txt").write_bytes(mutant)
         built += built_index_loads(capsys, corpus, tmp_path / "index.mcrx")
     assert 0 < built < 200
+
+
+# a JSON string in value position, compact or not, or first in an array
+JSON_STRING_RE = re.compile(rb'(?:(?<=:)|(?<=: )|(?<=\[))"(?:[^"\\]|\\.)*"')
+# three lone surrogates, then a valid pair
+SURROGATE_ESCAPES = [b"\\ud800", b"\\udc80", b"\\uDBFF", b"\\ud83d\\ude00"]
+
+
+def insert_surrogate(rng: random.Random, data: bytes) -> tuple[bytes, bytes, int]:
+    """data with a surrogate escape at the start or end of one JSON string,
+    where it cannot split another escape; the escape; and its line number."""
+    match = rng.choice(list(JSON_STRING_RE.finditer(data)))
+    at = rng.choice([match.start() + 1, match.end() - 1])
+    escape = rng.choice(SURROGATE_ESCAPES)
+    return data[:at] + escape + data[at:], escape, data.count(b"\n", 0, at) + 1
+
+
+def test_surrogate_escapes_in_index_action_and_corpus_files(tmp_path, capsys, corpus100_index):
+    path = tmp_path / "mutant"
+    index = tmp_path / "index.mcrx"
+    assert main(["scl-demo", "--kb", str(path), "--start", "0,0", "--target", "2,1"]) == 0
+    actions = path.read_bytes()
+    records = (DATA / "corpus100.jsonl").read_text("utf-8").splitlines()[:24]
+    corpus = ("\n".join(records) + "\n" + "".join(json.dumps(doc) + "\n" for doc in TITLED)).encode()
+    cases = [
+        (corpus100_index, ["stats", "--index", str(path)], 1),
+        (actions, ["scl-demo", "--kb", str(path), "--start", "0,0", "--target", "2,1"], 1),
+        (corpus, ["build", "--corpus", str(path), "--index", str(index)], 2),
+    ]
+    rng = random.Random(20261023)
+    accepted = 0
+    for valid, argv, refused in cases:
+        for _ in range(40):
+            mutant, escape, line = insert_surrogate(rng, valid)
+            path.write_bytes(mutant)
+            capsys.readouterr()
+            code = main(argv)
+            captured = capsys.readouterr()
+            if escape == SURROGATE_ESCAPES[-1]:  # the valid pair
+                assert code in {0, refused}, (argv, mutant, captured.err)
+                accepted += code == 0
+                if index.exists():
+                    load_index(str(index)).validate()
+                    index.unlink()
+                continue
+            assert code == refused and captured.out == "", (argv, mutant, captured.err)
+            (error,) = captured.err.splitlines()
+            assert error.startswith("error: ")
+            assert f"line {line}: invalid record (lone surrogate \\u" in error.lower(), error
+            assert path.read_bytes() == mutant and not index.exists()
+    assert accepted > 0

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import tracemalloc
 from array import array
@@ -121,11 +122,6 @@ def test_runs_and_posting_groups_are_32_bit_arrays():
     with pytest.raises(ValueError, match="out of range"):
         kb.add_article("doc2", ArticleRuns.pack([[((word, 2**31),)]]))
     assert kb.article_count == 1
-
-
-def test_levels_are_exactly_four():
-    with pytest.raises(ValueError):
-        KnowledgeBase(("word", "sentence", "article"))
 
 
 def test_set_attention_validates(c2):
@@ -280,6 +276,37 @@ def test_version_mismatch(tmp_path):
     path.write_text('{"format":"MCRX-9","levels":["w","s","p","a"],"D":0,"total_tokens":0}\n')
     with pytest.raises(VersionMismatchError):
         load_index(str(path))
+
+
+@pytest.mark.parametrize(
+    "levels", [["w", "s", "p", "a"], ["word", "sentence", "article"], None, "word"]
+)
+def test_load_refuses_other_level_names(tmp_path, levels):
+    # the header names the four fixed levels; anything else would not save back the same
+    path = tmp_path / "levels.mcrx"
+    header = {"format": "MCRX-1", "levels": levels, "D": 0, "total_tokens": 0}
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(IndexFormatError) as excinfo:
+        load_index(str(path))
+    assert excinfo.value.line == 1
+    header["levels"] = ["word", "sentence", "paragraph", "article"]
+    path.write_text(json.dumps(header) + "\n")
+    assert load_index(str(path)).article_count == 0
+
+
+def test_escaped_surrogate_pair_loads_and_a_lone_one_is_refused(tmp_path, c2):
+    path = tmp_path / "c2.mcrx"
+    save_index(c2, str(path))
+    lines = path.read_text("utf-8").splitlines()
+    article = lines.index(next(line for line in lines if '"label":"d1"' in line))
+    lines[article] = lines[article].replace('"label":"d1"', '"label":"d1","title":"\\ud83d\\ude00"')
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_index(str(path))
+    assert loaded.title(loaded.article_id("d1")) == "\U0001f600"
+    path.write_text(path.read_text("utf-8").replace("\\ude00", "\\u0041"))
+    with pytest.raises(IndexFormatError, match=r"lone surrogate \\ud83d") as excinfo:
+        load_index(str(path))
+    assert excinfo.value.line == article + 1
 
 
 def test_malformed_record_reports_line(tmp_path, c2):

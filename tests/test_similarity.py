@@ -341,3 +341,8 @@ def test_tsv_round_trips_losslessly(c2):
         assert float(fields[3]) == result.percent  # bit-for-bit at 17 digits
         assert float(fields[4]) == result.reverse
         assert float(fields[5]) == result.forward
+
+
+def test_scorer_refuses_an_empty_index():
+    with pytest.raises(EmptyIndexError, match="no documents"):
+        QueryScorer(KnowledgeBase(), "anything")
