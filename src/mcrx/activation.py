@@ -214,10 +214,11 @@ class ActivationMap(Mapping):
         fl(t / scale); a smaller sum may round to that same float and
         win the tie on its label. Only the sums from the least one that
         rounds to fl(t / scale) up, and the multiplied articles, are
-        divided and sorted. ValueError for k < 1.
+        divided and sorted. ValueError for a k that is not an int (a bool
+        is not) or is below 1.
         """
-        if k < 1:
-            raise ValueError("need k >= 1")
+        if type(k) is not int or k < 1:
+            raise ValueError("need int k >= 1")
         sums, scale, multipliers = self.sums, self.scale, self._multipliers
         least = 1
         if k + len(multipliers) < len(sums):

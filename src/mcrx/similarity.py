@@ -14,6 +14,18 @@ direction and logarithmic in the forward one. Raw scores are reported
 as a percentage of the query's self score, so querying a document's own
 text scores exactly 100.
 
+Only the candidates that can reach the best n are scored in reverse.
+With X = sum_w tf_q * m(w) * wt(w) * tf_d over the words a candidate
+shares with the query, collect's sum before m(d) is pre = X / len_q and
+the reverse pass is X / len_d. So raw~ = pre * len_q / len_d *
+ln(1 + forward) estimates each candidate's raw score from numbers the
+forward pass already holds, and is off by a few roundings only. The
+slack that covers them is derived beside QueryScorer._estimates; a
+candidate whose raw~ cannot reach the n-th largest raw~ within it
+provably ranks below n scored ones and is never scored. Where the
+derivation's precondition fails (an intermediate underflow, or a bound
+past the float range), every candidate is scored.
+
 QueryScorer is the one place a (query, target) pair is scored: rank,
 the solution-critic loop's DocumentCritic and `mcrx compare` all read
 it. A target is an indexed article or a text; a text is scored the same
@@ -34,6 +46,12 @@ from .kb import KnowledgeBase, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
+
+# QueryScorer.top's bound: the slack eps, derived beside _estimates, and
+# the range its precondition keeps every bound in
+_SLACK = 2.0**-48
+_TINY = 2.0**-1000
+_HUGE = 2.0**1000
 
 
 @dataclass(slots=True)
@@ -132,17 +150,88 @@ class QueryScorer:
         return RankedResult(article_id, label, title, percent, raw, reverse, forward)
 
     def top(self, k: int, n: int, exclude_self: bool = True) -> list[RankedResult]:
-        """Score the top-k candidates; the best n by percent, ties by label."""
+        """The best n of the top-k candidates by percent, ties by label.
+
+        Only the candidates whose estimated raw score can reach the n-th
+        largest estimate are scored (see _estimates); the others rank
+        below n scored ones, so the result is that of scoring all k.
+        """
         check_cut(k, n)
-        results = [self.score(c) for c in self.candidates(k, exclude_self)]
+        candidates = self.candidates(k, exclude_self)
+        if len(candidates) > n:
+            estimates = self._estimates(candidates)
+            if estimates is not None:
+                candidates = [candidates[i] for i in _within_reach(estimates, n)]
+        results = [self.score(c) for c in candidates]
         results.sort(key=lambda result: (-result.percent, result.label))
         return results[:n]
 
+    # raw~ = pre * len_q / len_d * log1p(f) against score's raw =
+    # reverse * log1p(f). f is the forward value score uses, so log1p(f)
+    # is the same float on both sides and its own error cancels. Without
+    # underflow or overflow each rounding errs by a factor (1 + d), |d| <= u
+    # = 2**-53, and every term is >= 0, so a sum of rounded terms errs by
+    # at most its worst term's factor. Against V = X / len_d * log1p(f):
+    #   - a forward term tf_q/len_q * m(w) * wt(w) * tf_d and a reverse
+    #     term tf_d/len_d * m(w) * wt(w) * tf_q carry 4 roundings each;
+    #   - the exact sums add one each: pre's int / int, reverse's fsum;
+    #   - raw~ adds 3 (* len_q, / len_d, * log1p), raw 1 (combine), and
+    #     percent = 100 * (raw / self_raw) 2 more.
+    # So raw~ and raw are within about 14u of each other, and raw~ and
+    # percent * self_raw / 100 are each within 8u of V. A candidate is
+    # skipped when fl(raw~ * (1 + eps)) < fl(t * (1 - eps)), t the n-th
+    # largest raw~ (2 more roundings). Its percent is then strictly below
+    # that of each candidate whose raw~ reaches t, at least n of them, when
+    #   (1 + 8u)**2 * (1 + u) / ((1 - 8u)**2 * (1 - u)) <= (1 + eps) / (1 - eps),
+    # that is 34u <= 2 eps to first order: eps >= 17u. eps = 2**-48 = 32u
+    # covers the higher-order terms. Strictly below, so no label can bring
+    # a skipped candidate back, and ties at t are all scored.
+    #
+    # The precondition, checked here: every query word's m(w) and
+    # m(w) * wt(w) are 0 or at least 2**-1000 times the longest length
+    # in play, so every factor and term on either side is a normal float;
+    # every reverse estimate is at most 2**1000, so no reverse term or sum
+    # overflows; and every raw~ is within a factor 2**1000 of both 1 and
+    # self_raw, so raw and percent stay normal and finite. When it
+    # fails, every candidate is scored: today's results and today's
+    # UnscorableQueryErrors.
+    def _estimates(self, candidates: list[int]) -> list[float] | None:
+        """raw~ per candidate, or None where the bound does not hold."""
+        nodes, attention, emission = self.kb.nodes, self.attention, self.emission
+        articles = [nodes[c] for c in candidates]
+        floor = _TINY * max(emission.length, max(article.length for article in articles))
+        for word_id in emission.bag:
+            m = attention.get(word_id, 1.0)
+            weight = nodes[word_id].weight
+            if not (m == 0.0 or weight == 0.0 or (m >= floor and m * weight >= floor)):
+                return None
+        low = _TINY * max(1.0, self.self_raw)
+        high = _HUGE * min(1.0, self.self_raw)
+        sums, scale, length = self.forward_map.sums, self.forward_map.scale, emission.length
+        multiplier, log1p = attention.get, math.log1p
+        estimates = []
+        for article in articles:
+            pre = sums[article.ordinal] / scale
+            reverse = pre * length / article.length
+            # pre * m(d) is ActivationMap.value's expression, bit for bit
+            raw = reverse * log1p(pre * multiplier(article.id, 1.0))
+            if not (reverse <= _HUGE and low <= raw <= high):
+                return None
+            estimates.append(raw)
+        return estimates
+
+
+
+def _within_reach(estimates: list[float], n: int) -> list[int]:
+    """Indexes of the estimates that can reach the n-th largest, ties included."""
+    reach = sorted(estimates, reverse=True)[n - 1] * (1 - _SLACK)
+    return [i for i, raw in enumerate(estimates) if raw * (1 + _SLACK) >= reach]
+
 
 def check_cut(k: int, n: int) -> None:
-    """Reject a candidate cut k or a result count n out of range."""
-    if k < n or n < 1:
-        raise ValueError("need k >= n >= 1")
+    """Reject a candidate cut k or a result count n out of range or not an int (a bool is not)."""
+    if type(k) is not int or type(n) is not int or k < n or n < 1:
+        raise ValueError("need int k >= n >= 1")
 
 
 def rank(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mcrx.similarity
 from mcrx import (
     QueryScorer,
     RawDocument,
@@ -95,6 +96,20 @@ def test_rank_parameter_validation(c2):
         rank(c2, "a", k=1, n=2)
     with pytest.raises(ValueError):
         rank(c2, "a", k=5, n=0)
+    # not an int, a bool included: refused before any pass, so even on an
+    # empty index, where the first pass would raise EmptyIndexError
+    scorer = QueryScorer(c2, "a")
+    for k, n in ((2.5, 1), (3, 1.5), ("3", 1), (3, "1"), (True, True), (3, True), (True, 1)):
+        for kb in (c2, KnowledgeBase()):
+            with pytest.raises(ValueError, match="int"):
+                rank(kb, "a", k=k, n=n)
+        with pytest.raises(ValueError, match="int"):
+            scorer.top(k, n)
+    for k in (2.5, "3", True, None):
+        with pytest.raises(ValueError, match="int"):
+            scorer.forward_map.top(k)
+        with pytest.raises(ValueError, match="int"):
+            scorer.candidates(k)
 
 
 def test_rank_exclude_self_drops_own_article(c3):
@@ -188,13 +203,23 @@ def test_rank_matches_dense_oracle():
             assert result.percent == pytest.approx(row[1], abs=1e-9)
 
 
+def _rows(results):
+    return [(r.label, r.percent, r.raw, r.reverse, r.forward) for r in results]
+
+
 def _attention_maps(kb, rng):
-    """No attention, then 0, 0.5 and 3 on words, on articles, and on both."""
+    """No attention, then 0, 0.5 and 3 on words, on articles, and on both.
+
+    Last, a subnormal multiplier on the first of those words and a huge one
+    on the first of those articles: QueryScorer.top's bound does not hold
+    for a query holding that word, so it scores every candidate.
+    """
     word_ids = sorted(kb.postings)
     article_ids = [article.id for article in kb.articles]
     on_words = dict(zip(rng.sample(word_ids, min(3, len(word_ids))), (0.0, 0.5, 3.0)))
     on_articles = dict(zip(rng.sample(article_ids, min(3, len(article_ids))), (0.0, 0.5, 3.0)))
-    return [{}, on_words, on_articles, {**on_words, **on_articles}]
+    extreme = {**dict(zip(on_words, (1e-310,))), **dict(zip(on_articles, (1e300,)))}
+    return [{}, on_words, on_articles, {**on_words, **on_articles}, extreme]
 
 
 def _cuts(kb, query, attention):
@@ -252,11 +277,130 @@ def test_rank_bit_identical_to_reference_ranker():
                                     rank(kb, query, k, n, exclude_self, attention)
                                 continue
                             got = rank(kb, query, k, n, exclude_self, attention)
-                            assert [
-                                (r.label, r.percent, r.raw, r.reverse, r.forward) for r in got
-                            ] == expected
+                            assert _rows(got) == expected
                             compared += 1
     assert compared > 1000 and tied_cuts > 0
+
+
+def _count_scores(monkeypatch):
+    """The targets QueryScorer.score is called on, in call order."""
+    calls = []
+    score = QueryScorer.score
+
+    def counted(self, target):
+        calls.append(target)
+        return score(self, target)
+
+    monkeypatch.setattr(QueryScorer, "score", counted)
+    return calls
+
+
+def test_top_scores_only_the_candidates_that_can_reach_the_top_n(monkeypatch):
+    """n scored, plus any within 2**-40 of the n-th raw score, of k candidates."""
+    calls = _count_scores(monkeypatch)
+    rng = random.Random(3301)
+    checked = skipped = 0
+    for _ in range(6):
+        docs = random_corpus(rng, max_docs=60, max_vocab=80, max_len=80)
+        kb = _shuffled_kb(docs, rng)
+        vocab = sorted({word for text in docs.values() for word in toks(text)})
+        for query in (docs[rng.choice(sorted(docs))], " ".join(rng.sample(vocab, 3))):
+            full = reference_rank(kb, query, 40, 40)  # every candidate scored
+            for n in (1, 3, 10):
+                if len(full) <= n:
+                    continue
+                calls.clear()
+                assert _rows(QueryScorer(kb, query).top(40, n)) == full[:n]
+                nth = full[n - 1][2]
+                tied = sum(row[2] >= nth * (1 - 2**-40) for row in full[n:])
+                assert len(calls) <= n + tied
+                checked += 1
+                skipped += len(full) - len(calls)
+    assert checked > 20 and skipped > 10 * checked, (checked, skipped)
+
+
+def test_top_scores_every_candidate_tied_at_the_nth_place(monkeypatch):
+    """Copies under other labels tie exactly; all reach the sort, labels decide."""
+    calls = _count_scores(monkeypatch)
+    rng = random.Random(6007)
+    docs = random_corpus(rng, max_docs=30, max_vocab=40, max_len=60)
+    query = docs[sorted(docs)[0]]
+    third = reference_rank(_shuffled_kb(docs, rng), query, 50, 3)[2][0]
+    copies = {f"{third}a": docs[third], f"a{third}": docs[third]}
+    kb = _shuffled_kb({**docs, **copies}, rng)
+    group = sorted([third, *copies])
+    full = reference_rank(kb, query, 50, 50)
+    first = [row[0] for row in full].index(group[0])
+    assert [row[0] for row in full[first : first + 3]] == group
+    n = first + 2  # the n-th place is the second of the three
+    calls.clear()
+    got = QueryScorer(kb, query).top(50, n)
+    assert _rows(got) == full[:n]
+    assert [r.label for r in got[-2:]] == group[:2]
+    assert {kb.article_id(label) for label in group} <= set(calls)
+    assert len(calls) < len(full)
+    # at the edge of the slack: raw~ * (1 + eps) and t * (1 - eps) round to
+    # the same float, so the bound cannot rule the candidate out
+    eps = mcrx.similarity._SLACK
+    t, edge = 1 + eps, 1 - eps
+    assert edge * (1 + eps) == t * (1 - eps)
+    assert mcrx.similarity._within_reach([0.5, edge, t], 1) == [1, 2]
+
+
+def _near_tie_corpus(rng):
+    """16 documents of 14 tokens, each holding all of the words a to e.
+
+    Every word is in every document, so all weights are equal, and two
+    documents whose query terms sum to the same tf_q * tf_d tie before
+    rounding: their scores and estimates differ in the last bits only.
+    """
+    words = "a b c d e".split()
+    docs = {}
+    for i in range(16):
+        tokens = words + rng.choices(words, k=9)
+        rng.shuffle(tokens)
+        docs[f"d{i:02d}"] = " ".join(tokens)
+    return docs
+
+
+def test_top_slack_covers_estimates_off_in_the_last_bits():
+    """A seeded case where ranking by raw~ with no slack loses a top-n result."""
+    rng = random.Random(1)
+    docs = _near_tie_corpus(rng)
+    query = " ".join(rng.choices("a b c d e".split(), k=4))
+    kb = make_kb(docs)
+    k = kb.article_count
+    scorer = QueryScorer(kb, query)
+    candidates = scorer.candidates(k)
+    estimates = scorer._estimates(candidates)
+    labels = [kb.nodes[c].label for c in candidates]
+    fragile = 0
+    for n in range(1, k):
+        expected = reference_rank(kb, query, k, n)
+        assert _rows(scorer.top(k, n)) == expected
+        nth = sorted(estimates, reverse=True)[n - 1]
+        unslacked = {label for label, raw in zip(labels, estimates) if raw >= nth}
+        fragile += not {row[0] for row in expected} <= unslacked
+    assert fragile > 0
+
+
+def test_bound_steps_aside_where_its_derivation_does_not_hold():
+    """_estimates gives None, and top scores every candidate, past its precondition."""
+    kb = make_kb({"d1": "a b", "d2": "b c", "d3": "a c c"})
+    words = [kb.word_id(word) for word in "abc"]
+    d1 = kb.article_id("d1")
+
+    def estimates(attention):
+        scorer = QueryScorer(kb, "a b c", attention)
+        return scorer._estimates(scorer.candidates(3))
+
+    assert len(estimates({})) == 3
+    assert estimates({words[0]: 1e-310}) is None  # the terms of a underflow
+    assert estimates({d1: 1e-310}) is None  # so does d1's raw~
+    assert estimates(dict.fromkeys(words, 1e303)) is None  # raw~ near the float range
+    assert _rows(rank(kb, "a b c", 3, 1, attention={d1: 1e-310})) == reference_rank(
+        kb, "a b c", 3, 1, attention={d1: 1e-310}
+    )
 
 
 def test_score_bit_identical_to_reference_compare():
