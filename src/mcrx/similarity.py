@@ -24,7 +24,8 @@ slack that covers them is derived beside QueryScorer._estimates; a
 candidate whose raw~ cannot reach the n-th largest raw~ within it
 provably ranks below n scored ones and is never scored. Where the
 derivation's precondition fails (an intermediate underflow, or a bound
-past the float range), every candidate is scored.
+past the float range), or only one candidate lies past n, every
+candidate is scored.
 
 QueryScorer is the one place a (query, target) pair is scored: rank,
 the solution-critic loop's DocumentCritic and `mcrx compare` all read
@@ -152,13 +153,17 @@ class QueryScorer:
     def top(self, k: int, n: int, exclude_self: bool = True) -> list[RankedResult]:
         """The best n of the top-k candidates by percent, ties by label.
 
-        Only the candidates whose estimated raw score can reach the n-th
-        largest estimate are scored (see _estimates); the others rank
-        below n scored ones, so the result is that of scoring all k.
+        Where two or more candidates lie past n, only those whose
+        estimated raw score can reach the n-th largest estimate are
+        scored (see _estimates); the others rank below n scored ones, so
+        the result is that of scoring all k. With one candidate past n the
+        bound's own work (a pass over the query bag, an estimate per
+        candidate, a sort) costs about as much as the one reverse pass it
+        can save, so every candidate is scored.
         """
         check_cut(k, n)
         candidates = self.candidates(k, exclude_self)
-        if len(candidates) > n:
+        if len(candidates) > n + 1:
             estimates = self._estimates(candidates)
             if estimates is not None:
                 candidates = [candidates[i] for i in _within_reach(estimates, n)]
