@@ -342,13 +342,14 @@ def trace(
     Contributions at any level sum to the document's activation (before
     the article's own attention multiplier). Ties break by token at the
     word level, which is word id order in a loaded index, and by position
-    in the document above it. ValueError for top_n < 1.
+    in the document above it. ValueError for a level or top_n that is
+    not an int (a bool is not), a level not below ARTICLE or top_n < 1.
     """
     article = kb.article(article_id)
-    if not WORD <= level < ARTICLE:
-        raise ValueError("trace level must be below the article level")
-    if top_n < 1:
-        raise ValueError("need top_n >= 1")
+    if type(level) is not int or not WORD <= level < ARTICLE:
+        raise ValueError("trace level must be an int below the article level")
+    if type(top_n) is not int or top_n < 1:
+        raise ValueError("need int top_n >= 1")
     if attention is None:
         attention = kb.attention_snapshot()
     emission = emit(kb, source)

@@ -86,10 +86,9 @@ def _coords(value: str) -> tuple[int, int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected X,Y, got {value!r}") from exc
     try:
-        seqdemo.check_coordinates(point)
+        return seqdemo.check_coordinates(point)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return point
 
 
 # "--start -5,3": argparse would take the negative coordinate for a flag

@@ -177,13 +177,10 @@ class KnowledgeBase:
     def __init__(self):
         self.nodes: list[Node | Article] = []  # words and articles, by id
         self.articles: list[Article] = []  # the same article records, by ordinal
-        # words, sentences, paragraphs, articles
-        self.level_counts = [0] * 4
         # label -> id, kept for the levels where labels are meaningful
         self._word_ids: dict[str, int] = {}
         self._article_ids: dict[str, int] = {}
         self.attention: dict[int, float] = {}
-        self.total_tokens = 0
         # word id -> tf -> ordinals of the articles holding the word tf times,
         # ascending, as array('i'); add_word gives every word an entry
         self.postings: dict[int, dict[int, array]] = {}
@@ -192,11 +189,22 @@ class KnowledgeBase:
 
     @property
     def article_count(self) -> int:
-        return self.level_counts[ARTICLE]
+        return len(self.articles)
 
     @property
     def word_count(self) -> int:
-        return self.level_counts[WORD]
+        return len(self._word_ids)
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(article.length for article in self.articles)
+
+    @property
+    def level_counts(self) -> list[int]:
+        """Words, sentences, paragraphs and articles, read off the tables."""
+        sentences = sum(len(article.runs.sentence_runs) for article in self.articles)
+        paragraphs = sum(len(article.runs.paragraph_sentences) for article in self.articles)
+        return [self.word_count, sentences, paragraphs, self.article_count]
 
     def node(self, node_id: int) -> Node | Article:
         if type(node_id) is not int or not 0 <= node_id < len(self.nodes):
@@ -224,9 +232,6 @@ class KnowledgeBase:
     def article_id(self, label: str) -> int | None:
         return self._article_ids.get(label)
 
-    def article_labels(self) -> list[str]:
-        return sorted(self._article_ids)
-
     def title(self, article_id: int) -> str:
         """An article's title, or its label when it has none."""
         article = self.article(article_id)
@@ -238,7 +243,6 @@ class KnowledgeBase:
         if word_id is None:
             word_id = len(self.nodes)
             self.nodes.append(Node(word_id, token))
-            self.level_counts[WORD] += 1
             self._word_ids[token] = word_id
             self.postings[word_id] = {}
             self.weights_computed = False
@@ -295,11 +299,7 @@ class KnowledgeBase:
         self.nodes.append(article)
         self.articles.append(article)
         self._article_ids[label] = article_id
-        self.level_counts[SENTENCE] += len(sentence_runs)
-        self.level_counts[PARAGRAPH] += len(paragraph_sentences)
-        self.level_counts[ARTICLE] += 1
         self.weights_computed = False
-        self.total_tokens += length
         for word_id, count in bag.items():
             groups = postings[word_id]
             group = groups.get(count)
@@ -330,40 +330,6 @@ class KnowledgeBase:
     def attention_snapshot(self) -> dict[int, float]:
         """Copy of the attention map, isolating a query from rule changes."""
         return dict(self.attention)
-
-    def validate(self) -> None:
-        """Full-scan check of the runs against everything derived from them."""
-        derived_postings: dict[int, dict[int, array]] = {}
-        derived_levels = [len(self._word_ids), 0, 0, len(self.articles)]
-        if len(self.nodes) != derived_levels[WORD] + derived_levels[ARTICLE]:
-            raise AssertionError("node table disagrees with the word and article tables")
-        for ordinal, article in enumerate(self.articles):
-            if article.ordinal != ordinal or self.node(article.id) is not article:
-                raise AssertionError(f"article {article.label!r} is off its ordinal or node slot")
-            packed = article.runs
-            if sum(packed.sentence_runs) != len(packed.words) or sum(
-                packed.paragraph_sentences
-            ) != len(packed.sentence_runs):
-                raise AssertionError(f"run lengths of article {article.id} do not add up")
-            bag: dict[int, int] = {}
-            for word_id, count in zip(packed.words, packed.counts):
-                if self.node(word_id).level != WORD:
-                    raise LayeringError(f"article {article.id} holds node {word_id}, not a word")
-                bag[word_id] = bag.get(word_id, 0) + count
-            if bag != article.bag or sum(bag.values()) != article.length:
-                raise AssertionError(f"stored bag of article {article.id} disagrees with its runs")
-            for word_id, count in bag.items():
-                derived_postings.setdefault(word_id, {}).setdefault(count, array("i")).append(ordinal)
-            derived_levels[SENTENCE] += len(packed.sentence_runs)
-            derived_levels[PARAGRAPH] += len(packed.paragraph_sentences)
-        if derived_postings != {w: groups for w, groups in self.postings.items() if groups}:
-            raise AssertionError("postings disagree with the runs")
-        if sum(article.length for article in self.articles) != self.total_tokens:
-            raise AssertionError("stored total_tokens disagrees with the runs")
-        if self.level_counts != derived_levels:
-            raise AssertionError("level counts disagree with the runs")
-        if self._article_ids != {article.label: article.id for article in self.articles}:
-            raise AssertionError("article label table disagrees with the articles")
 
 
 def save_index(kb: KnowledgeBase, path: str) -> None:
@@ -506,14 +472,6 @@ def load_index(path: str) -> KnowledgeBase:
             else:
                 raise IndexFormatError(f"unknown record type {kind!r}", number)
 
-    for word_id, (declared, line) in declared_df.items():
-        derived = kb.df(word_id)
-        if derived != declared:
-            token = kb.nodes[word_id].label
-            raise IndexFormatError(
-                f"stored df {declared} for {token!r} disagrees with derived df {derived}",
-                line,
-            )
     if header.get("D") != kb.article_count:
         raise IndexFormatError(
             f"header D={header.get('D')} but file holds {kb.article_count} articles", 1
@@ -524,10 +482,16 @@ def load_index(path: str) -> KnowledgeBase:
             f"to {kb.total_tokens}",
             1,
         )
-    # save_index refuses stale weights and .17g round-trips, so a saved
-    # weight equals the formula bit for bit; this also rejects NaN/Infinity
     for word_id, (declared, line) in declared_df.items():
         node = kb.nodes[word_id]
+        derived = kb.df(word_id)
+        if derived != declared:
+            raise IndexFormatError(
+                f"stored df {declared} for {node.label!r} disagrees with derived df {derived}",
+                line,
+            )
+        # save_index refuses stale weights and .17g round-trips, so a saved
+        # weight equals the formula bit for bit; this also rejects NaN/Infinity
         if node.weight != math.log(1.0 + kb.article_count / declared):
             raise IndexFormatError(
                 f"stored weight {node.weight!r} for {node.label!r} is not "

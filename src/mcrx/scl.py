@@ -10,6 +10,7 @@ weights, so every rule is reversible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -29,21 +30,25 @@ EXIT_EXHAUSTED = "exhausted"
 
 @dataclass(frozen=True)
 class ExitCriteria:
-    """Loop budget; at least one bound must be finite."""
+    """Loop budget; at least one bound must be set, and each set bound must
+    be able to trip: ValueError for a max_iterations that is not an int >= 1,
+    a max_seconds that is not a finite number >= 0 or a NaN score_threshold
+    (a bool is no number)."""
 
     max_iterations: int | None = None
     max_seconds: float | None = None
     score_threshold: float | None = None
 
     def __post_init__(self):
-        if (
-            self.max_iterations is None
-            and self.max_seconds is None
-            and self.score_threshold is None
-        ):
+        iterations, seconds, threshold = self.max_iterations, self.max_seconds, self.score_threshold
+        if iterations is seconds is threshold is None:
             raise ValueError("at least one exit bound must be set")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if iterations is not None and (type(iterations) is not int or iterations < 1):
+            raise ValueError(f"max_iterations {iterations!r} is not an int >= 1")
+        if seconds is not None and not (type(seconds) in (int, float) and 0 <= seconds < math.inf):
+            raise ValueError(f"max_seconds {seconds!r} is not a finite number >= 0")
+        if threshold is not None and (type(threshold) not in (int, float) or threshold != threshold):
+            raise ValueError(f"score_threshold {threshold!r} is not a number")
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,13 @@ UNIT_LABELS: dict[Effect, str] = {(0, 1): "U", (0, -1): "D", (-1, 0): "L", (1, 0
 COORD_LIMIT = 2**53
 
 
-def check_coordinates(point: tuple[int, int]) -> None:
-    """ValueError if a coordinate pair leaves [-COORD_LIMIT, COORD_LIMIT]."""
-    if max(abs(point[0]), abs(point[1])) > COORD_LIMIT:
-        raise ValueError(f"coordinates {point} exceed +-2**53")
+def check_coordinates(point: tuple[int, int]) -> GridState:
+    """The pair as a tuple; ValueError for a coordinate that is not an int
+    (a bool is not) or lies outside [-COORD_LIMIT, COORD_LIMIT]."""
+    x, y = point
+    if type(x) is not int or type(y) is not int or max(abs(x), abs(y)) > COORD_LIMIT:
+        raise ValueError(f"coordinates {point!r} are not ints within +-2**53")
+    return (x, y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,25 +96,12 @@ class ActionKB:
             raise MissingNodeError(f"no action {action_id!r}")
         return action
 
-    def is_composite(self, action_id: str) -> bool:
-        return bool(self.get(action_id).children)
-
-    def net_effect(self, action_id: str) -> Effect:
-        """Total displacement of an action."""
-        return self.get(action_id).net
-
-    def flattened(self, action_id: str) -> tuple[Effect, ...]:
-        """The action expanded to its primitive effect sequence."""
-        return self.get(action_id).flat
-
     def add_primitive(self, label: str, effect: Effect) -> str:
         """Register a one-letter primitive; ValueError for a label that is
-        not a str or an effect that is not a pair of ints (bools refused)."""
-        dx, dy = effect
-        if not isinstance(label, str) or type(dx) is not int or type(dy) is not int:
-            raise ValueError("needs a string label and int dx, dy")
-        effect = (dx, dy)
-        check_coordinates(effect)
+        not a str or an effect that check_coordinates refuses."""
+        if not isinstance(label, str):
+            raise ValueError(f"label {label!r} is not a string")
+        effect = check_coordinates(effect)
         if label in self._actions:
             if self._actions[label] != Action(label, (), (effect,), effect):
                 raise ValueError(f"action id {label!r} already taken")
@@ -179,10 +169,14 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
     composites beat primitives on ties, then earliest-created) and the
     parse registers as a new top-level composite unless an identical one
     already exists. InvalidDemonstrationError, raised before anything is
-    added, for a non-unit step no action explains or an unknown unit
-    step whose canonical label already names another action.
+    added, for a state that check_coordinates refuses, a non-unit step no
+    action explains or an unknown unit step whose canonical label already
+    names another action.
     """
-    states = [(int(x), int(y)) for x, y in states]
+    try:
+        states = list(map(check_coordinates, states))
+    except ValueError as exc:
+        raise InvalidDemonstrationError(str(exc)) from exc
     if len(states) < 2:
         raise InvalidDemonstrationError("a demonstration needs at least two states")
     deltas = [
@@ -212,7 +206,7 @@ def learn_demonstration(akb: ActionKB, states: list[GridState]) -> LearnResult:
         delta = deltas[position]
         if delta in UNIT_LABELS:
             action = _longest_match(akb, deltas, position)
-            steps = len(akb.flattened(action))
+            steps = len(akb.get(action).flat)
         else:  # explained, checked above
             action, steps = akb.action_with_net(delta), 1
         parsed.append(action)
@@ -236,10 +230,11 @@ def _longest_match(akb: ActionKB, deltas: list[Effect], position: int) -> str:
 
 
 def execute(akb: ActionKB, sequence: list[str] | tuple[str, ...], start: GridState) -> GridState:
-    """Apply a sequence of known actions to a state."""
-    x, y = int(start[0]), int(start[1])
+    """Apply a sequence of known actions to a state; ValueError for a
+    start that check_coordinates refuses."""
+    x, y = check_coordinates(start)
     for action_id in sequence:
-        dx, dy = akb.net_effect(action_id)
+        dx, dy = akb.get(action_id).net
         x, y = x + dx, y + dy
     return (x, y)
 
@@ -259,14 +254,11 @@ def solve(
     comes back with the loop's exit reason. composite_id is set only
     when the hit is a composite action, not a single primitive. Raises
     NoActionsError for an empty action base and ValueError for a start
-    or target beyond COORD_LIMIT.
+    or target that check_coordinates refuses.
     """
     if not akb.known_ids():
         raise NoActionsError("no actions known")
-    start = (int(start[0]), int(start[1]))
-    target = (int(target[0]), int(target[1]))
-    check_coordinates(start)
-    check_coordinates(target)
+    start, target = check_coordinates(start), check_coordinates(target)
     if exit_criteria is None:
         exit_criteria = ExitCriteria(max_iterations=10000, score_threshold=100.0)
     elif exit_criteria.score_threshold is None:
@@ -283,15 +275,14 @@ def solve(
     report = run(_best_first(akb, start, score_endpoint), critic, exit_criteria)
 
     sequence = tuple(report.best) if report.best is not None else ()
-    composite_id = None
-    created = False
+    composite_id, created = None, False
     if (
         report.exit_reason == EXIT_THRESHOLD
         and sequence
         and execute(akb, sequence, start) == target
     ):
         action_id, created = akb.add_composite(list(sequence))
-        if akb.is_composite(action_id):
+        if akb.get(action_id).children:
             composite_id = action_id
     return SolveResult(sequence, composite_id, created, report)
 
@@ -299,39 +290,27 @@ def solve(
 def _best_first(akb: ActionKB, start: GridState, score_endpoint):
     """Best-first enumeration over action sequences, one per call.
 
-    The frontier is ordered by the critic's own endpoint score; each
-    yielded sequence's extensions enter the frontier on the next call.
+    The frontier is ordered by the critic's own endpoint score; a
+    sequence's extensions enter the frontier when it is popped.
     Endpoints deduplicate, so revisiting loops never enqueue.
     """
     tick = itertools.count()
     frontier = [(-score_endpoint(start), next(tick), (), start)]
     visited = {start}
-    last: tuple[tuple[str, ...], GridState] | None = None
 
     def generate(feedback: Feedback | None):
-        nonlocal last
-        if last is not None:
-            sequence, endpoint = last
-            for action in akb:
-                dx, dy = action.net
-                successor = (endpoint[0] + dx, endpoint[1] + dy)
-                if successor in visited:
-                    continue
+        if not frontier:
+            return None
+        _, _, sequence, endpoint = heapq.heappop(frontier)
+        for action in akb:
+            dx, dy = action.net
+            successor = (endpoint[0] + dx, endpoint[1] + dy)
+            if successor not in visited:
                 visited.add(successor)
                 heapq.heappush(
                     frontier,
-                    (
-                        -score_endpoint(successor),
-                        next(tick),
-                        sequence + (action.id,),
-                        successor,
-                    ),
+                    (-score_endpoint(successor), next(tick), sequence + (action.id,), successor),
                 )
-        if not frontier:
-            last = None
-            return None
-        _, _, sequence, endpoint = heapq.heappop(frontier)
-        last = (sequence, endpoint)
         return sequence
 
     return generate

@@ -7,17 +7,20 @@ instead of the best-first planner. The exceptions are reference_rank
 and reference_compare, which tokenize with the library's own emit and
 sum each directional activation as one plain math.fsum per article or
 text (directional_sum), so that rank and QueryScorer.score can be
-compared with them bit for bit.
+compared with them bit for bit, and check_kb, which rebuilds a
+knowledge base's derived tables from its stored runs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter, deque
 
 from mcrx.activation import emit
-from mcrx.errors import UnscorableQueryError
+from mcrx.errors import LayeringError, UnscorableQueryError
+from mcrx.kb import WORD
 from mcrx.similarity import combine, normalize
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -38,6 +41,38 @@ def corpus_weights(doc_texts):
     d = len(bags)
     weights = {word: math.log(1.0 + d / count) for word, count in df.items()}
     return bags, weights
+
+
+def check_kb(kb):
+    """Full-scan check of a knowledge base's runs against everything derived from them.
+
+    AssertionError for a table that disagrees, LayeringError for a run
+    holding a node that is not a word.
+    """
+    if len(kb.nodes) != len(kb.word_ids()) + len(kb.articles):
+        raise AssertionError("node table disagrees with the word and article tables")
+    derived_postings = {}
+    for ordinal, article in enumerate(kb.articles):
+        if article.ordinal != ordinal or kb.node(article.id) is not article:
+            raise AssertionError(f"article {article.label!r} is off its ordinal or node slot")
+        packed = article.runs
+        if sum(packed.sentence_runs) != len(packed.words) or sum(
+            packed.paragraph_sentences
+        ) != len(packed.sentence_runs):
+            raise AssertionError(f"run lengths of article {article.id} do not add up")
+        bag = {}
+        for word_id, count in zip(packed.words, packed.counts):
+            if kb.node(word_id).level != WORD:
+                raise LayeringError(f"article {article.id} holds node {word_id}, not a word")
+            bag[word_id] = bag.get(word_id, 0) + count
+        if bag != article.bag or sum(bag.values()) != article.length:
+            raise AssertionError(f"stored bag of article {article.id} disagrees with its runs")
+        for word_id, count in bag.items():
+            derived_postings.setdefault(word_id, {}).setdefault(count, array("i")).append(ordinal)
+    if derived_postings != {w: groups for w, groups in kb.postings.items() if groups}:
+        raise AssertionError("postings disagree with the runs")
+    if kb._article_ids != {article.label: article.id for article in kb.articles}:
+        raise AssertionError("article label table disagrees with the articles")
 
 
 def dense_emission(query_tokens, weights):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mcrx import (
+    ARTICLE,
     PARAGRAPH,
     SENTENCE,
     WORD,
@@ -174,9 +175,12 @@ def test_trace_sorted_and_truncated():
     entries = trace(kb, "hit", d, SENTENCE, 2)
     assert len(entries) == 2
     assert entries[0].contribution >= entries[1].contribution
-    for top_n in (0, -1):
+    for top_n in (0, -1, 1.5, 2.0, True):
         with pytest.raises(ValueError):
             trace(kb, "hit", d, SENTENCE, top_n)
+    for level in (True, 1.0, ARTICLE, -1):
+        with pytest.raises(ValueError):
+            trace(kb, "hit", d, level, 2)
 
 
 def test_trace_ties_break_by_position_and_token():

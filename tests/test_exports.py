@@ -58,3 +58,36 @@ def test_modules_import_only_the_standard_library():
                     foreign.append(f"{path.name}: {name}")
     assert Path(SRC, "mcrx", "kb.py").is_file()
     assert not foreign, foreign
+
+
+
+LAZY = """
+import sys
+import mcrx.cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("mcrx."))
+
+assert "mcrx.scl" not in loaded() and "mcrx.seqdemo" not in loaded(), loaded()
+assert mcrx.cli.main(["query", "--index", sys.argv[1], "--doc", sys.argv[2]]) == 0
+assert "mcrx.scl" not in loaded() and "mcrx.seqdemo" not in loaded(), loaded()
+"""
+
+
+def test_cli_query_loads_neither_scl_nor_seqdemo(tmp_path):
+    # the loop and the grid world load only for the commands that need
+    # them: scl-demo, and query with --watch or --attention
+    from mcrx.cli import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b c", encoding="utf-8")
+    (corpus / "d2.txt").write_text("b c d", encoding="utf-8")
+    index = tmp_path / "index"
+    assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", LAZY, str(index), str(corpus / "d1.txt")]
+    completed = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert "d2" in completed.stdout

@@ -26,6 +26,7 @@ import pytest
 
 from mcrx import load_index
 from mcrx.cli import main
+from oracles import check_kb
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,7 +130,7 @@ def test_fuzzed_index_files(tmp_path, capsys, corpus100_index):
         code, _ = run_cli(capsys, ["stats", "--index", str(index)], {0, 1})
         if code == 0:
             loaded += 1
-            load_index(str(index)).validate()
+            check_kb(load_index(str(index)))
         code, out = run_cli(
             capsys,
             ["query", "--index", str(index), "--doc", str(query), "--tsv", "--top", "20"],
@@ -197,7 +198,7 @@ def built_index_loads(capsys, corpus: Path, index: Path) -> bool:
     """mcrx build exits 0, 1, 2 or 3; a built index loads and validates."""
     code, _ = run_cli(capsys, ["build", "--corpus", str(corpus), "--index", str(index)], {0, 1, 2, 3})
     if code == 0:
-        load_index(str(index)).validate()
+        check_kb(load_index(str(index)))
         index.unlink()
     return code == 0
 
@@ -272,7 +273,7 @@ def test_surrogate_escapes_in_index_action_and_corpus_files(tmp_path, capsys, co
                 assert code in {0, refused}, (argv, mutant, captured.err)
                 accepted += code == 0
                 if index.exists():
-                    load_index(str(index)).validate()
+                    check_kb(load_index(str(index)))
                     index.unlink()
                 continue
             assert code == refused and captured.out == "", (argv, mutant, captured.err)

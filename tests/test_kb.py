@@ -35,7 +35,7 @@ from mcrx.errors import (
 )
 
 from conftest import fail_saves, make_kb
-from oracles import random_corpus
+from oracles import check_kb, random_corpus
 
 
 def test_word_dedup_returns_same_id():
@@ -176,7 +176,7 @@ def test_attention_doubles_contribution_linearly(c2):
 
 
 def test_invariants_hold_after_build(c2):
-    c2.validate()
+    check_kb(c2)
 
 
 @pytest.mark.parametrize(
@@ -191,31 +191,31 @@ def test_validate_checks_every_tf_group(corrupt):
     kb = make_kb({"d1": "a a b", "d2": "a b"})
     a = kb.word_id("a")
     assert {tf: list(group) for tf, group in kb.postings[a].items()} == {2: [0], 1: [1]}
-    kb.validate()
+    check_kb(kb)
     kb.postings[a] = {tf: array("i", group) for tf, group in corrupt.items()}
     assert kb.df(a) == 2  # a df count alone does not see it
     with pytest.raises(AssertionError, match="postings"):
-        kb.validate()
+        check_kb(kb)
 
 
 def test_validate_checks_article_ordinals():
     kb = make_kb({"d1": "a", "d2": "b", "d3": "a b"})
     for ordinal, article in enumerate(kb.articles):
         assert article.ordinal == ordinal and kb.nodes[article.id] is article
-    kb.validate()
+    check_kb(kb)
     d1, d2 = kb.articles[0], kb.articles[1]
     d1.ordinal, d2.ordinal = d2.ordinal, d1.ordinal
     with pytest.raises(AssertionError, match="ordinal"):
-        kb.validate()
+        check_kb(kb)
     d1.ordinal, d2.ordinal = d2.ordinal, d1.ordinal
-    kb.validate()
+    check_kb(kb)
     kb.nodes[d1.id] = dataclasses.replace(d1)  # an equal record, not the same one
     with pytest.raises(AssertionError, match="node slot"):
-        kb.validate()
+        check_kb(kb)
     kb.nodes[d1.id] = d1
     d1.id, d2.id = d2.id, d1.id
     with pytest.raises(AssertionError, match="node slot"):
-        kb.validate()
+        check_kb(kb)
 
 
 def test_tokenization_rules_saved_loaded_and_applied(tmp_path):
@@ -240,7 +240,7 @@ def test_save_load_round_trip_scores(tmp_path, c2):
     path = tmp_path / "c2.mcrx"
     save_index(c2, str(path))
     loaded = load_index(str(path))
-    loaded.validate()
+    check_kb(loaded)
     before = {c2.nodes[a].label: v for a, v in activate(c2, "a b").items()}
     after = {loaded.nodes[a].label: v for a, v in activate(loaded, "a b").items()}
     assert before == after  # bit-identical, not just approximately equal
@@ -372,11 +372,12 @@ def test_load_equals_build_node_for_node(tmp_path):
         resaved = tmp_path / f"{trial}-again.mcrx"
         save_index(loaded, str(resaved))
         assert resaved.read_bytes() == path.read_bytes()
-        loaded.validate()
+        check_kb(loaded)
 
         # load adds every word first, in token order; words pair up by token
         to_loaded = {w: loaded.word_id(built.nodes[w].label) for w in built.word_ids()}
-        for label in built.article_labels():
+        labels = sorted(article.label for article in built.articles)
+        for label in labels:
             to_loaded[built.article_id(label)] = loaded.article_id(label)
         assert len(loaded.nodes) == len(built.nodes) == len(to_loaded)
         assert sorted(to_loaded.values()) == list(range(len(loaded.nodes)))
@@ -398,7 +399,7 @@ def test_load_equals_build_node_for_node(tmp_path):
                 b.runs.paragraph_sentences,
             )
 
-        texts = [docs[label] for label in built.article_labels()]
+        texts = [docs[label] for label in labels]
         segmented = [segment(text) for text in texts]
         tokens = {
             token
@@ -415,7 +416,7 @@ def test_load_equals_build_node_for_node(tmp_path):
         ]
 
         query = docs[rng.choice(sorted(docs))]
-        for label, paragraphs in zip(built.article_labels(), segmented):
+        for label, paragraphs in zip(labels, segmented):
             built_id, loaded_id = built.article_id(label), loaded.article_id(label)
             assert reconstruct(built, built_id) == reconstruct(loaded, loaded_id) == paragraphs
             assert loaded.runs(loaded_id) == [
@@ -432,7 +433,7 @@ def test_load_equals_build_node_for_node(tmp_path):
             to_loaded[w]: built.df(w) for w in built.word_ids()
         }
         assert loaded.total_tokens == built.total_tokens
-        built.validate()
+        check_kb(built)
 
 
 @pytest.mark.parametrize("how", ["write", "replace"])
@@ -482,12 +483,29 @@ def test_load_refuses_a_blank_line_inside_the_file(tmp_path):
     assert (error.line, str(error)) == (5, "line 5: blank line inside index")
 
 
+def test_load_reports_header_faults_first_then_each_word_in_file_order(tmp_path):
+    path, lines = save_c2(tmp_path)
+    header, a, _, c = lines[:4]
+    assert c == b'{"t":"word","tok":"c","df":1,"w":1.0986122886681098}'
+    lines[0] = header.replace(b'"total_tokens":4', b'"total_tokens":5')
+    lines[3] = c.replace(b'"df":1', b'"df":2')
+    error = load_error(path, lines)
+    assert str(error) == "line 1: header total_tokens=5 but file sums to 4"
+    lines[0] = header
+    lines[1] = a.replace(b'"w":1.0986122886681098', b'"w":1.5')
+    error = load_error(path, lines)
+    assert str(error) == "line 2: stored weight 1.5 for 'a' is not ln(1 + D/df)"
+    lines[1] = a
+    error = load_error(path, lines)
+    assert str(error) == "line 4: stored df 2 for 'c' disagrees with derived df 1"
+
+
 def test_load_reads_a_file_without_a_final_newline(tmp_path):
     path, lines = save_c2(tmp_path)
     assert lines[-1] == b""
     path.write_bytes(b"\n".join(lines[:-1]))
     loaded = load_index(str(path))
-    loaded.validate()
+    check_kb(loaded)
     resaved = tmp_path / "resaved.mcrx"
     save_index(loaded, str(resaved))
     assert resaved.read_bytes() == b"\n".join(lines)

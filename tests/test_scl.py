@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,37 @@ def test_exit_criteria_requires_a_bound():
         ExitCriteria()
     with pytest.raises(ValueError):
         ExitCriteria(max_iterations=0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_iterations": True},
+        {"max_iterations": 2.5},
+        {"max_iterations": 2.0},
+        {"max_iterations": "5"},
+        {"max_seconds": float("nan")},
+        {"max_seconds": float("inf")},
+        {"max_seconds": -1.0},
+        {"max_seconds": True},
+        {"max_seconds": "5"},
+        {"score_threshold": float("nan")},
+        {"score_threshold": True},
+        {"score_threshold": "100"},
+        {"max_iterations": 10, "max_seconds": float("nan")},
+        {"max_iterations": 10, "score_threshold": False},
+    ],
+)
+def test_exit_criteria_refuses_bounds_that_cannot_trip(bounds):
+    with pytest.raises(ValueError):
+        ExitCriteria(**bounds)
+
+
+def test_exit_criteria_accepts_finite_bounds():
+    criteria = ExitCriteria(max_iterations=1, max_seconds=0, score_threshold=-1)
+    assert replace(criteria, score_threshold=100.0).score_threshold == 100.0
+    assert ExitCriteria(max_seconds=0.5).max_seconds == 0.5
+    assert ExitCriteria(score_threshold=float("inf")).score_threshold == float("inf")
 
 
 def test_threshold_exit_on_first_candidate():

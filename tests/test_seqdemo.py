@@ -24,7 +24,7 @@ def test_learn_introduces_primitive_and_composite():
     assert result.composite_created
     composite = akb.get(result.composite_id)
     assert composite.children == ("U", "U", "L")
-    assert akb.net_effect(result.composite_id) == (-1, 2)
+    assert composite.net == (-1, 2)
 
 
 def test_learn_replay_deduplicates():
@@ -51,7 +51,7 @@ def test_parse_soundness_flattening():
     states = [(0, 0), (0, 1), (0, 2), (0, 1), (0, 2), (-1, 2)]
     deltas = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(states, states[1:])]
     result = learn_demonstration(akb, states)
-    assert list(akb.flattened(result.composite_id)) == deltas
+    assert list(akb.get(result.composite_id).flat) == deltas
 
 
 def test_non_unit_unknown_delta_rejected():
@@ -99,14 +99,14 @@ def test_too_short_demonstration_rejected():
 def test_net_effect_primitive_and_composite():
     akb = up_down_kb()
     akb.add_primitive("L", (-1, 0))
-    assert akb.net_effect("U") == (0, 1)
+    assert akb.get("U").net == (0, 1)
     flat_id, _ = akb.add_composite(["U", "U", "L"])
-    assert akb.net_effect(flat_id) == (-1, 2)
+    assert akb.get(flat_id).net == (-1, 2)
     inner, _ = akb.add_composite(["U", "U"])
     outer, _ = akb.add_composite([inner, "L", "U"])
-    assert akb.net_effect(outer) == (-1, 3)
+    assert akb.get(outer).net == (-1, 3)
     with pytest.raises(MissingNodeError):
-        akb.net_effect("Z")
+        akb.get("Z")
 
 
 def test_execute():
@@ -135,7 +135,7 @@ def test_solve_three_step_target():
     assert len(result.sequence) == 3  # BFS minimum for distance 3
     assert execute(akb, result.sequence, (0, 0)) == (2, 1)
     assert result.composite_id is not None and result.composite_created
-    assert akb.net_effect(result.composite_id) == (2, 1)
+    assert akb.get(result.composite_id).net == (2, 1)
 
 
 def test_solve_unreachable_exits_on_iterations():
@@ -157,7 +157,7 @@ def test_solve_requires_actions():
 def test_solve_randomized_against_bfs_oracle():
     rng = random.Random(20260101)
     akb = default_actions()
-    effects = [akb.net_effect(a) for a in akb.known_ids()]
+    effects = [action.net for action in akb]
     for _ in range(50):
         start = (rng.randint(-5, 5), rng.randint(-5, 5))
         target = (start[0] + rng.randint(-7, 7), start[1] + rng.randint(-7, 7))
@@ -195,9 +195,8 @@ def test_action_kb_round_trip(tmp_path):
     save_actions(akb, str(path))
     loaded = load_actions(str(path))
     assert set(loaded.known_ids()) == set(akb.known_ids())
-    for action_id in akb.known_ids():
-        assert loaded.net_effect(action_id) == akb.net_effect(action_id)
-        assert loaded.flattened(action_id) == akb.flattened(action_id)
+    for action in akb:
+        assert loaded.get(action.id) == action
 
 
 @pytest.mark.parametrize("how", ["write", "replace"])
@@ -242,3 +241,18 @@ def test_add_primitive_rejects_non_int_effect_and_non_str_label(label, effect):
 def test_solve_rejects_coordinates_beyond_limit():
     with pytest.raises(ValueError):
         solve(default_actions(), (0, 0), (2**53 + 1, 0))
+
+
+@pytest.mark.parametrize("point", [(0.5, 0), (0.9, 0), (0, 1.0), (True, 0), (0, False), ("1", 0)])
+def test_non_int_coordinates_are_refused_not_truncated(point):
+    akb = default_actions()
+    with pytest.raises(ValueError):
+        solve(akb, point, (3, 0))
+    with pytest.raises(ValueError):
+        solve(akb, (3, 0), point)
+    with pytest.raises(ValueError):
+        execute(akb, ["R"], point)
+    for states in ([point, (1, 1)], [(0, 1), (0, 0), point]):
+        with pytest.raises(InvalidDemonstrationError):
+            learn_demonstration(akb, states)
+    assert akb.known_ids() == ["U", "D", "L", "R"]
