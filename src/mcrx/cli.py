@@ -13,8 +13,8 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .activation import trace as trace_op
 from .errors import (
     CorpusFormatError,
     EmptyIndexError,
@@ -25,18 +25,10 @@ from .errors import (
     UnscorableQueryError,
     VersionMismatchError,
 )
-from .ingest import (
-    TokenizationRules,
-    build_corpus,
-    read_corpus_dir,
-    read_corpus_jsonl,
-    read_utf8,
-    reconstruct,
-)
-from .kb import DEFAULT_LEVELS, WORD, KnowledgeBase, load_index, render_real, save_index
-from .similarity import (
-    DEFAULT_CANDIDATES, DEFAULT_RESULTS, QueryScorer, escape_field, results_to_tsv
-)
+from .textfile import read_utf8
+
+if TYPE_CHECKING:
+    from .kb import KnowledgeBase
 
 # the exit code of each kind of failure, as the README lists them
 EXIT_CODES = {
@@ -49,6 +41,17 @@ EXIT_CODES = {
 }
 
 TRACE_LEVELS = ("word", "sentence", "paragraph")  # indexed by level number
+
+# imported on first use, then bound here, where a bench trace hook may replace
+# them; the commands call them through __getattr__, so a replacement runs
+_BOUND_ON_USE = ("read_corpus_jsonl", "build_corpus", "save_index", "load_index")
+
+
+def __getattr__(name: str):
+    if name not in _BOUND_ON_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the package's export table names the module that defines each one
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 class CliError(Exception):
@@ -120,6 +123,8 @@ def _read_doc(path: str) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> None:
+    from .ingest import TokenizationRules, read_corpus_dir
+
     if args.min_token_len < 1:
         raise CliError("malformed", "need --min-token-len >= 1")
     rules = TokenizationRules(lowercase=args.lowercase, min_token_len=args.min_token_len)
@@ -130,14 +135,14 @@ def cmd_build(args: argparse.Namespace) -> None:
         if Path(args.corpus).is_dir():
             docs = read_corpus_dir(args.corpus)
         else:
-            docs = read_corpus_jsonl(args.corpus)
-    kb, skipped = build_corpus(docs, rules)
+            docs = __getattr__("read_corpus_jsonl")(args.corpus)
+    kb, skipped = __getattr__("build_corpus")(docs, rules)
     for doc_id in skipped:
         print(f"skipping empty document {doc_id!r}", file=sys.stderr)
     if kb.article_count == 0:
         raise CliError("no documents", "no ingestable documents in the corpus")
     with _failing("unreadable", "cannot write index: ", OSError):
-        save_index(kb, args.index)
+        __getattr__("save_index")(kb, args.index)
     print(f"{kb.article_count} documents, {kb.word_count} words, {kb.total_tokens} tokens")
 
 
@@ -145,7 +150,7 @@ def _open_index(path: str) -> KnowledgeBase:
     with _failing(
         "unreadable", "cannot load index: ", OSError, IndexFormatError, VersionMismatchError
     ):
-        return load_index(path)
+        return __getattr__("load_index")(path)
 
 
 def _apply_attention_file(kb: KnowledgeBase, path: str) -> None:
@@ -163,7 +168,14 @@ def _apply_attention_file(kb: KnowledgeBase, path: str) -> None:
 
 
 def cmd_query(args: argparse.Namespace) -> None:
-    if not args.candidates >= args.top >= 1:
+    from .kb import render_real
+    from .similarity import DEFAULT_CANDIDATES, DEFAULT_RESULTS, QueryScorer
+    from .similarity import escape_field, results_to_tsv
+
+    # the defaults are read here, so that parsing the flags loads no similarity code
+    top = DEFAULT_RESULTS if args.top is None else args.top
+    candidates = DEFAULT_CANDIDATES if args.candidates is None else args.candidates
+    if not candidates >= top >= 1:
         raise CliError("malformed", "need --candidates >= --top >= 1")
     kb = _open_index(args.index)
     if args.attention is not None:
@@ -180,7 +192,7 @@ def cmd_query(args: argparse.Namespace) -> None:
     ):
         scorer = QueryScorer(kb, text)
         watched = watch_read(scorer, labels) if labels else {}
-        results = scorer.top(args.candidates, args.top, not args.include_self)
+        results = scorer.top(candidates, top, not args.include_self)
 
     for label in labels:
         print(f"watch\t{label}\t{render_real(watched[label])}")
@@ -205,6 +217,8 @@ def _resolve_source(kb: KnowledgeBase, ref: str) -> int | str:
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
+    from .similarity import QueryScorer
+
     kb = _open_index(args.index)
     side_a = _resolve_source(kb, args.a)
     side_b = _resolve_source(kb, args.b)
@@ -217,6 +231,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> None:
+    from .activation import trace
+    from .ingest import reconstruct
+
     if args.top < 1:
         raise CliError("malformed", "need --top >= 1")
     kb = _open_index(args.index)
@@ -226,7 +243,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
         raise CliError("unknown id", f"unknown article id {args.dest!r}")
     level = TRACE_LEVELS.index(args.level)
     with _failing("unscorable", "", McrxError):
-        entries = trace_op(kb, source, destination, level, args.top)
+        entries = trace(kb, source, destination, level, args.top)
     paragraphs = reconstruct(kb, destination)
     for rank, entry in enumerate(entries, start=1):
         if entry.node_id is not None:
@@ -300,6 +317,8 @@ def _read_demo(path: str) -> list[tuple[int, int]]:
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
+    from .kb import DEFAULT_LEVELS, WORD
+
     kb = _open_index(args.index)
     weights = [
         node.weight for node in kb.nodes if node.level == WORD and kb.df(node.id)
@@ -309,8 +328,8 @@ def cmd_stats(args: argparse.Namespace) -> None:
     print(f"tokens: {kb.total_tokens}")
     for name, summary in (("min", min), ("max", max), ("mean", lambda w: sum(w) / len(w))):
         print(f"weight {name}: {summary(weights):.5f}" if weights else f"weight {name}: n/a")
-    for level, name in enumerate(DEFAULT_LEVELS):
-        print(f"nodes[{name}]: {kb.level_counts[level]}")
+    for name, count in zip(DEFAULT_LEVELS, kb.level_counts):
+        print(f"nodes[{name}]: {count}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="rank index documents against a query")
     p_query.add_argument("--index", required=True)
     p_query.add_argument("--doc", required=True, help="query file, or - for stdin")
-    p_query.add_argument("--top", type=int, default=DEFAULT_RESULTS)
-    p_query.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
+    p_query.add_argument("--top", type=int)
+    p_query.add_argument("--candidates", type=int)
     p_query.add_argument("--include-self", action="store_true")
     p_query.add_argument("--attention", default=None, help="JSON label->multiplier file")
     p_query.add_argument("--watch", default=None, help="comma-separated labels")

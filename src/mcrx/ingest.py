@@ -16,20 +16,10 @@ from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
-from .errors import (
-    CorpusFormatError,
-    DuplicateDocumentError,
-    EmptyDocumentError,
-    IndexFormatError,
-)
-from .kb import (
-    DEFAULT_RULES,
-    ArticleRuns,
-    KnowledgeBase,
-    TokenizationRules,
-    json_records,
-    read_utf8_text,
-)
+# IndexFormatError and read_utf8_text are unused here, but stay importable from ingest
+from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError, IndexFormatError
+from .kb import DEFAULT_RULES, ArticleRuns, KnowledgeBase, TokenizationRules
+from .textfile import json_records, read_utf8, read_utf8_text
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -186,14 +176,6 @@ def build_corpus(
     if kb.article_count:
         compute_weights(kb)
     return kb, skipped
-
-
-def read_utf8(path: str | Path) -> str:
-    """A file's text; OSError names the file and line of a non-UTF-8 byte."""
-    try:
-        return read_utf8_text(path)
-    except IndexFormatError as exc:
-        raise OSError(f"{path}: {exc}") from exc
 
 
 def read_corpus_dir(path: str) -> list[RawDocument]:

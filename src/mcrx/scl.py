@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import NoCandidateError, UnknownLabelError
-from .kb import KnowledgeBase, check_multiplier
-from .similarity import QueryScorer
+
+if TYPE_CHECKING:  # annotations only: scl-demo runs the loop without the index code
+    from .kb import KnowledgeBase
+    from .similarity import QueryScorer
 
 Generator = Callable[["Feedback | None"], Any]
 Critic = Callable[[Any], float]
@@ -142,6 +144,8 @@ def apply_rules(
     that is not a finite number >= 0 (a bool included) raises ValueError
     before any rule applies.
     """
+    from .kb import check_multiplier
+
     rules = {label: check_multiplier(value, f"rule {label!r}") for label, value in rules.items()}
     updated = kb.attention_snapshot()
     applied = 0

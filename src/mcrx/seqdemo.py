@@ -22,7 +22,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
-from .kb import json_records, read_utf8_text, write_lines_atomic
+from .textfile import json_records, read_utf8_text, write_lines_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]

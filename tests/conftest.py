@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-import mcrx.kb
+import mcrx.textfile
 from mcrx import RawDocument, build_corpus
 
 LN2 = math.log(2.0)
@@ -47,10 +47,14 @@ class HalfWrite:
 
 
 def fail_saves(monkeypatch, how):
-    """Make every save in mcrx.kb fail mid-write or at the final rename."""
+    """Make every save fail mid-write or at the final rename.
+
+    Index and action-file saves both write through
+    mcrx.textfile.write_lines_atomic, so its open is the one patched.
+    """
     if how == "write":
         monkeypatch.setattr(
-            mcrx.kb, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False
+            mcrx.textfile, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False
         )
     else:
 

@@ -1,6 +1,7 @@
 """The package's lazy export table, and the imports of its modules."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -60,18 +61,42 @@ def test_modules_import_only_the_standard_library():
     assert not foreign, foreign
 
 
-
 LAZY = """
+import json
 import sys
 import mcrx.cli
 
 def loaded():
     return sorted(name for name in sys.modules if name.startswith("mcrx."))
 
-assert "mcrx.scl" not in loaded() and "mcrx.seqdemo" not in loaded(), loaded()
-assert mcrx.cli.main(["query", "--index", sys.argv[1], "--doc", sys.argv[2]]) == 0
-assert "mcrx.scl" not in loaded() and "mcrx.seqdemo" not in loaded(), loaded()
+at_import = loaded()
+assert mcrx.cli.main(sys.argv[1:]) == 0
+print(json.dumps([at_import, loaded()]))
 """
+
+# what `import mcrx.cli` alone loads: the parser, the error types and text files
+CLI_ONLY = ["mcrx.cli", "mcrx.errors", "mcrx.textfile"]
+
+
+def loaded_by(*argv):
+    """Run main(argv) in a fresh interpreter: the command's stdout, and the
+    mcrx modules loaded after `import mcrx.cli` and after the command."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-c", LAZY, *map(str, argv)]
+    completed = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    *output, modules = completed.stdout.splitlines()
+    at_import, after = json.loads(modules)
+    return "\n".join(output), at_import, after
+
+
+def build_two_docs(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("a b c", encoding="utf-8")
+    (corpus / "d2.txt").write_text("b c d", encoding="utf-8")
+    return corpus, tmp_path / "index"
 
 
 def test_cli_query_loads_neither_scl_nor_seqdemo(tmp_path):
@@ -79,15 +104,48 @@ def test_cli_query_loads_neither_scl_nor_seqdemo(tmp_path):
     # them: scl-demo, and query with --watch or --attention
     from mcrx.cli import main
 
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "d1.txt").write_text("a b c", encoding="utf-8")
-    (corpus / "d2.txt").write_text("b c d", encoding="utf-8")
-    index = tmp_path / "index"
+    corpus, index = build_two_docs(tmp_path)
     assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    argv = [sys.executable, "-c", LAZY, str(index), str(corpus / "d1.txt")]
-    completed = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert completed.returncode == 0, completed.stderr
-    assert "d2" in completed.stdout
+    output, at_import, after = loaded_by("query", "--index", index, "--doc", corpus / "d1.txt")
+    assert "d2" in output
+    for modules in (at_import, after):
+        assert "mcrx.scl" not in modules and "mcrx.seqdemo" not in modules, modules
+
+
+def test_each_cli_command_imports_only_what_it_runs(tmp_path):
+    corpus, index = build_two_docs(tmp_path)
+    _, at_import, after = loaded_by("build", "--corpus", corpus, "--index", index)
+    assert at_import == CLI_ONLY
+    assert after == sorted([*CLI_ONLY, "mcrx.ingest", "mcrx.kb"])
+    # the grid-world demo runs no index, activation or similarity code
+    argv = ("scl-demo", "--kb", tmp_path / "actions", "--start", "0,0", "--target", "2,1")
+    output, at_import, after = loaded_by(*argv)
+    assert "sequence\t" in output
+    assert at_import == CLI_ONLY
+    assert after == sorted([*CLI_ONLY, "mcrx.scl", "mcrx.seqdemo"])
+
+
+# the names bench/benchtrace.py wraps as attributes of mcrx.cli
+HOOKED = ("read_corpus_jsonl", "build_corpus", "save_index", "load_index")
+
+
+def test_commands_call_the_cli_names_a_trace_hook_replaces(tmp_path, monkeypatch):
+    import mcrx.cli
+
+    calls = dict.fromkeys(HOOKED, 0)
+    for name in HOOKED:
+
+        def counted(*args, name=name, original=getattr(mcrx.cli, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mcrx.cli, name, counted)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id":"d1","text":"a b c"}\n{"id":"d2","text":"b c d"}\n', "utf-8")
+    index = tmp_path / "index"
+    assert mcrx.cli.main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+    assert calls == {"read_corpus_jsonl": 1, "build_corpus": 1, "save_index": 1, "load_index": 0}
+    doc = tmp_path / "query.txt"
+    doc.write_text("a b", "utf-8")
+    assert mcrx.cli.main(["query", "--index", str(index), "--doc", str(doc)]) == 0
+    assert calls["load_index"] == 1
