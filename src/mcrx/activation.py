@@ -16,24 +16,31 @@ Each word's postings group article ordinals by term frequency, so a
 word's term factor * tf is computed once per group. Collection sums the
 terms exactly, in integers: every term is a float, so all terms of one
 query are integer multiples of one power-of-two unit (see collect), and
-each article's sum is one integer. collect returns those integers as an
+each article's sum is one integer. collect visits the query's words by
+weight, the commonest (least weight, largest df) first, ties in bag
+order: the first word's terms are assigned to the sums, all still 0, and
+every later word's terms are added. No article's sum exceeds bound, the
+sum of each word's largest term, so one division of bound settles that
+every sum divides into the float range; only when bound does not is the
+largest sum found and divided. collect returns those integers as an
 ActivationMap: an article's float value is made only when it is read,
 by one int / int division that rounds correctly, the same value
 math.fsum gives. Choosing the top k (ActivationMap.top) compares the
-integers and divides only the sums it may keep; iterating the whole map,
-as activate's callers do, divides every activated article's sum. The
-accumulator is local to the call: concurrent queries on one knowledge
-base share no collect state, and an interrupted pass leaves nothing
-behind (inserting articles while another thread queries is not
+integers and divides only the sums it may keep, and top_values hands
+those floats on, so a candidate's sum is divided once; iterating the
+whole map, as activate's callers do, divides every activated article's
+sum. The accumulator is local to the call: concurrent queries on one
+knowledge base share no collect state, and an interrupted pass leaves
+nothing behind (inserting articles while another thread queries is not
 supported). An exact sum past the float range, or an infinite word
 factor (finite attention multipliers near 1e308), raises
-UnscorableQueryError from collect itself. Because
-the sums are exactly rounded, activation values are bit-identical
-regardless of ingestion order, of the order or partition of the summed
-terms, and of save/load cycles. Every other activation, one bag's
-emission collected on another bag (collect_on_bag, the reverse pass of
-similarity.QueryScorer, trace's per-member shares), is one math.fsum
-over the words the two bags share (_bag_sum).
+UnscorableQueryError from collect itself. Because the sums are exactly
+rounded, activation values are bit-identical regardless of ingestion
+order, of the order or partition of the summed terms, and of save/load
+cycles. Every other activation, one bag's emission collected on another
+bag (collect_on_bag, the reverse pass of similarity.QueryScorer, trace's
+per-member shares), is one math.fsum over the words the two bags share
+(_bag_sum).
 
 Sentences and paragraphs never modulate cross-document activation;
 trace reads an article's packed runs only to attribute its activation
@@ -46,6 +53,7 @@ import heapq
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import EmptyDocumentError, MissingNodeError, StaleWeightsError, UnscorableQueryError
 from .ingest import tokenize
@@ -180,15 +188,10 @@ class ActivationMap(Mapping):
 
     def value(self, article: Article) -> float:
         """An article record's value, 0.0 for one absent from the map."""
-        return self.pre_and_value(article)[1]
-
-    def pre_and_value(self, article: Article) -> tuple[float, float]:
-        """An article record's value before its multiplier, and its value."""
         ordinal = article.ordinal
         if ordinal < len(self.sums):
-            pre = self.sums[ordinal] / self.scale
-            return pre, pre * self._multipliers.get(ordinal, 1.0)
-        return 0.0, 0.0  # inserted after the collect
+            return self.sums[ordinal] / self.scale * self._multipliers.get(ordinal, 1.0)
+        return 0.0  # inserted after the collect
 
     def __iter__(self) -> Iterator[int]:
         scale, multipliers, articles = self.scale, self._multipliers, self._kb.articles
@@ -222,6 +225,13 @@ class ActivationMap(Mapping):
         divided and sorted. ValueError for a k that is not an int (a bool
         is not) or is below 1.
         """
+        return [article.id for article, _, _ in self.top_values(k)]
+
+    def top_values(self, k: int) -> list[tuple[Article, float, float]]:
+        """top(k) as (article record, value before its multiplier, value) triples.
+
+        value gives the same float, dividing again.
+        """
         if type(k) is not int or k < 1:
             raise ValueError("need int k >= 1")
         sums, scale, multipliers = self.sums, self.scale, self._multipliers
@@ -235,11 +245,12 @@ class ActivationMap(Mapping):
         articles = self._kb.articles
         values = []
         for ordinal in kept:
-            value = sums[ordinal] / scale * multipliers.get(ordinal, 1.0)
+            pre = sums[ordinal] / scale
+            value = pre * multipliers.get(ordinal, 1.0)
             if value != 0.0:
-                values.append((value, articles[ordinal]))
-        values.sort(key=lambda item: (-item[0], item[1].label))
-        return [article.id for _, article in values[:k]]
+                values.append((articles[ordinal], pre, value))
+        values.sort(key=lambda item: (-item[2], item[0].label))
+        return values[:k]
 
 
 def _least_rounding_to(t: int, scale: int) -> int:
@@ -275,11 +286,16 @@ def collect(
     if not kb.weights_computed:
         raise StaleWeightsError("compute weights before running activation")
     nodes, length = kb.nodes, emission.length
-    factors = []  # (word id, e(w) * m(w) * wt(w)); zero factors drop out
+    factors = []  # (wt(w), word id, e(w) * m(w) * wt(w)); zero factors drop out
     for word_id, count in emission.bag.items():
-        factor = count / length * attention.get(word_id, 1.0) * nodes[word_id].weight
+        weight = nodes[word_id].weight
+        factor = count / length * attention.get(word_id, 1.0) * weight
         if factor != 0.0:
-            factors.append((word_id, factor))
+            factors.append((weight, word_id, factor))
+    # the commonest word first: wt(w) = ln(1 + D/df) falls as df grows, and
+    # ties keep bag order
+    factors.sort(key=itemgetter(0))
+    postings = kb.postings
     try:
         # A float factor is n / 2**k (as_integer_ratio). A term factor * tf,
         # tf >= 1, is at least factor: either exact, hence a multiple of
@@ -288,17 +304,33 @@ def collect(
         # thus a whole number of units 1/scale, scale the largest factor
         # denominator, and the sums below are exact integers.
         # OverflowError: an infinite factor or term.
-        scale = max((factor.as_integer_ratio()[1] for _, factor in factors), default=1)
+        scale = max((factor.as_integer_ratio()[1] for _, _, factor in factors), default=1)
         sums = [0] * len(kb.articles)
-        for word_id, factor in factors:
-            for tf, ordinals in kb.postings[word_id].items():
+        # an article sits in one tf group per word, so the first word's
+        # terms are assigned to sums that are all still 0, and bound, the
+        # sum of each word's largest term, is at least every article's sum
+        bound = 0
+        for position, (_, word_id, factor) in enumerate(factors):
+            largest = 0
+            for tf, ordinals in postings[word_id].items():
                 n, d = (factor * tf).as_integer_ratio()
                 units = n * (scale // d)
-                for ordinal in ordinals:
-                    sums[ordinal] += units
+                if units > largest:
+                    largest = units
+                if position:
+                    for ordinal in ordinals:
+                        sums[ordinal] += units
+                else:
+                    for ordinal in ordinals:
+                        sums[ordinal] = units
+            bound += largest
         # every sum is >= 0, so if the largest divides into the float range
-        # (OverflowError otherwise), so does every other
-        max(sums, default=0) / scale
+        # (OverflowError otherwise), so does every other; bound stands in
+        # for it, and the exact largest is found only when bound does not
+        try:
+            bound / scale
+        except OverflowError:
+            max(sums) / scale
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
     multipliers = {}

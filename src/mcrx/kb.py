@@ -16,8 +16,9 @@ load_index call with ArticleRuns.pack(paragraphs of sentences of
 (word id, count) runs). It checks the runs, stores them as arrays and
 fills the article's token bag and postings from them (kb.df(word_id) is
 read off the postings, which group each word's article ordinals by term
-frequency, each group a 32-bit integer array); kb.runs(article_id) gives
-the nested form back.
+frequency, each group a list that holds the article's own ordinal int, so
+every entry of one article is the same object and reading a group makes
+no new int); kb.runs(article_id) gives the nested form back.
 
 The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
@@ -182,8 +183,9 @@ class KnowledgeBase:
         self._article_ids: dict[str, int] = {}
         self.attention: dict[int, float] = {}
         # word id -> tf -> ordinals of the articles holding the word tf times,
-        # ascending, as array('i'); add_word gives every word an entry
-        self.postings: dict[int, dict[int, array]] = {}
+        # ascending, as a list of each Article.ordinal object; add_word gives
+        # every word an entry
+        self.postings: dict[int, dict[int, list[int]]] = {}
         self.tokenization = DEFAULT_RULES
         self.weights_computed = True  # vacuously true while empty
 
@@ -304,7 +306,7 @@ class KnowledgeBase:
             groups = postings[word_id]
             group = groups.get(count)
             if group is None:
-                groups[count] = array("i", (ordinal,))
+                groups[count] = [ordinal]
             else:
                 group.append(ordinal)
         return article_id

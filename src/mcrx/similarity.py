@@ -4,7 +4,8 @@ The forward pass activates the whole corpus from the query and the
 best-activated articles become candidates. The forward values stay
 collect's exact integer sums (activation.ActivationMap): a heap finds
 the cut on the integers, and only the articles at or above it, plus
-those with an article multiplier, are divided into floats and sorted.
+those with an article multiplier, are divided into floats and sorted;
+the candidates' estimates and scores read those floats back.
 Each candidate is then re-scored in reverse (its own emission collected
 on the query's token bag) by activation._bag_sum, straight from the
 article's bag and length: one exact sum over the words the article and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 from .activation import Source, _bag_sum, collect, collect_on_bag, emit
 from .errors import EmptyIndexError, UnscorableQueryError
-from .kb import KnowledgeBase, render_real
+from .kb import Article, KnowledgeBase, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
@@ -107,6 +108,9 @@ class QueryScorer:
         self.self_activation = collect_on_bag(
             kb, self.emission, self.emission.bag, self.attention
         )
+        # article id -> (its record, forward value before its multiplier,
+        # forward value) for each candidate so far
+        self._kept: dict[int, tuple[Article, float, float]] = {}
         if self.self_activation == 0.0:
             raise UnscorableQueryError(self.emission.unknown_words)
         self.self_raw = combine(self.self_activation, self.self_activation)
@@ -118,10 +122,12 @@ class QueryScorer:
 
         Raises ValueError for k < 1.
         """
-        top = self.forward_map.top(k)
+        top = self.forward_map.top_values(k)
         if exclude_self and self.source_article is not None:
-            top = [a for a in top if a != self.source_article]
-        return top
+            top = [item for item in top if item[0].id != self.source_article]
+        # score and _estimates read these floats back instead of dividing again
+        self._kept.update((item[0].id, item) for item in top)
+        return [article.id for article, _, _ in top]
 
     def score(self, target: Source) -> RankedResult:
         """Score an article id or a text against the query.
@@ -137,7 +143,8 @@ class QueryScorer:
             article = kb.article(target)
             article_id, label, title = target, article.label, kb.title(target)
             bag, length = article.bag, article.length
-            forward = self.forward_map.value(article)
+            kept = self._kept.get(target)
+            forward = self.forward_map.value(article) if kept is None else kept[2]
         else:
             emission = emit(kb, target)
             article_id, label, title = None, "", ""
@@ -199,10 +206,10 @@ class QueryScorer:
     # fails, every candidate is scored: today's results and today's
     # UnscorableQueryErrors.
     def _estimates(self, candidates: list[int]) -> list[float] | None:
-        """raw~ per candidate, or None where the bound does not hold."""
+        """raw~ per candidate, ids that candidates gave, or None where the bound does not hold."""
         nodes, attention, emission = self.kb.nodes, self.attention, self.emission
-        articles = [nodes[c] for c in candidates]
-        floor = _TINY * max(emission.length, max(article.length for article in articles))
+        kept = [self._kept[c] for c in candidates]
+        floor = _TINY * max(emission.length, max(item[0].length for item in kept))
         for word_id in emission.bag:
             m = attention.get(word_id, 1.0)
             weight = nodes[word_id].weight
@@ -210,11 +217,10 @@ class QueryScorer:
                 return None
         low = _TINY * max(1.0, self.self_raw)
         high = _HUGE * min(1.0, self.self_raw)
-        pre_and_value, length, log1p = self.forward_map.pre_and_value, emission.length, math.log1p
+        length, log1p = emission.length, math.log1p
         estimates = []
-        for article in articles:
-            # forward is the float score reads through ActivationMap.value
-            pre, forward = pre_and_value(article)
+        # forward is the float score reads
+        for article, pre, forward in kept:
             reverse = pre * length / article.length
             raw = reverse * log1p(forward)
             if not (reverse <= _HUGE and low <= raw <= high):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from array import array
 from collections import Counter, deque
 
 from mcrx.activation import emit
@@ -68,9 +67,14 @@ def check_kb(kb):
         if bag != article.bag or sum(bag.values()) != article.length:
             raise AssertionError(f"stored bag of article {article.id} disagrees with its runs")
         for word_id, count in bag.items():
-            derived_postings.setdefault(word_id, {}).setdefault(count, array("i")).append(ordinal)
-    if derived_postings != {w: groups for w, groups in kb.postings.items() if groups}:
+            derived_postings.setdefault(word_id, {}).setdefault(count, []).append(ordinal)
+    postings = {w: groups for w, groups in kb.postings.items() if groups}
+    if derived_postings != postings:
         raise AssertionError("postings disagree with the runs")
+    for groups in postings.values():
+        for group in groups.values():
+            if type(group) is not list or any(o is not kb.articles[o].ordinal for o in group):
+                raise AssertionError("a posting group is not a list of its articles' ordinals")
     if kb._article_ids != {article.label: article.id for article in kb.articles}:
         raise AssertionError("article label table disagrees with the articles")
 

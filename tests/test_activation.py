@@ -338,23 +338,47 @@ class InterruptingGroups(dict):
         raise KeyboardInterrupt
 
 
+def visit_order(kb, emission):
+    """The query words in the order collect visits them: commonest first, ties in bag order."""
+    return sorted(emission.bag, key=lambda word_id: kb.nodes[word_id].weight)
+
+
+def interrupt_collect(kb, emission, word_id):
+    groups = kb.postings[word_id]
+    kb.postings[word_id] = InterruptingGroups(groups)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            collect(kb, emission, {})
+    finally:
+        kb.postings[word_id] = groups
+
+
+def assert_answers_as_fresh(kb, docs, queries):
+    for query in queries:
+        assert labeled(kb, activate(kb, query)) == expected(docs, query)
+        assert rows(rank(kb, query, k=8, n=5)) == rows(rank(fresh(docs), query, k=8, n=5))
+
+
 def test_interrupted_collect_leaves_no_state():
     docs = bin_corpus(41)
     kb = fresh(docs)
     query = docs[3].body
     emission = emit(kb, query)
-    # the query's last word: the sums already hold every other word's terms
-    last = list(emission.bag)[-1]
-    groups = kb.postings[last]
-    kb.postings[last] = InterruptingGroups(groups)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            collect(kb, emission, {})
-    finally:
-        kb.postings[last] = groups
-    for follow_up in (query, docs[5].body, "w1 w2"):
-        assert labeled(kb, activate(kb, follow_up)) == expected(docs, follow_up)
-        assert rows(rank(kb, follow_up, k=8, n=5)) == rows(rank(fresh(docs), follow_up, k=8, n=5))
+    # the word collect visits last: the sums already hold every other word's terms
+    interrupt_collect(kb, emission, visit_order(kb, emission)[-1])
+    assert_answers_as_fresh(kb, docs, (query, docs[5].body, "w1 w2"))
+
+
+def test_collect_interrupted_on_its_assigned_first_word_leaves_no_state():
+    docs = bin_corpus(42)
+    kb = fresh(docs)
+    query = docs[4].body
+    emission = emit(kb, query)
+    # the commonest word, whose terms are assigned, not added: no sum holds a term yet
+    order = visit_order(kb, emission)
+    assert kb.nodes[order[0]].weight < kb.nodes[order[-1]].weight
+    interrupt_collect(kb, emission, order[0])
+    assert_answers_as_fresh(kb, docs, (query, docs[6].body, "w1 w2"))
 
 
 def test_exact_sum_past_float_range_is_unscorable():
@@ -480,6 +504,108 @@ def test_collect_equals_fsum_oracle():
             assert list(got.items()) == list(oracle.items())
             checked += 1
     assert checked > 300 and unscorable > 0
+
+
+class RecordingPostings(dict):
+    """kb.postings that records the word of each lookup."""
+
+    def __init__(self, postings):
+        super().__init__(postings)
+        self.looked_up = []
+
+    def __getitem__(self, word_id):
+        self.looked_up.append(word_id)
+        return super().__getitem__(word_id)
+
+
+def collect_and_order(kb, emission, attention):
+    """collect's map and the words whose postings it read, in order."""
+    kb.postings = recording = RecordingPostings(kb.postings)
+    try:
+        return collect(kb, emission, attention), recording.looked_up
+    finally:
+        kb.postings = dict(recording)
+
+
+def test_collect_visits_the_commonest_word_first_and_skips_muted_ones():
+    """Every word with a nonzero factor once, by weight, ties in bag order; values as fsum."""
+    rng = random.Random(2025)
+    muted_first = 0
+    for _ in range(60):
+        docs = repeated_corpus(rng)
+        kb, _ = build_corpus(docs)
+        labels = [kb.nodes[w].label for w in kb.word_ids()]
+        for _ in range(4):
+            emission = emit(kb, " ".join(rng.choices(labels, k=rng.randint(2, 6))))
+            order = visit_order(kb, emission)
+            # the commonest word muted, or one drawn word set to 3.0
+            attention = {order[0]: 0.0} if rng.random() < 0.5 else {rng.choice(order): 3.0}
+            got, visited = collect_and_order(kb, emission, attention)
+            assert visited == [w for w in order if attention.get(w, 1.0) != 0.0]
+            assert list(got.items()) == list(fsum_collect(kb, emission, attention).items())
+            muted_first += attention.get(order[0]) == 0.0 and len(visited) > 0
+    assert muted_first > 50
+
+
+def test_collect_words_tied_on_weight_visit_in_bag_order():
+    rng = random.Random(2026)
+    for _ in range(30):
+        # every word lies in every article: each has df = D and one weight
+        vocab = [f"w{i}" for i in range(rng.randint(2, 6))]
+        docs = [
+            RawDocument(f"d{i}", " ".join(rng.sample(vocab, len(vocab)) * rng.randint(1, 3)))
+            for i in range(rng.randint(2, 8))
+        ]
+        kb, _ = build_corpus(docs)
+        assert len({kb.nodes[w].weight for w in kb.word_ids()}) == 1
+        emission = emit(kb, " ".join(rng.choices(vocab, k=rng.randint(2, 8))))
+        got, visited = collect_and_order(kb, emission, {})
+        assert visited == list(emission.bag)
+        assert list(got.items()) == list(fsum_collect(kb, emission, {}).items())
+
+
+def test_collect_single_word_queries():
+    rng = random.Random(2027)
+    for _ in range(40):
+        docs = repeated_corpus(rng)
+        kb, _ = build_corpus(docs)
+        for word_id in kb.word_ids():
+            label = kb.nodes[word_id].label
+            for query in (label, " ".join([label] * rng.randint(2, 5)) + " unseen"):
+                emission = emit(kb, query)
+                got, visited = collect_and_order(kb, emission, {})
+                assert visited == [word_id]
+                assert list(got.items()) == list(fsum_collect(kb, emission, {}).items())
+
+
+@pytest.mark.parametrize(
+    "texts, scorable",
+    [
+        # the largest terms, a's in d1 and b's in d2, sit in different articles
+        ({"d1": "a a b", "d2": "a b b", "d3": "c"}, True),
+        # the twin: d1 holds both largest terms, and its sum leaves the float range
+        ({"d1": "a a b b", "d2": "a b", "d3": "c"}, False),
+    ],
+)
+def test_collect_bound_past_float_range(texts, scorable):
+    """The sum of each word's largest term overflows; collect raises only if a sum does."""
+    kb = make_kb(texts)
+    a, b = kb.word_id("a"), kb.word_id("b")
+    attention = {a: 1.2e308, b: 1.2e308}
+    emission = emit(kb, "a b")
+    factor = 0.5 * 1.2e308 * kb.nodes[a].weight
+    assert factor == 0.5 * 1.2e308 * kb.nodes[b].weight
+    with pytest.raises(OverflowError):
+        math.fsum([factor * 2, factor * 2])  # the bound
+    oracle = fsum_collect(kb, emission, attention)
+    if scorable:
+        got = collect(kb, emission, attention)
+        assert list(got.items()) == list(oracle.items())
+        assert got[kb.article_id("d1")] == math.fsum([factor * 2, factor])
+    else:
+        assert oracle is None
+        with pytest.raises(UnscorableQueryError):
+            collect(kb, emission, attention)
 
 
 def test_infinite_word_factor_is_unscorable():

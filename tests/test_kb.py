@@ -111,14 +111,15 @@ def test_article_count_must_be_positive_int(count):
     assert kb.article_count == 0 and len(kb.nodes) == 1
 
 
-def test_runs_and_posting_groups_are_32_bit_arrays():
+def test_runs_are_32_bit_arrays_and_posting_groups_lists():
     kb = KnowledgeBase()
     word = kb.add_word("x")
     article = kb.add_article("doc1", ArticleRuns.pack([[((word, 2**31 - 1),)]]))
     packed = kb.article(article).runs
     for values in (packed.words, packed.counts, packed.sentence_runs, packed.paragraph_sentences):
         assert (values.typecode, values.itemsize) == ("i", 4)
-    assert kb.postings[word] == {2**31 - 1: array("i", [0])}
+    assert kb.postings[word] == {2**31 - 1: [0]}
+    assert type(kb.postings[word][2**31 - 1]) is list
     with pytest.raises(ValueError, match="out of range"):
         kb.add_article("doc2", ArticleRuns.pack([[((word, 2**31),)]]))
     assert kb.article_count == 1
@@ -192,7 +193,7 @@ def test_validate_checks_every_tf_group(corrupt):
     a = kb.word_id("a")
     assert {tf: list(group) for tf, group in kb.postings[a].items()} == {2: [0], 1: [1]}
     check_kb(kb)
-    kb.postings[a] = {tf: array("i", group) for tf, group in corrupt.items()}
+    kb.postings[a] = {tf: list(group) for tf, group in corrupt.items()}
     assert kb.df(a) == 2  # a df count alone does not see it
     with pytest.raises(AssertionError, match="postings"):
         check_kb(kb)
@@ -358,6 +359,24 @@ def _trace_rows(kb, query, article_id, level):
         (None if e.node_id is None else kb.nodes[e.node_id].label, e.level, e.contribution, e.position)
         for e in trace(kb, query, article_id, level, 10**6)
     ]
+
+
+def test_posting_entries_are_their_articles_ordinal_objects(tmp_path):
+    # past 256 articles, where an ordinal is no longer one of CPython's
+    # cached small ints, so only sharing the article's own object passes
+    # each article opens a group (its own word u) and joins others (w, common)
+    docs = {f"d{i:03d}": f"u{i} w{i % 7} w{i % 11} w{i % 11} common" for i in range(300)}
+    built = make_kb(docs)
+    path = tmp_path / "index.mcrx"
+    save_index(built, str(path))
+    for kb in (built, load_index(str(path))):
+        groups = [group for by_tf in kb.postings.values() for group in by_tf.values()]
+        assert all(type(group) is list for group in groups)
+        entries = [ordinal for group in groups for ordinal in group]
+        assert len(entries) == sum(len(article.bag) for article in kb.articles)
+        assert max(entries) == 299
+        assert all(ordinal is kb.articles[ordinal].ordinal for ordinal in entries)
+        check_kb(kb)
 
 
 def test_load_equals_build_node_for_node(tmp_path):
