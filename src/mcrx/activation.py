@@ -6,9 +6,11 @@ then runs word -> article over posting lists:
 
     A(d) = m(d) * sum_w e(w) * m(w) * wt(w) * tf_d(w)
 
-with m(.) the attention multipliers. Emission normalization makes the
-metric length-asymmetric on purpose: a short text activates a long
-superset document more strongly than the reverse. activate is emit
+with m(.) the attention multipliers: kb.attention, or a per-call
+attention= map checked as kb.set_attention checks a multiplier
+(KnowledgeBase.attention_snapshot), so every term is >= 0. Emission
+normalization makes the metric length-asymmetric on purpose: a short
+text activates a long superset document more strongly than the reverse. activate is emit
 followed by collect; scoring a query against a target, in both
 directions, is similarity.QueryScorer's alone.
 
@@ -281,8 +283,7 @@ def collect(
     collection runs in one pass. UnscorableQueryError for an infinite
     factor or a sum past the float range.
     """
-    if attention is None:
-        attention = kb.attention_snapshot()
+    attention = kb.attention_snapshot(attention)
     if not kb.weights_computed:
         raise StaleWeightsError("compute weights before running activation")
     nodes, length = kb.nodes, emission.length
@@ -349,8 +350,7 @@ def collect_on_bag(
     attention: dict[int, float] | None = None,
 ) -> float:
     """Collect an emission against one explicit token bag."""
-    if attention is None:
-        attention = kb.attention_snapshot()
+    attention = kb.attention_snapshot(attention)
     return _bag_sum(kb, emission.bag, emission.length, bag, attention)
 
 
@@ -382,8 +382,7 @@ def trace(
         raise ValueError("trace level must be an int below the article level")
     if type(top_n) is not int or top_n < 1:
         raise ValueError("need int top_n >= 1")
-    if attention is None:
-        attention = kb.attention_snapshot()
+    attention = kb.attention_snapshot(attention)
     emission = emit(kb, source)
 
     if level == WORD:

@@ -25,7 +25,7 @@ from .errors import (
     UnscorableQueryError,
     VersionMismatchError,
 )
-from .textfile import read_utf8
+from .textfile import read_utf8, utf8_lines
 
 if TYPE_CHECKING:
     from .kb import KnowledgeBase
@@ -301,8 +301,9 @@ def cmd_scl_demo(args: argparse.Namespace) -> None:
 
 
 def _read_demo(path: str) -> list[tuple[int, int]]:
+    """The X,Y states of a demonstration file, one per non-blank line."""
     states = []
-    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
+    for line_no, raw in utf8_lines(path, name_file=True):
         stripped = raw.strip()
         if not stripped:
             continue

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
-# IndexFormatError and read_utf8_text are unused here, but stay importable from ingest
-from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError, IndexFormatError
+from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError
 from .kb import DEFAULT_RULES, ArticleRuns, KnowledgeBase, TokenizationRules
-from .textfile import json_records, read_utf8, read_utf8_text
+from .textfile import json_records, read_utf8
 
 # Unicode letters and digits; underscore is a separator like punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -200,11 +199,12 @@ def read_corpus_dir(path: str) -> list[RawDocument]:
 def read_corpus_jsonl(path: str) -> list[RawDocument]:
     """Read a JSONL corpus: one {"id","title"?,"text"} object per line.
 
-    A line that is not UTF-8 raises OSError with its line number.
+    Lines end at "\\n" only (see textfile). A line that is not UTF-8
+    raises OSError with its line number.
     """
     docs = []
     seen: dict[str, int] = {}
-    for line_no, record in json_records(read_utf8(path), CorpusFormatError):
+    for line_no, record in json_records(path, CorpusFormatError, name_file=True):
         doc_id = record.get("id")
         text = record.get("text")
         title = record.get("title")

@@ -24,7 +24,8 @@ The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
 
 Persistence uses the line-delimited MCRX-1 format, see save_index. Save
-and load stream the file one record at a time, so neither holds the
+and load stream the file one record at a time through textfile (the one
+reader and writer of every file mcrx touches), so neither holds the
 whole file's text. A save writes a temporary file beside the target and
 moves it into place, so a failed save leaves the old file intact.
 """
@@ -46,8 +47,7 @@ from .errors import (
     StaleWeightsError,
     VersionMismatchError,
 )
-# json_records and read_utf8_text are unused here, but stay importable from kb
-from .textfile import _parse_record, json_records, read_utf8_text, write_lines_atomic
+from .textfile import _parse_record, utf8_lines, write_lines_atomic
 
 WORD = 0
 SENTENCE = 1
@@ -329,9 +329,13 @@ class KnowledgeBase:
         else:
             self.attention[node_id] = multiplier
 
-    def attention_snapshot(self) -> dict[int, float]:
-        """Copy of the attention map, isolating a query from rule changes."""
-        return dict(self.attention)
+    def attention_snapshot(self, attention: dict | None = None) -> dict[int, float]:
+        """A query's attention map, isolated from later rule changes: a copy
+        of kb.attention, or of attention with each multiplier checked as
+        set_attention checks it. Keys are copied unchecked."""
+        if attention is None:
+            return dict(self.attention)
+        return {key: check_multiplier(value, f"node {key}") for key, value in attention.items()}
 
 
 def save_index(kb: KnowledgeBase, path: str) -> None:
@@ -383,70 +387,56 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
         yield json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def _utf8_lines(handle: Iterable[bytes]) -> Iterator[tuple[int, str]]:
-    """Number and text of each line of a binary file, without its b"\\n".
-
-    Lines end at b"\\n" only. Each is decoded by itself, line break
-    included, so a bad byte gets the reason a whole-file decode would
-    give; IndexFormatError names the line of the first non-UTF-8 byte.
-    """
-    for number, raw in enumerate(handle, start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"not UTF-8 text ({exc.reason})", number) from exc
-        yield number, text.removesuffix("\n")
-
-
 def load_index(path: str) -> KnowledgeBase:
     """Read an MCRX-1 file back into a knowledge base.
 
     Raises VersionMismatchError for a foreign format string and
     IndexFormatError (with the line number) for a file that is not UTF-8
     text, for malformed records (a lone surrogate escape included), for
-    level names other than DEFAULT_LEVELS or for bad header tokenization
-    rules.
+    level names other than DEFAULT_LEVELS, for a header D or total_tokens
+    that is not an int (a bool or 2.0 is not) or for bad header
+    tokenization rules. The file is read by textfile.utf8_lines, one line
+    at a time.
     """
-    # a 64 KiB buffer reads the long article lines in fewer chunks
-    with open(path, "rb", buffering=1 << 16) as handle:
-        # lines end at b"\n" only: a title may hold U+2028, U+2029 or U+0085
-        lines = _utf8_lines(handle)
-        first = next(lines, None)
-        if first is None:
-            raise IndexFormatError("empty index file", 1)
-        header = _parse_record(first[1], 1)
-        version = header.get("format")
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(
-                f"expected format {FORMAT_VERSION!r}, found {version!r}"
-            )
-        # article records nest exactly paragraph/sentence/word
-        if header.get("levels") != list(DEFAULT_LEVELS):
-            raise IndexFormatError(f"header levels must be {list(DEFAULT_LEVELS)}", 1)
+    # lines end at "\n" only: a title may hold U+2028, U+2029 or U+0085
+    lines = utf8_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise IndexFormatError("empty index file", 1)
+    header = _parse_record(first[1], 1)
+    version = header.get("format")
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"expected format {FORMAT_VERSION!r}, found {version!r}")
+    # article records nest exactly paragraph/sentence/word
+    if header.get("levels") != list(DEFAULT_LEVELS):
+        raise IndexFormatError(f"header levels must be {list(DEFAULT_LEVELS)}", 1)
+    for key in ("D", "total_tokens"):
+        if type(header.get(key)) is not int:
+            raise IndexFormatError(f"header {key} must be an int", 1)
 
-        kb = KnowledgeBase()
-        kb.tokenization = _load_tokenization(header.get("tokenization", {}))
-        declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
-        for number, raw in lines:
-            if not raw.strip():
-                raise IndexFormatError("blank line inside index", number)
-            record = _parse_record(raw, number)
-            kind = record.get("t")
-            if kind == "word":
-                word_id = _load_word(kb, record, number)
-                declared_df[word_id] = (record["df"], number)
-            elif kind == "article":
-                _load_article(kb, record, number)
-            else:
-                raise IndexFormatError(f"unknown record type {kind!r}", number)
+    kb = KnowledgeBase()
+    kb.tokenization = _load_tokenization(header.get("tokenization", {}))
+    declared_df: dict[int, tuple[int, int]] = {}  # word id -> (df, line)
+    for number, raw in lines:
+        if not raw.strip():
+            raise IndexFormatError("blank line inside index", number)
+        record = _parse_record(raw, number)
+        kind = record.get("t")
+        if kind == "word":
+            word_id = _load_word(kb, record, number)
+            declared_df[word_id] = (record["df"], number)
+        elif kind == "article":
+            _load_article(kb, record, number)
+        else:
+            raise IndexFormatError(f"unknown record type {kind!r}", number)
 
-    if header.get("D") != kb.article_count:
+    if header["D"] != kb.article_count:
         raise IndexFormatError(
-            f"header D={header.get('D')} but file holds {kb.article_count} articles", 1
+            f"header D={header['D']} but file holds {kb.article_count} articles", 1
         )
-    if header.get("total_tokens") != kb.total_tokens:
+    if header["total_tokens"] != kb.total_tokens:
         raise IndexFormatError(
-            f"header total_tokens={header.get('total_tokens')} but file sums "
+            f"header total_tokens={header['total_tokens']} but file sums "
             f"to {kb.total_tokens}",
             1,
         )

@@ -22,7 +22,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
-from .textfile import json_records, read_utf8_text, write_lines_atomic
+from .textfile import json_records, write_lines_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]
@@ -337,7 +337,7 @@ def load_actions(path: str) -> ActionKB:
     of ids defined on earlier lines.
     """
     akb = ActionKB()
-    for line_no, record in json_records(read_utf8_text(path)):
+    for line_no, record in json_records(path):
         try:
             _load_action(akb, record)
         except (KeyError, TypeError, ValueError, MissingNodeError) as exc:

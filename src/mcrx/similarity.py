@@ -99,9 +99,7 @@ class QueryScorer:
         if kb.article_count == 0:
             raise EmptyIndexError("the index holds no documents")
         self.kb = kb
-        self.attention = (
-            kb.attention_snapshot() if attention is None else dict(attention)
-        )
+        self.attention = kb.attention_snapshot(attention)
         self.source_article = query if isinstance(query, int) else None
         self.emission = emit(kb, query)
         self.forward_map = collect(kb, self.emission, self.attention)

@@ -1,9 +1,12 @@
-"""UTF-8 text files and JSON-lines records for the index, corpus and action
-files. It imports only errors, so reading such a file loads no index code."""
+"""The one reader of every file mcrx reads, and the atomic writer of the
+index and action files. It imports only errors, so reading a file loads no
+index code. Lines follow the JSON Lines convention: a line ends at "\\n"
+only, so a "\\r" before it stays in the line as whitespace, and each line
+is decoded by itself, so a bad byte is named by its line.
+"""
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from collections.abc import Iterable, Iterator
@@ -11,23 +14,25 @@ from collections.abc import Iterable, Iterator
 from .errors import IndexFormatError
 
 
-def read_utf8_text(path: str | os.PathLike[str]) -> str:
-    """A file's text; IndexFormatError names the line of a non-UTF-8 byte."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise IndexFormatError(f"not UTF-8 text ({exc.reason})", line) from exc
+def utf8_lines(path: str | os.PathLike[str], name_file: bool = False) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of a file, without its "\\n". The first
+    non-UTF-8 byte raises IndexFormatError naming its line or, with
+    name_file, OSError naming the file and the line."""
+    # a 64 KiB buffer reads the long index lines in fewer chunks
+    with open(path, "rb", buffering=1 << 16) as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                error = IndexFormatError(f"not UTF-8 text ({exc.reason})", number)
+                raise (OSError(f"{path}: {error}") if name_file else error) from exc
+            yield number, text.removesuffix("\n")
 
 
 def read_utf8(path: str | os.PathLike[str]) -> str:
-    """A file's text; OSError names the file and line of a non-UTF-8 byte."""
-    try:
-        return read_utf8_text(path)
-    except IndexFormatError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    """A file's text, its final line break dropped; OSError names the file
+    and line of a non-UTF-8 byte."""
+    return "\n".join(text for _, text in utf8_lines(path, name_file=True))
 
 
 def write_lines_atomic(path: str, lines: Iterable[str]) -> None:
@@ -53,12 +58,14 @@ def write_lines_atomic(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def json_records(text: str, error: type = IndexFormatError) -> Iterator[tuple[int, dict]]:
-    """Number and object of each non-blank line; error(message, line) for a bad one."""
-    with io.StringIO(text, newline=None) as handle:
-        for number, raw in enumerate(handle, start=1):
-            if raw.strip():
-                yield number, _parse_record(raw, number, error)
+def json_records(
+    path: str, error: type = IndexFormatError, name_file: bool = False
+) -> Iterator[tuple[int, dict]]:
+    """Number and object of each non-blank line, as utf8_lines(path,
+    name_file) reads them; error(message, line) for a bad record."""
+    for number, text in utf8_lines(path, name_file):
+        if text.strip():
+            yield number, _parse_record(text, number, error)
 
 
 def _parse_record(raw: str, line: int, error: type = IndexFormatError) -> dict:

@@ -50,12 +50,16 @@ def fail_saves(monkeypatch, how):
     """Make every save fail mid-write or at the final rename.
 
     Index and action-file saves both write through
-    mcrx.textfile.write_lines_atomic, so its open is the one patched.
+    mcrx.textfile.write_lines_atomic, so its open is the one patched. Every
+    read opens through mcrx.textfile too, so only a write-mode open fails.
     """
     if how == "write":
-        monkeypatch.setattr(
-            mcrx.textfile, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False
-        )
+
+        def half_writes(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return handle if "r" in mode else HalfWrite(handle)
+
+        monkeypatch.setattr(mcrx.textfile, "open", half_writes, raising=False)
     else:
 
         def refuse(src, dst):

@@ -11,6 +11,7 @@ from mcrx import (
     PARAGRAPH,
     SENTENCE,
     WORD,
+    ArticleRuns,
     QueryScorer,
     RawDocument,
     activate,
@@ -774,3 +775,72 @@ def test_top_equals_sorting_the_full_map():
                 sums_top = sorted(articles, key=lambda a: -sums[ordinal[a]])[:k]
                 seen["zeroed_in_top"] += any(attention.get(a) == 0.0 for a in sums_top)
     assert checked > 250 and all(count > 20 for count in seen.values()), (checked, seen)
+
+
+# a per-call attention= map, passed to each entry point that takes one
+ENTRY_POINTS = {
+    "collect": lambda kb, q, d, m: collect(kb, emit(kb, q), m).items(),
+    "collect_on_bag": lambda kb, q, d, m: collect_on_bag(kb, emit(kb, q), kb.article(d).bag, m),
+    "trace": lambda kb, q, d, m: trace(kb, q, d, SENTENCE, 5, m),
+    "activate": lambda kb, q, d, m: activate(kb, q, m).items(),
+    "QueryScorer": lambda kb, q, d, m: QueryScorer(kb, q, m).score(d),
+    "rank": lambda kb, q, d, m: rank(kb, q, k=6, n=4, attention=m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e300, True, "2"])
+def test_per_call_attention_is_checked_before_any_pass(entry, bad):
+    kb = make_kb({"d1": "a b", "d2": "b c"})
+    d2 = kb.article_id("d2")
+    run = ENTRY_POINTS[entry]
+    for key in (kb.word_id("a"), d2):
+        attention = {kb.word_id("b"): 2.0, key: bad}
+        with pytest.raises(ValueError, match="attention multiplier"):
+            run(kb, "a b", d2, attention)
+    # stale weights: a pass would raise StaleWeightsError, the check comes first
+    kb.add_word("z")
+    with pytest.raises(ValueError, match="attention multiplier"):
+        run(kb, "a b", d2, {d2: bad})
+
+
+def test_per_call_attention_equals_the_same_rules_applied():
+    rng = random.Random(20261024)
+    multipliers = [0, 0.0, 0.5, 1, 1.0, 2, 3.0, 1e-300, 1e300]
+    for _ in range(12):
+        docs = random_corpus(rng, max_docs=12, max_vocab=30, max_len=30)
+        plain = make_kb(docs)
+        labels = [*docs, *sorted({token for body in docs.values() for token in toks(body)})]
+        rules = {label: rng.choice(multipliers) for label in rng.sample(labels, 6)}
+        ruled = make_kb(docs)
+        apply_rules(ruled, rules)
+        # the same rules as one per-call map of node ids, ints and 1.0 kept
+        per_call = {}
+        for label, value in rules.items():
+            for node_id in (plain.word_id(label), plain.article_id(label)):
+                if node_id is not None:
+                    per_call[node_id] = value
+        queries = [rng.choice(list(docs.values())), " ".join(rng.sample(labels[len(docs):], 3))]
+        for query in queries:
+            target = plain.article_id(rng.choice(list(docs)))
+            for entry, run in ENTRY_POINTS.items():
+                try:
+                    expected = run(ruled, query, target, None)
+                except UnscorableQueryError:
+                    with pytest.raises(UnscorableQueryError):
+                        run(plain, query, target, per_call)
+                    continue
+                got = run(plain, query, target, per_call)
+                if entry in ("collect", "activate"):
+                    expected, got = list(expected), list(got)
+                assert got == expected, (entry, rules, query)
+
+
+def test_activation_map_reads_an_article_inserted_after_the_collect_as_zero():
+    kb = make_kb({"d1": "a b", "d2": "b c"})
+    forward = collect(kb, emit(kb, "b"))
+    assert len(forward) == 2
+    late = kb.add_article("d3", ArticleRuns.pack([[((kb.word_id("b"), 1),)]]))
+    assert forward.value(kb.article(late)) == 0.0
+    assert late not in forward and forward.get(late) is None
+    assert len(forward) == 2

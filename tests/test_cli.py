@@ -1251,3 +1251,96 @@ def test_compare_on_an_empty_index_exit_4(tmp_path, capsys):
     for command in (["compare", "--a", str(doc), "--b", str(doc)], ["query", "--doc", str(doc)]):
         assert main([*command, "--index", str(index)]) == 4
         assert capsys.readouterr().err == "error: the index holds no documents\n"
+
+
+def test_build_lowercase_flag_not_a_bool_exit_2(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["build", "--corpus", str(tmp_path), "--index", "x", "--lowercase", "maybe"])
+    assert excinfo.value.code == 2
+
+
+def test_scl_demo_coordinates_not_x_comma_y_exit_2(tmp_path):
+    kb_path = tmp_path / "actions.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scl-demo", "--kb", str(kb_path), "--start", "1;2", "--target", "0,0"])
+    assert excinfo.value.code == 2
+    assert not kb_path.exists()
+
+
+def test_query_attention_file_not_an_object_exit_1(tmp_path, capsys):
+    index = build_c2(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text("[1]", "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    code = main(["query", "--index", str(index), "--doc", str(doc), "--attention", str(rules)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: attention rules must map labels to numbers\n"
+
+
+def learn_demo(tmp_path, capsys, demo_bytes, kb_bytes=None):
+    """scl-demo --learn a demonstration file: its exit code, stdout and stderr."""
+    kb_path = tmp_path / "actions.jsonl"
+    if kb_bytes is not None:
+        kb_path.write_bytes(kb_bytes)
+    demo = tmp_path / "demo.txt"
+    demo.write_bytes(demo_bytes)
+    argv = ["scl-demo", "--kb", str(kb_path), "--learn", str(demo), "--start", "0,0", "--target", "2,1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_scl_demo_demonstration_line_not_x_comma_y_exit_6(tmp_path, capsys):
+    code, out, err = learn_demo(tmp_path, capsys, b"0,0\n\n 0,1 \n1,x\n")
+    assert (code, out) == (6, "")
+    assert err == "error: invalid demonstration: line 4: expected X,Y, got '1,x'\n"
+
+
+DEMO = "0,0\n0,1\n\n1,1\n2,1\n"
+
+
+def test_scl_demo_reads_crlf_action_and_demonstration_files_as_lf(tmp_path, capsys):
+    runs = []
+    for line_end in ("\n", "\r\n"):
+        directory = tmp_path / repr(line_end)
+        directory.mkdir()
+        actions = ACTIONS.replace("\n", line_end).encode()
+        runs.append(learn_demo(directory, capsys, DEMO.replace("\n", line_end).encode(), actions))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "learned composite S1" in runs[0][1]
+
+
+# every line boundary of str.splitlines but "\n" and "\r\n"
+@pytest.mark.parametrize(
+    "separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_demonstration_lines_end_at_lf_only(tmp_path, capsys, separator):
+    code, out, err = learn_demo(tmp_path, capsys, f"0,0{separator}0,1\n".encode())
+    assert (code, out) == (6, "")
+    assert err == f"error: invalid demonstration: line 1: expected X,Y, got {f'0,0{separator}0,1'!r}\n"
+
+
+def test_build_cr_only_jsonl_corpus_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"id":"d1","text":"a b"}\r{"id":"d2","text":"b c"}\r')
+    code = main(["build", "--corpus", str(corpus), "--index", str(tmp_path / "x.mcrx")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: malformed corpus: line 1: invalid record (Extra data)\n"
+
+
+def test_build_crlf_jsonl_corpus_writes_the_lf_bytes(tmp_path):
+    lines = ['{"id":"d1","text":"a b"}', '{"id":"d2","title":"T","text":"b c"}']
+    for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+        (tmp_path / f"{name}.jsonl").write_bytes(line_end.join(lines + [""]).encode())
+        argv = ["build", "--corpus", str(tmp_path / f"{name}.jsonl"), "--index", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert (tmp_path / "crlf").read_bytes() == (tmp_path / "lf").read_bytes()
+
+
+def test_scl_demo_cr_only_action_file_exit_1(tmp_path, capsys):
+    code, captured = scl_demo_exit(tmp_path, capsys, ACTIONS.replace("\n", "\r").encode())
+    assert code == 1
+    assert captured.err == "error: cannot load action kb: line 1: invalid record (Extra data)\n"

@@ -61,6 +61,19 @@ def test_modules_import_only_the_standard_library():
     assert not foreign, foreign
 
 
+def test_only_textfile_opens_or_decodes_files():
+    # one reader decides what ends a line and which line holds a bad byte
+    calls = []
+    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "decode", "read_text", "read_bytes"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls and all(call.startswith("textfile.py:") for call in calls), calls
+
+
 LAZY = """
 import json
 import sys

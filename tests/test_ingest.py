@@ -17,7 +17,7 @@ from mcrx.errors import (
     DuplicateDocumentError,
     EmptyDocumentError,
 )
-from mcrx.ingest import TokenizationRules, read_utf8
+from mcrx.ingest import TokenizationRules, read_corpus_dir, read_utf8
 
 from conftest import LN2, LN3, make_kb
 
@@ -210,3 +210,52 @@ def test_non_utf8_file_names_path_and_line(tmp_path, reader):
         reader(str(path))
     message = str(excinfo.value)
     assert message.startswith(f"{path}: line 3:") and "UTF-8" in message
+
+
+def test_build_corpus_refuses_two_documents_of_one_id():
+    with pytest.raises(DuplicateDocumentError, match="document 'd' appears twice"):
+        build_corpus([RawDocument("d", "a b"), RawDocument("e", "c"), RawDocument("d", "d")])
+
+
+def test_read_corpus_dir_refuses_a_file(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b")
+    with pytest.raises(OSError, match="is not a readable directory"):
+        read_corpus_dir(str(path))
+
+
+def test_jsonl_reader_refuses_a_title_that_is_not_a_string(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id":"d1","title":5,"text":"a"}\n')
+    with pytest.raises(CorpusFormatError) as excinfo:
+        read_corpus_jsonl(str(path))
+    assert str(excinfo.value) == "line 1: 'title' is not a string"
+
+
+JSONL = '{"id":"d1","text":"a b"}\n\n{"id":"d2","title":"T","text":"b\\rc"}\n'
+
+
+def test_jsonl_reader_takes_crlf_line_ends_as_lf(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(JSONL, newline="")
+    expected = read_corpus_jsonl(str(path))
+    assert [doc.body for doc in expected] == ["a b", "b\rc"]
+    path.write_text(JSONL.replace("\n", "\r\n"), newline="")
+    assert read_corpus_jsonl(str(path)) == expected
+
+
+def test_jsonl_reader_ends_lines_at_lf_only(tmp_path):
+    # a lone \r ends no line: a CR-only file is one line holding two records
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(JSONL.replace("\n", "\r"), newline="")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        read_corpus_jsonl(str(path))
+    assert str(excinfo.value) == "line 1: invalid record (Extra data)"
+
+
+def test_read_utf8_keeps_every_character_but_the_final_line_break(tmp_path):
+    text = "one\r\ntwo\rthree four\x0bfive\n\nsix"
+    path = tmp_path / "doc.txt"
+    for data in (text, text + "\n"):
+        path.write_text(data, "utf-8", newline="")
+        assert read_utf8(str(path)) == text

@@ -17,6 +17,7 @@ from mcrx import (
     activate,
     TokenizationRules,
     build_corpus,
+    compute_weights,
     ingest_document,
     load_index,
     rank,
@@ -461,6 +462,7 @@ def test_failed_save_keeps_old_index(tmp_path, monkeypatch, how):
     save_index(make_kb({"d1": "a b", "d2": "b c"}), str(path))
     before = path.read_bytes()
     fail_saves(monkeypatch, how)
+    assert load_index(str(path)).article_count == 2  # reads are not failed
     with pytest.raises(OSError):
         save_index(make_kb({"x": "a much longer corpus " * 50}), str(path))
     monkeypatch.undo()
@@ -591,3 +593,57 @@ def test_load_and_save_hold_no_copy_of_the_whole_file(tmp_path):
     assert size > 200_000 and loaded.article_count == 3000
     assert save_extra < size / 2, (save_extra, size)
     assert peak - after < size / 2, (peak - after, size)
+
+
+@pytest.mark.parametrize("key", ["D", "total_tokens"])
+@pytest.mark.parametrize("value", [b"true", b"2.0", b'"2"'])
+def test_load_refuses_a_header_count_that_is_not_an_int(tmp_path, key, value):
+    # D=1 and total_tokens=2: true == 1 and 2.0 == 2 would pass the count checks
+    path, lines = save_c2(tmp_path, {"d1": "a b"})
+    header = json.loads(lines[0])
+    header[key] = json.loads(value)
+    lines[0] = json.dumps(header).encode()
+    error = load_error(path, lines)
+    assert (error.line, str(error)) == (1, f"line 1: header {key} must be an int")
+
+
+def test_load_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.mcrx"
+    error = load_error(path, [b""])
+    assert (error.line, str(error)) == (1, "line 1: empty index file")
+
+
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (2, b'"t":"word"', b'"t":"phrase"', "unknown record type 'phrase'"),
+        (2, b',"w":1.0986122886681098', b"", "word record missing 'w'"),
+        (2, b'"w":1.0986122886681098', b'"w":"1.1"', "word record has non-numeric weight"),
+        (5, b'"label":"d1"', b'"label":1', "article record has bad label/paragraphs"),
+    ],
+)
+def test_load_refuses_each_bad_record(tmp_path, line, old, new, message):
+    path, lines = save_c2(tmp_path)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    error = load_error(path, lines)
+    assert (error.line, str(error)) == (line, f"line {line}: {message}")
+
+
+def test_save_skips_an_orphan_word(tmp_path):
+    kb = make_kb({"d1": "a b", "d2": "b c"})
+    path = tmp_path / "plain.mcrx"
+    save_index(kb, str(path))
+    kb.add_word("orphan")  # reachable from no article
+    compute_weights(kb)
+    orphaned = tmp_path / "orphaned.mcrx"
+    save_index(kb, str(orphaned))
+    assert orphaned.read_bytes() == path.read_bytes()
+    assert load_index(str(orphaned)).word_id("orphan") is None
+
+
+def test_save_into_a_missing_directory_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "missing" / "index.mcrx"
+    with pytest.raises(FileNotFoundError):
+        save_index(make_kb({"d1": "a b"}), str(target))
+    assert list(tmp_path.iterdir()) == []

@@ -256,3 +256,18 @@ def test_non_int_coordinates_are_refused_not_truncated(point):
         with pytest.raises(InvalidDemonstrationError):
             learn_demonstration(akb, states)
     assert akb.known_ids() == ["U", "D", "L", "R"]
+
+
+def test_add_primitive_refuses_an_effect_that_already_has_a_primitive():
+    akb = up_down_kb()
+    with pytest.raises(ValueError, match=r"effect \(0, 1\) already has a primitive"):
+        akb.add_primitive("N", (0, 1))
+    assert akb.known_ids() == ["U", "D"]
+
+
+def test_solve_with_only_a_zero_effect_primitive_is_exhausted_at_once():
+    akb = ActionKB()
+    akb.add_primitive("Z", (0, 0))
+    result = solve(akb, (0, 0), (1, 0))
+    assert result.sequence == () and result.composite_id is None
+    assert (result.report.iterations, result.report.exit_reason) == (1, "exhausted")
