@@ -392,8 +392,10 @@ def trace(
             for word_id, count in sorted(article.bag.items(), key=lambda item: nodes[item[0]].label)
         ]
     else:
+        packed = article.runs
+        paragraphs = packed.nest(list(zip(packed.words, packed.counts)))
         members = []
-        for p, sentences in enumerate(kb.runs(article_id), start=1):
+        for p, sentences in enumerate(paragraphs, start=1):
             if level == SENTENCE:
                 members.extend((None, (p, s), runs) for s, runs in enumerate(sentences, start=1))
             else:

@@ -5,10 +5,6 @@ class McrxError(Exception):
     """Base class for all package errors."""
 
 
-class LayeringError(McrxError):
-    """An article's runs name a node that is not a word."""
-
-
 class MissingNodeError(McrxError):
     """A node id or label, or an action id, is not known."""
 

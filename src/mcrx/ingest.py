@@ -10,14 +10,13 @@ segments the same way.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError
-from .kb import DEFAULT_RULES, ArticleRuns, KnowledgeBase, TokenizationRules
+from .kb import DEFAULT_RULES, KnowledgeBase, TokenizationRules, word_weight
 from .textfile import json_records, read_utf8
 
 # Unicode letters and digits; underscore is a separator like punctuation.
@@ -90,41 +89,35 @@ def ingest_document(kb: KnowledgeBase, doc: RawDocument) -> int:
 def ingest_segmented(
     kb: KnowledgeBase, doc: RawDocument, segmented: list[list[list[str]]]
 ) -> int:
-    """Insert a pre-segmented document (the merge half of ingestion).
+    """Insert a document already segmented into paragraphs of sentences of tokens.
 
-    Each sentence becomes its runs of repeated tokens as (word id, count)
-    pairs. A document's new words are created before its article node.
+    Each sentence becomes its runs of repeated tokens as (token, count)
+    pairs. The document's new words are created first, in order of first
+    occurrence, then its article node.
     """
     # checked before any word is added, so a rejected document leaves none
     if kb.article_id(doc.id) is not None:
         raise DuplicateDocumentError(f"document {doc.id!r} already ingested")
     if not segmented:
         raise EmptyDocumentError(f"document {doc.id!r} is empty after segmentation")
-    add_word = kb.add_word
+    for token in dict.fromkeys(chain.from_iterable(chain.from_iterable(segmented))):
+        kb.add_word(token)
     runs = [
-        [
-            [(add_word(tok), len(list(run))) for tok, run in groupby(tokens)]
-            for tokens in sentences
-        ]
+        [[(token, len(list(run))) for token, run in groupby(tokens)] for tokens in sentences]
         for sentences in segmented
     ]
-    return kb.add_article(doc.id, ArticleRuns.pack(runs), doc.title)
+    return kb.add_article(doc.id, runs, doc.title)
 
 
 def compute_weights(kb: KnowledgeBase) -> None:
-    """Assign word weights wt(w) = ln(1 + D/df(w)).
-
-    The +1 smoothing keeps every indexed word strictly positive: a word
-    present in every document still weighs ln 2 instead of silently
-    vanishing from all scores.
-    """
+    """Assign every word its weight (kb.word_weight); an orphan word weighs 0."""
     d = kb.article_count
     if d < 1:
         raise ValueError("cannot compute weights on an empty knowledge base")
     nodes = kb.nodes
     for word_id in kb.word_ids():
         df = kb.df(word_id)
-        nodes[word_id].weight = math.log(1.0 + d / df) if df else 0.0
+        nodes[word_id].weight = word_weight(d, df) if df else 0.0
     kb.weights_computed = True
 
 
@@ -134,17 +127,10 @@ def reconstruct(kb: KnowledgeBase, article_id: int) -> list[list[list[str]]]:
     The result equals segment(original body) token for token.
     MissingNodeError or ValueError for an id that is no article.
     """
-    nodes = kb.nodes
-    paragraphs = []
-    for sentences in kb.runs(article_id):
-        paragraph = []
-        for runs in sentences:
-            tokens: list[str] = []
-            for word_id, count in runs:
-                tokens.extend([nodes[word_id].label] * count)
-            paragraph.append(tokens)
-        paragraphs.append(paragraph)
-    return paragraphs
+    return [
+        [[token for token, count in runs for _ in range(count)] for runs in sentences]
+        for sentences in kb.runs(article_id)
+    ]
 
 
 def build_corpus(

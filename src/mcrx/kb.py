@@ -12,13 +12,14 @@ several runs, so the token order survives and top-down regeneration
 reproduces the ingested text exactly.
 
 Articles enter through one path, add_article, which both ingestion and
-load_index call with ArticleRuns.pack(paragraphs of sentences of
-(word id, count) runs). It checks the runs, stores them as arrays and
-fills the article's token bag and postings from them (kb.df(word_id) is
-read off the postings, which group each word's article ordinals by term
+load_index call with the article's paragraphs of sentences of (token,
+count) runs, the form an MCRX-1 article record holds. It resolves each
+token to its word, checks the runs, stores them as arrays and fills the
+article's token bag and postings from them (kb.df(word_id) is read off
+the postings, which group each word's article ordinals by term
 frequency, each group a list that holds the article's own ordinal int, so
 every entry of one article is the same object and reading a group makes
-no new int); kb.runs(article_id) gives the nested form back.
+no new int); kb.runs(article_id) gives the same form back.
 
 The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
@@ -42,7 +43,6 @@ from dataclasses import asdict, dataclass
 from .errors import (
     DuplicateDocumentError,
     IndexFormatError,
-    LayeringError,
     MissingNodeError,
     StaleWeightsError,
     VersionMismatchError,
@@ -85,6 +85,16 @@ class TokenizationRules:
 DEFAULT_RULES = TokenizationRules()
 
 
+def word_weight(article_count: int, df: int) -> float:
+    """A word's weight wt(w) = ln(1 + D/df(w)), D the number of articles.
+
+    The +1 smoothing keeps every indexed word strictly positive: a word
+    present in every article still weighs ln 2 instead of silently
+    vanishing from all scores.
+    """
+    return math.log(1.0 + article_count / df)
+
+
 def check_multiplier(value: object, name: str) -> float:
     """An attention multiplier as a float: a finite number >= 0, not a bool.
 
@@ -112,30 +122,19 @@ class Node:
 
 @dataclass(slots=True)
 class ArticleRuns:
-    """An article's paragraphs of sentences of runs, as flat sequences.
+    """An article's paragraphs of sentences of runs, stored flat.
 
-    A run is one token repeated count >= 1 times. words and counts hold
+    A run is one word repeated count >= 1 times. words and counts hold
     each run's word id and count in text order, sentence_runs the number
     of runs in each sentence, paragraph_sentences the number of sentences
-    in each paragraph. A knowledge base stores them as 32-bit int arrays
-    (array('i')), so every value lies below 2**31.
+    in each paragraph, each a 32-bit int array (array('i')), so every
+    value lies below 2**31.
     """
 
-    words: Sequence
-    counts: Sequence[int]
-    sentence_runs: Sequence[int]
-    paragraph_sentences: Sequence[int]
-
-    @classmethod
-    def pack(cls, paragraphs: Sequence[Sequence[Sequence[Sequence]]]) -> ArticleRuns:
-        """Pack paragraphs of sentences of (word, count) runs."""
-        flat = [run for sentences in paragraphs for runs in sentences for run in runs]
-        return cls(
-            [word for word, _ in flat],
-            [count for _, count in flat],
-            [len(runs) for sentences in paragraphs for runs in sentences],
-            [len(sentences) for sentences in paragraphs],
-        )
+    words: array
+    counts: array
+    sentence_runs: array
+    paragraph_sentences: array
 
     def nest(self, per_run: Sequence) -> list[list[list]]:
         """Group per_run, one item per run, into paragraphs of sentences."""
@@ -250,21 +249,35 @@ class KnowledgeBase:
             self.weights_computed = False
         return word_id
 
-    def add_article(self, label: str, runs: ArticleRuns, title: str | None = None) -> int:
-        """Insert an article and return its id.
+    def add_article(
+        self,
+        label: str,
+        paragraphs: Sequence[Sequence[Sequence[Sequence]]],
+        title: str | None = None,
+    ) -> int:
+        """Insert an article from paragraphs of sentences of (token, count) runs.
 
-        The runs are stored packed; the article's bag, length and
-        postings are filled from them. Nothing is inserted if a check
-        fails: DuplicateDocumentError for a known label, MissingNodeError
-        for an unknown id, LayeringError for an id that is not a word,
-        ValueError for a count that is not a positive int, for a value
-        outside the 32-bit range (a count of 2**31 or more), for run
-        lengths that do not add up and for an article, paragraph or
-        sentence with nothing in it.
+        Returns the article's id. Every token must already be a word
+        (add_word). The runs are stored packed; the article's bag, length
+        and postings are filled from them. Nothing is inserted if a check
+        fails: MissingNodeError for a token that is no word,
+        DuplicateDocumentError for a known label, TypeError or ValueError
+        for a run that is not a pair, TypeError for an unhashable token,
+        ValueError for a count that is not a positive int, for a count
+        outside the 32-bit range (2**31 or more) and for an article,
+        paragraph or sentence with nothing in it.
         """
+        flat = [run for sentences in paragraphs for runs in sentences for run in runs]
+        tokens = [token for token, _ in flat]
+        counts = [count for _, count in flat]
+        sentence_runs = [len(runs) for sentences in paragraphs for runs in sentences]
+        paragraph_sentences = [len(sentences) for sentences in paragraphs]
+        try:
+            words = list(map(self._word_ids.__getitem__, tokens))
+        except KeyError as exc:
+            raise MissingNodeError(f"article references unlisted word {exc.args[0]!r}") from None
         if label in self._article_ids:
             raise DuplicateDocumentError(f"document {label!r} already ingested")
-        words, counts = runs.words, runs.counts
         if counts and (set(map(type, counts)) != {int} or min(counts) < 1):
             bad = next(c for c in counts if type(c) is not int or c < 1)
             raise ValueError(f"word count {bad!r} is not a positive int")
@@ -272,29 +285,17 @@ class KnowledgeBase:
             packed = ArticleRuns(
                 array("i", words),
                 array("i", counts),
-                array("i", runs.sentence_runs),
-                array("i", runs.paragraph_sentences),
+                array("i", sentence_runs),
+                array("i", paragraph_sentences),
             )
         except OverflowError as exc:
             raise ValueError(f"run value out of range ({exc})") from exc
-        sentence_runs, paragraph_sentences = packed.sentence_runs, packed.paragraph_sentences
-        if (
-            len(counts) != len(words)
-            or sum(sentence_runs) != len(words)
-            or sum(paragraph_sentences) != len(sentence_runs)
-        ):
-            raise ValueError("run lengths do not add up")
         if min(sentence_runs, default=0) < 1 or min(paragraph_sentences, default=0) < 1:
             raise ValueError("empty article, paragraph or sentence")
         bag = {}  # first-occurrence order
         for word_id, count in zip(words, counts):
             bag[word_id] = bag.get(word_id, 0) + count
         length = sum(counts)
-        postings = self.postings  # one entry per word, made by add_word
-        if not bag.keys() <= postings.keys():
-            for word_id in bag:
-                if self.node(word_id).level != WORD:
-                    raise LayeringError(f"node {word_id} is not a word")
 
         article_id, ordinal = len(self.nodes), len(self.articles)
         article = Article(article_id, label, ordinal, packed, bag, length, title)
@@ -302,6 +303,7 @@ class KnowledgeBase:
         self.articles.append(article)
         self._article_ids[label] = article_id
         self.weights_computed = False
+        postings = self.postings  # one entry per word, made by add_word
         for word_id, count in bag.items():
             groups = postings[word_id]
             group = groups.get(count)
@@ -311,10 +313,12 @@ class KnowledgeBase:
                 group.append(ordinal)
         return article_id
 
-    def runs(self, article_id: int) -> list[list[list[tuple[int, int]]]]:
-        """An article's paragraphs of sentences of (word id, count) runs."""
+    def runs(self, article_id: int) -> list[list[list[tuple[str, int]]]]:
+        """An article's paragraphs of sentences of (token, count) runs,
+        the form add_article takes."""
         packed = self.article(article_id).runs
-        return packed.nest(list(zip(packed.words, packed.counts)))
+        nodes = self.nodes
+        return packed.nest([(nodes[w].label, n) for w, n in zip(packed.words, packed.counts)])
 
     def set_attention(self, node_id: int, multiplier: float) -> None:
         """Set a node's attention multiplier; 1.0 restores the default.
@@ -331,11 +335,15 @@ class KnowledgeBase:
 
     def attention_snapshot(self, attention: dict | None = None) -> dict[int, float]:
         """A query's attention map, isolated from later rule changes: a copy
-        of kb.attention, or of attention with each multiplier checked as
-        set_attention checks it. Keys are copied unchecked."""
+        of kb.attention, or of attention with each key and multiplier
+        checked as set_attention checks them (MissingNodeError for a key
+        that is not an int node id, ValueError for a bad multiplier)."""
         if attention is None:
             return dict(self.attention)
-        return {key: check_multiplier(value, f"node {key}") for key, value in attention.items()}
+        return {
+            self.node(key).id: check_multiplier(value, f"node {key}")
+            for key, value in attention.items()
+        }
 
 
 def save_index(kb: KnowledgeBase, path: str) -> None:
@@ -375,15 +383,11 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
             df,
             render_real(kb.nodes[word_id].weight),
         )
-    nodes = kb.nodes
     for article in sorted(kb.articles, key=lambda article: article.label):
         record: dict = {"t": "article", "label": article.label}
         if article.title is not None:
             record["title"] = article.title
-        runs = article.runs
-        record["paragraphs"] = runs.nest(
-            [[nodes[w].label, n] for w, n in zip(runs.words, runs.counts)]
-        )
+        record["paragraphs"] = kb.runs(article.id)
         yield json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
@@ -450,7 +454,7 @@ def load_index(path: str) -> KnowledgeBase:
             )
         # save_index refuses stale weights and .17g round-trips, so a saved
         # weight equals the formula bit for bit; this also rejects NaN/Infinity
-        if node.weight != math.log(1.0 + kb.article_count / declared):
+        if node.weight != word_weight(kb.article_count, declared):
             raise IndexFormatError(
                 f"stored weight {node.weight!r} for {node.label!r} is not "
                 f"ln(1 + D/df)",
@@ -497,13 +501,9 @@ def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
     if title is not None and not isinstance(title, str):
         raise IndexFormatError("article title is not a string", line)
     try:
-        runs = ArticleRuns.pack(paragraphs)
-        runs.words = list(map(kb._word_ids.__getitem__, runs.words))
-        kb.add_article(label, runs, title)
-    except KeyError as exc:
-        raise IndexFormatError(
-            f"article references unlisted word {exc.args[0]!r}", line
-        ) from exc
+        kb.add_article(label, paragraphs, title)
+    except MissingNodeError as exc:
+        raise IndexFormatError(str(exc), line) from exc
     except DuplicateDocumentError as exc:
         raise IndexFormatError(f"duplicate article record for {label!r}", line) from exc
     except (TypeError, ValueError) as exc:

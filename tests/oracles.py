@@ -18,7 +18,7 @@ import re
 from collections import Counter, deque
 
 from mcrx.activation import emit
-from mcrx.errors import LayeringError, UnscorableQueryError
+from mcrx.errors import UnscorableQueryError
 from mcrx.kb import WORD
 from mcrx.similarity import combine, normalize
 
@@ -45,8 +45,8 @@ def corpus_weights(doc_texts):
 def check_kb(kb):
     """Full-scan check of a knowledge base's runs against everything derived from them.
 
-    AssertionError for a table that disagrees, LayeringError for a run
-    holding a node that is not a word.
+    AssertionError for a table that disagrees or for a run holding a node
+    that is not a word.
     """
     if len(kb.nodes) != len(kb.word_ids()) + len(kb.articles):
         raise AssertionError("node table disagrees with the word and article tables")
@@ -62,7 +62,7 @@ def check_kb(kb):
         bag = {}
         for word_id, count in zip(packed.words, packed.counts):
             if kb.node(word_id).level != WORD:
-                raise LayeringError(f"article {article.id} holds node {word_id}, not a word")
+                raise AssertionError(f"article {article.id} holds node {word_id}, not a word")
             bag[word_id] = bag.get(word_id, 0) + count
         if bag != article.bag or sum(bag.values()) != article.length:
             raise AssertionError(f"stored bag of article {article.id} disagrees with its runs")

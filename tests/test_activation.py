@@ -11,7 +11,7 @@ from mcrx import (
     PARAGRAPH,
     SENTENCE,
     WORD,
-    ArticleRuns,
+    Emission,
     QueryScorer,
     RawDocument,
     activate,
@@ -26,7 +26,12 @@ from mcrx import (
     trace,
 )
 from mcrx.activation import _least_rounding_to
-from mcrx.errors import EmptyDocumentError, UnscorableQueryError
+from mcrx.errors import (
+    EmptyDocumentError,
+    MissingNodeError,
+    StaleWeightsError,
+    UnscorableQueryError,
+)
 from mcrx.ingest import read_corpus_jsonl
 from mcrx.scl import apply_rules
 
@@ -787,6 +792,9 @@ ENTRY_POINTS = {
     "rank": lambda kb, q, d, m: rank(kb, q, k=6, n=4, attention=m),
 }
 
+# per-call attention keys that are no int node id of the c2 corpus
+BAD_KEYS = (True, 1.0, 2.0, "b", 99, -1, None)
+
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e300, True, "2"])
@@ -798,10 +806,37 @@ def test_per_call_attention_is_checked_before_any_pass(entry, bad):
         attention = {kb.word_id("b"): 2.0, key: bad}
         with pytest.raises(ValueError, match="attention multiplier"):
             run(kb, "a b", d2, attention)
+    # a key is an int node id: word b is id 1 and d1 is id 2, and neither
+    # True nor 1.0 names b, nor 2.0 d1
+    assert (kb.word_id("b"), kb.article_id("d1")) == (1, 2)
+    for key in BAD_KEYS:
+        with pytest.raises(MissingNodeError):
+            run(kb, "a b", d2, {kb.word_id("a"): 2.0, key: 0.0})
     # stale weights: a pass would raise StaleWeightsError, the check comes first
     kb.add_word("z")
     with pytest.raises(ValueError, match="attention multiplier"):
         run(kb, "a b", d2, {d2: bad})
+    for key in BAD_KEYS:
+        with pytest.raises(MissingNodeError):
+            run(kb, "a b", d2, {key: 0.0})
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_pass_refuses_stale_weights(entry):
+    kb = make_kb({"d1": "a b", "d2": "b c"})
+    d2 = kb.article_id("d2")
+    ingest_document(kb, RawDocument("d3", "c d"))
+    with pytest.raises(StaleWeightsError):
+        ENTRY_POINTS[entry](kb, "a b", d2, None)
+    compute_weights(kb)
+    ENTRY_POINTS[entry](kb, "a b", d2, None)
+
+
+def test_collect_on_bag_refuses_an_emission_of_length_zero():
+    kb = make_kb({"d1": "a b", "d2": "b c"})
+    b = kb.word_id("b")
+    with pytest.raises(EmptyDocumentError):
+        collect_on_bag(kb, Emission({b: 1}, 0, 0), kb.article(kb.article_id("d1")).bag)
 
 
 def test_per_call_attention_equals_the_same_rules_applied():
@@ -840,7 +875,7 @@ def test_activation_map_reads_an_article_inserted_after_the_collect_as_zero():
     kb = make_kb({"d1": "a b", "d2": "b c"})
     forward = collect(kb, emit(kb, "b"))
     assert len(forward) == 2
-    late = kb.add_article("d3", ArticleRuns.pack([[((kb.word_id("b"), 1),)]]))
+    late = kb.add_article("d3", [[[("b", 1)]]])
     assert forward.value(kb.article(late)) == 0.0
     assert late not in forward and forward.get(late) is None
     assert len(forward) == 2

@@ -29,7 +29,6 @@ from mcrx import (
 from mcrx.errors import (
     DuplicateDocumentError,
     IndexFormatError,
-    LayeringError,
     MissingNodeError,
     StaleWeightsError,
     VersionMismatchError,
@@ -50,7 +49,7 @@ def test_word_dedup_returns_same_id():
 def test_article_insertion_counts_documents():
     kb = KnowledgeBase()
     word = kb.add_word("x")
-    kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
+    kb.add_article("doc1", [[[("x", 1)]]])
     assert kb.article_count == 1
     assert kb.df(word) == 1
     assert kb.total_tokens == 1
@@ -58,34 +57,32 @@ def test_article_insertion_counts_documents():
 
 def test_duplicate_article_label_rejected():
     kb = KnowledgeBase()
-    word = kb.add_word("x")
-    kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
+    kb.add_word("x")
+    kb.add_article("doc1", [[[("x", 1)]]])
     with pytest.raises(DuplicateDocumentError):
-        kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
+        kb.add_article("doc1", [[[("x", 1)]]])
 
 
 def test_layering_violation_rejected():
+    # a token names a word, never an article: an article's label is no token
     kb = KnowledgeBase()
-    word = kb.add_word("x")
-    article = kb.add_article("doc1", ArticleRuns.pack([[((word, 1),)]]))
+    kb.add_word("x")
+    article = kb.add_article("doc1", [[[("x", 1)]]])
     before = len(kb.nodes)
-    with pytest.raises(LayeringError):
-        kb.add_article("doc2", ArticleRuns.pack([[((word, 1), (article, 1))]]))
+    for token in ("doc1", article):
+        with pytest.raises(MissingNodeError):
+            kb.add_article("doc2", [[[("x", 1), (token, 1)]]])
     assert len(kb.nodes) == before and kb.article_count == 1
-    assert kb.level_counts == [1, 1, 1, 1]
+    assert kb.level_counts == [1, 1, 1, 1] and kb.df(kb.word_id("x")) == 1
+    check_kb(kb)
 
 
 @pytest.mark.parametrize(
     "runs",
     [
-        ArticleRuns([0], [1], [2], [1]),  # sentences hold more runs than there are
-        ArticleRuns([0, 0], [1, 1], [1], [1]),  # a run outside every sentence
-        ArticleRuns([0], [1], [1], [2]),  # a paragraph with a missing sentence
-        ArticleRuns([0], [1, 1], [1], [1]),  # a count without a word
-        ArticleRuns([0, 0], [1, 1], [3, -1], [2]),  # a negative sentence length
-        ArticleRuns([], [], [], []),  # no paragraph
-        ArticleRuns([0], [1], [1], [1, 0]),  # an empty paragraph
-        ArticleRuns([0], [1], [1, 0], [2]),  # an empty sentence
+        pytest.param([], id="runs5"),  # no paragraph
+        pytest.param([[[("x", 1)]], []], id="runs6"),  # an empty paragraph
+        pytest.param([[[("x", 1)], []]], id="runs7"),  # an empty sentence
     ],
 )
 def test_run_lengths_must_add_up(runs):
@@ -98,31 +95,31 @@ def test_run_lengths_must_add_up(runs):
 
 def test_unknown_child_rejected():
     kb = KnowledgeBase()
-    with pytest.raises(MissingNodeError):
-        kb.add_article("doc1", ArticleRuns.pack([[((99, 1),)]]))
+    with pytest.raises(MissingNodeError, match="unlisted word 'x'"):
+        kb.add_article("doc1", [[[("x", 1)]]])
     assert kb.nodes == [] and kb.article_count == 0
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.5, True, "2", 2**31])
 def test_article_count_must_be_positive_int(count):
     kb = KnowledgeBase()
-    word = kb.add_word("x")
+    kb.add_word("x")
     with pytest.raises(ValueError):
-        kb.add_article("doc1", ArticleRuns.pack([[((word, count),)]]))
+        kb.add_article("doc1", [[[("x", count)]]])
     assert kb.article_count == 0 and len(kb.nodes) == 1
 
 
 def test_runs_are_32_bit_arrays_and_posting_groups_lists():
     kb = KnowledgeBase()
     word = kb.add_word("x")
-    article = kb.add_article("doc1", ArticleRuns.pack([[((word, 2**31 - 1),)]]))
+    article = kb.add_article("doc1", [[[("x", 2**31 - 1)]]])
     packed = kb.article(article).runs
     for values in (packed.words, packed.counts, packed.sentence_runs, packed.paragraph_sentences):
         assert (values.typecode, values.itemsize) == ("i", 4)
     assert kb.postings[word] == {2**31 - 1: [0]}
     assert type(kb.postings[word][2**31 - 1]) is list
     with pytest.raises(ValueError, match="out of range"):
-        kb.add_article("doc2", ArticleRuns.pack([[((word, 2**31),)]]))
+        kb.add_article("doc2", [[[("x", 2**31)]]])
     assert kb.article_count == 1
 
 
@@ -348,9 +345,7 @@ def test_title_survives_round_trip(tmp_path):
 def test_repeated_token_order_survives():
     kb = make_kb({"d1": "a b a"})
     article = kb.article_id("d1")
-    sentence = kb.runs(article)[0][0]
-    labels = [(kb.nodes[w].label, count) for w, count in sentence]
-    assert labels == [("a", 1), ("b", 1), ("a", 1)]
+    assert kb.runs(article) == [[[("a", 1), ("b", 1), ("a", 1)]]]
     assert kb.article(article).bag[kb.word_id("a")] == 2
 
 
@@ -439,10 +434,7 @@ def test_load_equals_build_node_for_node(tmp_path):
         for label, paragraphs in zip(labels, segmented):
             built_id, loaded_id = built.article_id(label), loaded.article_id(label)
             assert reconstruct(built, built_id) == reconstruct(loaded, loaded_id) == paragraphs
-            assert loaded.runs(loaded_id) == [
-                [[(to_loaded[w], n) for w, n in runs] for runs in sentences]
-                for sentences in built.runs(built_id)
-            ]
+            assert loaded.runs(loaded_id) == built.runs(built_id)
             for level in (WORD, SENTENCE, PARAGRAPH):
                 assert _trace_rows(built, query, built_id, level) == _trace_rows(
                     loaded, query, loaded_id, level
@@ -454,6 +446,39 @@ def test_load_equals_build_node_for_node(tmp_path):
         }
         assert loaded.total_tokens == built.total_tokens
         check_kb(built)
+
+
+def test_add_article_takes_what_runs_returns(tmp_path):
+    # copying every node in id order, each article as add_article(label,
+    # kb.runs(id), title), rebuilds the same knowledge base: a loaded one
+    # holds its words first, a built one interleaves them with the articles
+    rng = random.Random(20261020)
+    for trial in range(12):
+        docs = random_corpus(rng, max_vocab=8 if trial % 2 else 200)
+        titles = {i: f"title of {i}" if len(t) % 3 else None for i, t in docs.items()}
+        built, _ = build_corpus([RawDocument(i, t, titles[i]) for i, t in docs.items()])
+        path = tmp_path / f"{trial}.mcrx"
+        save_index(built, str(path))
+        for kb in (built, load_index(str(path))):
+            copy = KnowledgeBase()
+            for node in kb.nodes:
+                if node.level == WORD:
+                    assert copy.add_word(node.label) == node.id
+                else:
+                    runs = kb.runs(node.id)
+                    assert copy.add_article(node.label, runs, node.title) == node.id
+            compute_weights(copy)
+            check_kb(copy)
+            assert [(a.label, a.bag, a.length, a.runs) for a in copy.articles] == [
+                (a.label, a.bag, a.length, a.runs) for a in kb.articles
+            ]
+            assert copy.postings == kb.postings
+            assert [node.weight for node in copy.nodes if node.level == WORD] == [
+                node.weight for node in kb.nodes if node.level == WORD
+            ]
+            again = tmp_path / f"{trial}-copy.mcrx"
+            save_index(copy, str(again))
+            assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("how", ["write", "replace"])
@@ -620,6 +645,17 @@ def test_load_refuses_an_empty_file(tmp_path):
         (2, b',"w":1.0986122886681098', b"", "word record missing 'w'"),
         (2, b'"w":1.0986122886681098', b'"w":"1.1"', "word record has non-numeric weight"),
         (5, b'"label":"d1"', b'"label":1', "article record has bad label/paragraphs"),
+        (5, b'["a",1]', b'["x",1]', "article references unlisted word 'x'"),
+        (5, b'["a",1]', b'[1,1]', "article references unlisted word 1"),
+        (
+            5,
+            b'["a",1]',
+            b'["a"]',
+            "malformed article structure (not enough values to unpack (expected 2, got 1))",
+        ),
+        (5, b'["a",1]', b'[["a"],1]', "malformed article structure (unhashable type: 'list')"),
+        (5, b'["a",1]', b'["a",0]', "malformed article structure (word count 0 is not a positive int)"),
+        (5, b'[["a",1],["b",1]]', b"[]", "malformed article structure (empty article, paragraph or sentence)"),
     ],
 )
 def test_load_refuses_each_bad_record(tmp_path, line, old, new, message):
