@@ -34,15 +34,15 @@ whole map, as activate's callers do, divides every activated article's
 sum. The accumulator is local to the call: concurrent queries on one
 knowledge base share no collect state, and an interrupted pass leaves
 nothing behind (inserting articles while another thread queries is not
-supported). An exact sum past the float range, or an infinite word
-factor (finite attention multipliers near 1e308), raises
-UnscorableQueryError from collect itself. Because the sums are exactly
-rounded, activation values are bit-identical regardless of ingestion
-order, of the order or partition of the summed terms, and of save/load
-cycles. Every other activation, one bag's emission collected on another
-bag (collect_on_bag, the reverse pass of similarity.QueryScorer, trace's
-per-member shares), is one math.fsum over the words the two bags share
-(_bag_sum).
+supported; the first pass after an insert writes the word weights). An
+exact sum past the float range, or an infinite word factor (finite
+attention multipliers near 1e308), raises UnscorableQueryError from
+collect itself. Because the sums are exactly rounded, activation values
+are bit-identical regardless of ingestion order, of the order or
+partition of the summed terms, and of save/load cycles. Every other
+activation, one bag's emission collected on another bag (collect_on_bag,
+the reverse pass of similarity.QueryScorer, trace's per-member shares),
+is one math.fsum over the words the two bags share (_bag_sum).
 
 Sentences and paragraphs never modulate cross-document activation;
 trace reads an article's packed runs only to attribute its activation
@@ -57,7 +57,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import EmptyDocumentError, MissingNodeError, StaleWeightsError, UnscorableQueryError
+from .errors import EmptyDocumentError, MissingNodeError, UnscorableQueryError
 from .ingest import tokenize
 from .kb import ARTICLE, SENTENCE, WORD, Article, KnowledgeBase
 
@@ -124,7 +124,7 @@ def exact_sum(terms) -> float:
 
 
 def _bag_sum(
-    kb: KnowledgeBase,
+    weights: dict[int, float],
     bag: dict[int, int],
     length: int,
     other: dict[int, int],
@@ -134,23 +134,20 @@ def _bag_sum(
 
     One exact sum over the words the two bags share, walked from the
     smaller bag. Each term is tf/length * m(w) * wt(w) * other[w], always
-    in that operand order, so every caller gets the same bits.
-    EmptyDocumentError for length 0, StaleWeightsError before
-    compute_weights.
+    in that operand order, so every caller gets the same bits. weights
+    (kb.weights) covers the words of one of the bags, the emission's in
+    every call. EmptyDocumentError for length 0.
     """
     if length == 0:
         raise EmptyDocumentError("source is empty after segmentation")
-    if not kb.weights_computed:
-        raise StaleWeightsError("compute weights before running activation")
-    nodes = kb.nodes
     if len(bag) <= len(other):
         return exact_sum(
-            tf / length * attention.get(w, 1.0) * nodes[w].weight * other[w]
+            tf / length * attention.get(w, 1.0) * weights[w] * other[w]
             for w, tf in bag.items()
             if w in other
         )
     return exact_sum(
-        bag[w] / length * attention.get(w, 1.0) * nodes[w].weight * tf
+        bag[w] / length * attention.get(w, 1.0) * weights[w] * tf
         for w, tf in other.items()
         if w in bag
     )
@@ -280,17 +277,15 @@ def collect(
     articles with zero activation are absent from it, the others follow
     article insertion order. The sum is exact, so no split of the terms
     could change it: workers is accepted for compatibility and the
-    collection runs in one pass. UnscorableQueryError for an infinite
-    factor or a sum past the float range.
+    collection runs in one pass, weighing words by kb.weights, current after
+    any insert. UnscorableQueryError for an infinite factor or a sum past
+    the float range.
     """
     attention = kb.attention_snapshot(attention)
-    if not kb.weights_computed:
-        raise StaleWeightsError("compute weights before running activation")
-    nodes, length = kb.nodes, emission.length
+    bag, length = emission.bag, emission.length
     factors = []  # (wt(w), word id, e(w) * m(w) * wt(w)); zero factors drop out
-    for word_id, count in emission.bag.items():
-        weight = nodes[word_id].weight
-        factor = count / length * attention.get(word_id, 1.0) * weight
+    for word_id, weight in kb.weights(bag).items():
+        factor = bag[word_id] / length * attention.get(word_id, 1.0) * weight
         if factor != 0.0:
             factors.append((weight, word_id, factor))
     # the commonest word first: wt(w) = ln(1 + D/df) falls as df grows, and
@@ -351,7 +346,7 @@ def collect_on_bag(
 ) -> float:
     """Collect an emission against one explicit token bag."""
     attention = kb.attention_snapshot(attention)
-    return _bag_sum(kb, emission.bag, emission.length, bag, attention)
+    return _bag_sum(kb.weights(emission.bag), emission.bag, emission.length, bag, attention)
 
 
 def activate(
@@ -384,6 +379,7 @@ def trace(
         raise ValueError("need int top_n >= 1")
     attention = kb.attention_snapshot(attention)
     emission = emit(kb, source)
+    weights = kb.weights(emission.bag)
 
     if level == WORD:
         nodes = kb.nodes
@@ -405,7 +401,7 @@ def trace(
         bag: dict[int, int] = {}
         for word_id, count in runs:
             bag[word_id] = bag.get(word_id, 0) + count
-        contribution = _bag_sum(kb, emission.bag, emission.length, bag, attention)
+        contribution = _bag_sum(weights, emission.bag, emission.length, bag, attention)
         entries.append(TraceEntry(node_id, level, contribution, position))
     entries.sort(key=lambda entry: -entry.contribution)  # stable: ties keep member order
     return entries[:top_n]

@@ -318,12 +318,10 @@ def _read_demo(path: str) -> list[tuple[int, int]]:
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
-    from .kb import DEFAULT_LEVELS, WORD
+    from .kb import DEFAULT_LEVELS
 
     kb = _open_index(args.index)
-    weights = [
-        node.weight for node in kb.nodes if node.level == WORD and kb.df(node.id)
-    ]
+    weights = list(kb.weights(kb.word_ids()).values())  # a loaded index has no orphan word
     print(f"documents: {kb.article_count}")
     print(f"words: {kb.word_count}")
     print(f"tokens: {kb.total_tokens}")

@@ -17,10 +17,6 @@ class EmptyDocumentError(McrxError):
     """A document has no tokens left after segmentation."""
 
 
-class StaleWeightsError(McrxError):
-    """Word weights have not been (re)computed since the last insertion."""
-
-
 class IndexFormatError(McrxError):
     """An index file is malformed; carries the offending line number."""
 

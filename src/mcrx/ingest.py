@@ -16,7 +16,7 @@ from itertools import chain, groupby
 from pathlib import Path
 
 from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError
-from .kb import DEFAULT_RULES, KnowledgeBase, TokenizationRules, word_weight
+from .kb import DEFAULT_RULES, KnowledgeBase, TokenizationRules, compute_weights
 from .textfile import json_records, read_utf8
 
 # Unicode letters and digits; underscore is a separator like punctuation.
@@ -79,8 +79,8 @@ def ingest_document(kb: KnowledgeBase, doc: RawDocument) -> int:
     """Segment one document and insert it as one article of word runs.
 
     The document is tokenized by the knowledge base's rules
-    (kb.tokenization). Returns the article node id. Word weights become
-    stale until compute_weights runs again.
+    (kb.tokenization). Returns the article node id; the next
+    kb.weights call recomputes the word weights.
     """
     segmented = segment(doc.body, kb.tokenization)
     return ingest_segmented(kb, doc, segmented)
@@ -93,32 +93,26 @@ def ingest_segmented(
 
     Each sentence becomes its runs of repeated tokens as (token, count)
     pairs. The document's new words are created first, in order of first
-    occurrence, then its article node.
+    occurrence, then its article node. ValueError for an empty paragraph
+    or sentence, TypeError for a token that is not a str.
     """
     # checked before any word is added, so a rejected document leaves none
     if kb.article_id(doc.id) is not None:
         raise DuplicateDocumentError(f"document {doc.id!r} already ingested")
     if not segmented:
         raise EmptyDocumentError(f"document {doc.id!r} is empty after segmentation")
-    for token in dict.fromkeys(chain.from_iterable(chain.from_iterable(segmented))):
+    if not all(sentences and all(sentences) for sentences in segmented):
+        raise ValueError("empty paragraph or sentence")
+    words = dict.fromkeys(chain.from_iterable(chain.from_iterable(segmented)))
+    if set(map(type, words)) != {str}:
+        raise TypeError("every token must be a str")
+    for token in words:
         kb.add_word(token)
     runs = [
         [[(token, len(list(run))) for token, run in groupby(tokens)] for tokens in sentences]
         for sentences in segmented
     ]
     return kb.add_article(doc.id, runs, doc.title)
-
-
-def compute_weights(kb: KnowledgeBase) -> None:
-    """Assign every word its weight (kb.word_weight); an orphan word weighs 0."""
-    d = kb.article_count
-    if d < 1:
-        raise ValueError("cannot compute weights on an empty knowledge base")
-    nodes = kb.nodes
-    for word_id in kb.word_ids():
-        df = kb.df(word_id)
-        nodes[word_id].weight = word_weight(d, df) if df else 0.0
-    kb.weights_computed = True
 
 
 def reconstruct(kb: KnowledgeBase, article_id: int) -> list[list[list[str]]]:

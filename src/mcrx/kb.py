@@ -19,7 +19,8 @@ article's token bag and postings from them (kb.df(word_id) is read off
 the postings, which group each word's article ordinals by term
 frequency, each group a list that holds the article's own ordinal int, so
 every entry of one article is the same object and reading a group makes
-no new int); kb.runs(article_id) gives the same form back.
+no new int); kb.runs(article_id) gives the same form back. Word weights
+are read through kb.weights alone, current after any insert.
 
 The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
@@ -44,7 +45,6 @@ from .errors import (
     DuplicateDocumentError,
     IndexFormatError,
     MissingNodeError,
-    StaleWeightsError,
     VersionMismatchError,
 )
 from .textfile import _parse_record, utf8_lines, write_lines_atomic
@@ -112,11 +112,11 @@ def check_multiplier(value: object, name: str) -> float:
 
 @dataclass(slots=True)
 class Node:
-    """A word: its token (label) and weight wt(w)."""
+    """A word: its token (label) and weight wt(w) (KnowledgeBase.weights)."""
 
     id: int
     label: str
-    weight: float = 1.0
+    weight: float = 0.0
     level = WORD
 
 
@@ -186,7 +186,7 @@ class KnowledgeBase:
         # every word an entry
         self.postings: dict[int, dict[int, list[int]]] = {}
         self.tokenization = DEFAULT_RULES
-        self.weights_computed = True  # vacuously true while empty
+        self._weighed = 0  # the article count the word weights are computed for
 
     @property
     def article_count(self) -> int:
@@ -230,6 +230,12 @@ class KnowledgeBase:
         """Ids of every word node, in creation order."""
         return self._word_ids.values()
 
+    def weights(self, word_ids: Iterable[int]) -> dict[int, float]:
+        """Word id -> wt(w); computed anew (compute_weights) after an insert."""
+        if self._weighed != len(self.articles):  # every insert raises D
+            compute_weights(self)
+        return {word_id: self.nodes[word_id].weight for word_id in word_ids}
+
     def article_id(self, label: str) -> int | None:
         return self._article_ids.get(label)
 
@@ -239,14 +245,15 @@ class KnowledgeBase:
         return article.label if article.title is None else article.title
 
     def add_word(self, token: str) -> int:
-        """Id of the word node for token, created on first sight."""
+        """Id of the word node for token, created on first sight (TypeError for a non-str)."""
         word_id = self._word_ids.get(token)
         if word_id is None:
+            if type(token) is not str:
+                raise TypeError(f"token {token!r} is not a str")
             word_id = len(self.nodes)
             self.nodes.append(Node(word_id, token))
             self._word_ids[token] = word_id
             self.postings[word_id] = {}
-            self.weights_computed = False
         return word_id
 
     def add_article(
@@ -302,7 +309,6 @@ class KnowledgeBase:
         self.nodes.append(article)
         self.articles.append(article)
         self._article_ids[label] = article_id
-        self.weights_computed = False
         postings = self.postings  # one entry per word, made by add_word
         for word_id, count in bag.items():
             groups = postings[word_id]
@@ -346,6 +352,17 @@ class KnowledgeBase:
         }
 
 
+def compute_weights(kb: KnowledgeBase) -> None:
+    """Assign every word its weight (word_weight); an orphan word weighs 0."""
+    d = kb.article_count
+    if d < 1:
+        raise ValueError("cannot compute weights on an empty knowledge base")
+    for word_id in kb.word_ids():
+        df = kb.df(word_id)
+        kb.nodes[word_id].weight = word_weight(d, df) if df else 0.0
+    kb._weighed = d
+
+
 def save_index(kb: KnowledgeBase, path: str) -> None:
     """Write the knowledge base as an MCRX-1 file.
 
@@ -357,8 +374,6 @@ def save_index(kb: KnowledgeBase, path: str) -> None:
     defaults, so an index built with the defaults has the same bytes as
     one written before the key existed.
     """
-    if not kb.weights_computed and kb.word_count > 0:
-        raise StaleWeightsError("compute weights before saving the index")
     write_lines_atomic(path, _index_lines(kb))
 
 
@@ -373,6 +388,7 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
     if kb.tokenization != DEFAULT_RULES:
         header["tokenization"] = asdict(kb.tokenization)
     yield json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n"
+    weights = kb.weights(kb.word_ids())
     for token in sorted(kb._word_ids):
         word_id = kb._word_ids[token]
         df = kb.df(word_id)
@@ -381,7 +397,7 @@ def _index_lines(kb: KnowledgeBase) -> Iterator[str]:
         yield '{"t":"word","tok":%s,"df":%d,"w":%s}\n' % (
             json.dumps(token, ensure_ascii=False),
             df,
-            render_real(kb.nodes[word_id].weight),
+            render_real(weights[word_id]),
         )
     for article in sorted(kb.articles, key=lambda article: article.label):
         record: dict = {"t": "article", "label": article.label}
@@ -452,7 +468,7 @@ def load_index(path: str) -> KnowledgeBase:
                 f"stored df {declared} for {node.label!r} disagrees with derived df {derived}",
                 line,
             )
-        # save_index refuses stale weights and .17g round-trips, so a saved
+        # save_index writes current weights and .17g round-trips, so a saved
         # weight equals the formula bit for bit; this also rejects NaN/Infinity
         if node.weight != word_weight(kb.article_count, declared):
             raise IndexFormatError(
@@ -460,7 +476,7 @@ def load_index(path: str) -> KnowledgeBase:
                 f"ln(1 + D/df)",
                 line,
             )
-    kb.weights_computed = True
+    kb._weighed = kb.article_count
     return kb
 
 

@@ -183,7 +183,7 @@ def watch_read(scorer: QueryScorer, labels: tuple[str, ...] | list[str]) -> dict
         if word_id is not None:
             emission = scorer.emission.bag.get(word_id, 0) / scorer.emission.length
             multiplier = scorer.attention.get(word_id, 1.0)
-            values[label] = emission * multiplier * kb.nodes[word_id].weight
+            values[label] = emission * multiplier * kb.weights((word_id,))[word_id]
             continue
         article_id = kb.article_id(label)
         if article_id is not None:

@@ -103,6 +103,7 @@ class QueryScorer:
         self.source_article = query if isinstance(query, int) else None
         self.emission = emit(kb, query)
         self.forward_map = collect(kb, self.emission, self.attention)
+        self.weights = kb.weights(self.emission.bag)  # for the reverse passes
         self.self_activation = collect_on_bag(
             kb, self.emission, self.emission.bag, self.attention
         )
@@ -148,7 +149,7 @@ class QueryScorer:
             article_id, label, title = None, "", ""
             bag, length = emission.bag, emission.length
             forward = collect_on_bag(kb, self.emission, bag, self.attention)
-        reverse = _bag_sum(kb, bag, length, self.emission.bag, self.attention)
+        reverse = _bag_sum(self.weights, bag, length, self.emission.bag, self.attention)
         raw = combine(reverse, forward)
         percent = normalize(raw, self.self_raw)
         if not percent < math.inf:  # inf, or NaN from inf * ln(1 + 0)
@@ -205,12 +206,11 @@ class QueryScorer:
     # UnscorableQueryErrors.
     def _estimates(self, candidates: list[int]) -> list[float] | None:
         """raw~ per candidate, ids that candidates gave, or None where the bound does not hold."""
-        nodes, attention, emission = self.kb.nodes, self.attention, self.emission
+        attention, emission = self.attention, self.emission
         kept = [self._kept[c] for c in candidates]
         floor = _TINY * max(emission.length, max(item[0].length for item in kept))
-        for word_id in emission.bag:
+        for word_id, weight in self.weights.items():
             m = attention.get(word_id, 1.0)
-            weight = nodes[word_id].weight
             if not (m == 0.0 or weight == 0.0 or (m >= floor and m * weight >= floor)):
                 return None
         low = _TINY * max(1.0, self.self_raw)

@@ -142,10 +142,10 @@ def directional_sum(kb, bag, length, other, attention):
     bag emits, other receives; UnscorableQueryError when the exact sum
     leaves the float range.
     """
-    nodes = kb.nodes
+    weights = kb.weights(bag)
     try:
         return math.fsum(
-            count / length * attention.get(word, 1.0) * nodes[word].weight * other[word]
+            count / length * attention.get(word, 1.0) * weights[word] * other[word]
             for word, count in bag.items()
             if word in other
         )

@@ -19,7 +19,6 @@ from mcrx import (
     build_corpus,
     collect,
     collect_on_bag,
-    compute_weights,
     emit,
     ingest_document,
     rank,
@@ -29,7 +28,6 @@ from mcrx.activation import _least_rounding_to
 from mcrx.errors import (
     EmptyDocumentError,
     MissingNodeError,
-    StaleWeightsError,
     UnscorableQueryError,
 )
 from mcrx.ingest import read_corpus_jsonl
@@ -314,7 +312,6 @@ def test_reused_bins_across_ingest_and_reweighting():
         activate(kb, query)
     for doc in docs[25:]:
         ingest_document(kb, doc)
-    compute_weights(kb)
     for query in queries:
         assert labeled(kb, activate(kb, query)) == expected(docs, query)
 
@@ -632,7 +629,6 @@ def test_collect_result_is_a_read_only_map_like_a_dict():
     kb = KnowledgeBase()
     for label, text in (("d3", "a b"), ("d1", "b c"), ("d2", "x"), ("d4", "a c")):
         ingest_document(kb, RawDocument(label, text))
-    compute_weights(kb)
     d1, d2, d3, d4 = (kb.article_id(label) for label in ("d1", "d2", "d3", "d4"))
     emission = emit(kb, "a b b b")
     got = collect(kb, emission, {})
@@ -812,8 +808,8 @@ def test_per_call_attention_is_checked_before_any_pass(entry, bad):
     for key in BAD_KEYS:
         with pytest.raises(MissingNodeError):
             run(kb, "a b", d2, {kb.word_id("a"): 2.0, key: 0.0})
-    # stale weights: a pass would raise StaleWeightsError, the check comes first
-    kb.add_word("z")
+    # after an insert too, the keys and multipliers are checked first
+    ingest_document(kb, RawDocument("d3", "c d"))
     with pytest.raises(ValueError, match="attention multiplier"):
         run(kb, "a b", d2, {d2: bad})
     for key in BAD_KEYS:
@@ -822,14 +818,15 @@ def test_per_call_attention_is_checked_before_any_pass(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_every_pass_refuses_stale_weights(entry):
+def test_every_pass_after_an_insert_answers_as_a_fresh_build(entry):
+    # no compute_weights: the pass reads the weights of D = 3, not of D = 2
     kb = make_kb({"d1": "a b", "d2": "b c"})
-    d2 = kb.article_id("d2")
     ingest_document(kb, RawDocument("d3", "c d"))
-    with pytest.raises(StaleWeightsError):
-        ENTRY_POINTS[entry](kb, "a b", d2, None)
-    compute_weights(kb)
-    ENTRY_POINTS[entry](kb, "a b", d2, None)
+    fresh = make_kb({"d1": "a b", "d2": "b c", "d3": "c d"})
+    d2 = fresh.article_id("d2")
+    assert kb.article_id("d2") == d2
+    run = ENTRY_POINTS[entry]
+    assert run(kb, "a b", d2, None) == run(fresh, "a b", d2, None)
 
 
 def test_collect_on_bag_refuses_an_emission_of_length_zero():

@@ -74,6 +74,16 @@ def test_only_textfile_opens_or_decodes_files():
     assert calls and all(call.startswith("textfile.py:") for call in calls), calls
 
 
+def test_only_kb_reads_or_writes_word_weights():
+    # every reader asks KnowledgeBase.weights, which is current after any insert
+    uses = []
+    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "weight":
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses and all(use.startswith("kb.py:") for use in uses), uses
+
+
 LAZY = """
 import json
 import sys

@@ -17,9 +17,10 @@ from mcrx.errors import (
     DuplicateDocumentError,
     EmptyDocumentError,
 )
-from mcrx.ingest import TokenizationRules, read_corpus_dir, read_utf8
+from mcrx.ingest import TokenizationRules, ingest_segmented, read_corpus_dir, read_utf8
 
 from conftest import LN2, LN3, make_kb
+from oracles import check_kb
 
 
 def test_tokenize_strips_punctuation():
@@ -83,6 +84,22 @@ def test_ingest_empty_document_rejected():
     kb = KnowledgeBase()
     with pytest.raises(EmptyDocumentError):
         ingest_document(kb, RawDocument("void", "?!... ,,,"))
+
+
+@pytest.mark.parametrize(
+    "segmented, error",
+    [
+        ([[["z"], []]], ValueError),  # an empty sentence
+        ([[["z"]], []], ValueError),  # an empty paragraph
+        ([[["z", 5]]], TypeError),
+    ],
+)
+def test_refused_segmented_document_adds_no_word(c2, segmented, error):
+    words = c2.word_count
+    with pytest.raises(error):
+        ingest_segmented(c2, RawDocument("d", "x"), segmented)
+    assert c2.word_count == words and c2.article_id("d") is None
+    check_kb(c2)
 
 
 def test_weights_c2(c2):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import tracemalloc
 from array import array
@@ -17,7 +18,6 @@ from mcrx import (
     activate,
     TokenizationRules,
     build_corpus,
-    compute_weights,
     ingest_document,
     load_index,
     rank,
@@ -30,7 +30,6 @@ from mcrx.errors import (
     DuplicateDocumentError,
     IndexFormatError,
     MissingNodeError,
-    StaleWeightsError,
     VersionMismatchError,
 )
 
@@ -264,10 +263,12 @@ def test_empty_kb_round_trip(tmp_path):
     assert loaded.article_count == 0
 
 
-def test_stale_weights_block_save(tmp_path, c2):
-    c2.add_word("fresh")
-    with pytest.raises(StaleWeightsError):
-        save_index(c2, str(tmp_path / "stale.mcrx"))
+def test_save_after_an_insert_writes_a_fresh_build(tmp_path, c2):
+    # no compute_weights: the saved weights are those of D = 3
+    ingest_document(c2, RawDocument("d3", "c d"))
+    save_index(c2, str(tmp_path / "inserted.mcrx"))
+    save_index(make_kb({"d1": "a b", "d2": "b c", "d3": "c d"}), str(tmp_path / "fresh.mcrx"))
+    assert (tmp_path / "inserted.mcrx").read_bytes() == (tmp_path / "fresh.mcrx").read_bytes()
 
 
 def test_version_mismatch(tmp_path):
@@ -467,15 +468,12 @@ def test_add_article_takes_what_runs_returns(tmp_path):
                 else:
                     runs = kb.runs(node.id)
                     assert copy.add_article(node.label, runs, node.title) == node.id
-            compute_weights(copy)
             check_kb(copy)
             assert [(a.label, a.bag, a.length, a.runs) for a in copy.articles] == [
                 (a.label, a.bag, a.length, a.runs) for a in kb.articles
             ]
             assert copy.postings == kb.postings
-            assert [node.weight for node in copy.nodes if node.level == WORD] == [
-                node.weight for node in kb.nodes if node.level == WORD
-            ]
+            assert copy.weights(copy.word_ids()) == kb.weights(kb.word_ids())
             again = tmp_path / f"{trial}-copy.mcrx"
             save_index(copy, str(again))
             assert again.read_bytes() == path.read_bytes()
@@ -671,11 +669,30 @@ def test_save_skips_an_orphan_word(tmp_path):
     path = tmp_path / "plain.mcrx"
     save_index(kb, str(path))
     kb.add_word("orphan")  # reachable from no article
-    compute_weights(kb)
     orphaned = tmp_path / "orphaned.mcrx"
     save_index(kb, str(orphaned))
     assert orphaned.read_bytes() == path.read_bytes()
     assert load_index(str(orphaned)).word_id("orphan") is None
+
+
+def test_an_orphan_word_weighs_zero():
+    kb = KnowledgeBase()
+    a = kb.add_word("a")
+    assert kb.weights([a]) == {a: 0.0}  # no articles: nothing to compute
+    kb.add_article("d1", [[[("a", 1)]]])
+    orphan = kb.add_word("orphan")
+    assert kb.weights([a, orphan]) == {a: math.log(2.0), orphan: 0.0}
+    kb.add_article("d2", [[[("a", 1)]]])
+    assert kb.weights([orphan]) == {orphan: 0.0}
+
+
+@pytest.mark.parametrize("token", [5, True, ("a",)])
+def test_add_word_refuses_a_token_that_is_not_a_str(c2, token):
+    words = c2.word_count
+    with pytest.raises(TypeError, match="is not a str"):
+        c2.add_word(token)
+    assert c2.word_count == words
+    check_kb(c2)
 
 
 def test_save_into_a_missing_directory_leaves_no_temporary_file(tmp_path):

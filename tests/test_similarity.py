@@ -8,7 +8,6 @@ from mcrx import (
     RawDocument,
     build_corpus,
     combine,
-    compute_weights,
     ingest_document,
     normalize,
     rank,
@@ -243,7 +242,6 @@ def _shuffled_kb(docs, rng):
     for label in labels:
         if toks(docs[label]):
             ingest_document(kb, RawDocument(label, docs[label]))
-    compute_weights(kb)
     return kb
 
 
