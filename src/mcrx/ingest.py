@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 
 from .errors import CorpusFormatError, DuplicateDocumentError, EmptyDocumentError
@@ -79,8 +79,8 @@ def ingest_document(kb: KnowledgeBase, doc: RawDocument) -> int:
     """Segment one document and insert it as one article of word runs.
 
     The document is tokenized by the knowledge base's rules
-    (kb.tokenization). Returns the article node id; the next
-    kb.weights call recomputes the word weights.
+    (kb.tokenization). Returns the article node id; the next kb.weights
+    call recomputes the word weights. A refused document inserts nothing.
     """
     segmented = segment(doc.body, kb.tokenization)
     return ingest_segmented(kb, doc, segmented)
@@ -92,22 +92,11 @@ def ingest_segmented(
     """Insert a document already segmented into paragraphs of sentences of tokens.
 
     Each sentence becomes its runs of repeated tokens as (token, count)
-    pairs. The document's new words are created first, in order of first
-    occurrence, then its article node. ValueError for an empty paragraph
-    or sentence, TypeError for a token that is not a str.
+    pairs for kb.add_article, which makes every check but one and adds the
+    new words: EmptyDocumentError for a document with no paragraph.
     """
-    # checked before any word is added, so a rejected document leaves none
-    if kb.article_id(doc.id) is not None:
-        raise DuplicateDocumentError(f"document {doc.id!r} already ingested")
     if not segmented:
         raise EmptyDocumentError(f"document {doc.id!r} is empty after segmentation")
-    if not all(sentences and all(sentences) for sentences in segmented):
-        raise ValueError("empty paragraph or sentence")
-    words = dict.fromkeys(chain.from_iterable(chain.from_iterable(segmented)))
-    if set(map(type, words)) != {str}:
-        raise TypeError("every token must be a str")
-    for token in words:
-        kb.add_word(token)
     runs = [
         [[(token, len(list(run))) for token, run in groupby(tokens)] for tokens in sentences]
         for sentences in segmented

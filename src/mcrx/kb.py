@@ -13,8 +13,8 @@ reproduces the ingested text exactly.
 
 Articles enter through one path, add_article, which both ingestion and
 load_index call with the article's paragraphs of sentences of (token,
-count) runs, the form an MCRX-1 article record holds. It resolves each
-token to its word, checks the runs, stores them as arrays and fills the
+count) runs, the form an MCRX-1 article record holds. It checks them,
+then adds the new words, stores the runs as arrays and fills the
 article's token bag and postings from them (kb.df(word_id) is read off
 the postings, which group each word's article ordinals by term
 frequency, each group a list that holds the article's own ordinal int, so
@@ -264,41 +264,49 @@ class KnowledgeBase:
     ) -> int:
         """Insert an article from paragraphs of sentences of (token, count) runs.
 
-        Returns the article's id. Every token must already be a word
-        (add_word). The runs are stored packed; the article's bag, length
-        and postings are filled from them. Nothing is inserted if a check
-        fails: MissingNodeError for a token that is no word,
-        DuplicateDocumentError for a known label, TypeError or ValueError
-        for a run that is not a pair, TypeError for an unhashable token,
-        ValueError for a count that is not a positive int, for a count
-        outside the 32-bit range (2**31 or more) and for an article,
+        Returns the article's id. Tokens that are no word yet become words
+        (add_word) in first-occurrence order once every check has passed. The
+        runs are stored packed; the bag, length and postings are filled from
+        them. A failed check inserts nothing: TypeError for a label, title or
+        token that is not a str and for an unhashable token,
+        DuplicateDocumentError for a known label, TypeError or ValueError for a
+        run that is not a pair, ValueError for a count that is not a positive
+        int or is 2**31 or more (the 32-bit range) and for an article,
         paragraph or sentence with nothing in it.
         """
+        if type(label) is not str:
+            raise TypeError(f"label {label!r} is not a str")
+        if title is not None and type(title) is not str:
+            raise TypeError(f"title {title!r} is not a str")
         flat = [run for sentences in paragraphs for runs in sentences for run in runs]
         tokens = [token for token, _ in flat]
         counts = [count for _, count in flat]
         sentence_runs = [len(runs) for sentences in paragraphs for runs in sentences]
         paragraph_sentences = [len(sentences) for sentences in paragraphs]
+        word_ids = self._word_ids
         try:
-            words = list(map(self._word_ids.__getitem__, tokens))
-        except KeyError as exc:
-            raise MissingNodeError(f"article references unlisted word {exc.args[0]!r}") from None
+            words, new = list(map(word_ids.__getitem__, tokens)), []
+        except KeyError:  # the article brings new words
+            new = [token for token in dict.fromkeys(tokens) if token not in word_ids]
+        not_str = [token for token in new if type(token) is not str]
+        if not_str:
+            raise TypeError(f"token {not_str[0]!r} is not a str")
         if label in self._article_ids:
             raise DuplicateDocumentError(f"document {label!r} already ingested")
         if counts and (set(map(type, counts)) != {int} or min(counts) < 1):
             bad = next(c for c in counts if type(c) is not int or c < 1)
             raise ValueError(f"word count {bad!r} is not a positive int")
         try:
-            packed = ArticleRuns(
-                array("i", words),
-                array("i", counts),
-                array("i", sentence_runs),
-                array("i", paragraph_sentences),
-            )
+            arrays = array("i", counts), array("i", sentence_runs), array("i", paragraph_sentences)
         except OverflowError as exc:
             raise ValueError(f"run value out of range ({exc})") from exc
         if min(sentence_runs, default=0) < 1 or min(paragraph_sentences, default=0) < 1:
             raise ValueError("empty article, paragraph or sentence")
+        if new:
+            for token in new:
+                self.add_word(token)
+            words = list(map(word_ids.__getitem__, tokens))
+        packed = ArticleRuns(array("i", words), *arrays)  # every id is below 2**31
         bag = {}  # first-occurrence order
         for word_id, count in zip(words, counts):
             bag[word_id] = bag.get(word_id, 0) + count
@@ -510,17 +518,13 @@ def _load_word(kb: KnowledgeBase, record: dict, line: int) -> int:
 
 def _load_article(kb: KnowledgeBase, record: dict, line: int) -> None:
     label = record.get("label")
-    paragraphs = record.get("paragraphs")
-    title = record.get("title")
-    if not isinstance(label, str) or not isinstance(paragraphs, list):
-        raise IndexFormatError("article record has bad label/paragraphs", line)
-    if title is not None and not isinstance(title, str):
-        raise IndexFormatError("article title is not a string", line)
+    first_new = len(kb.nodes)
     try:
-        kb.add_article(label, paragraphs, title)
-    except MissingNodeError as exc:
-        raise IndexFormatError(str(exc), line) from exc
+        kb.add_article(label, record.get("paragraphs"), record.get("title"))
     except DuplicateDocumentError as exc:
         raise IndexFormatError(f"duplicate article record for {label!r}", line) from exc
     except (TypeError, ValueError) as exc:
         raise IndexFormatError(f"malformed article structure ({exc})", line) from exc
+    if len(kb.nodes) > first_new + 1:  # a word came in with the article
+        unlisted = kb.nodes[first_new].label
+        raise IndexFormatError(f"article references unlisted word {unlisted!r}", line)

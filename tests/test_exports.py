@@ -84,6 +84,20 @@ def test_only_kb_reads_or_writes_word_weights():
     assert uses and all(use.startswith("kb.py:") for use in uses), uses
 
 
+def test_only_kb_calls_add_word():
+    # words come in with their article: add_article checks it, then adds them
+    calls = []
+    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_word"
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls and all(call.startswith("kb.py:") for call in calls), calls
+
+
 LAZY = """
 import json
 import sys

@@ -29,7 +29,6 @@ from mcrx import (
 from mcrx.errors import (
     DuplicateDocumentError,
     IndexFormatError,
-    MissingNodeError,
     VersionMismatchError,
 )
 
@@ -63,16 +62,16 @@ def test_duplicate_article_label_rejected():
 
 
 def test_layering_violation_rejected():
-    # a token names a word, never an article: an article's label is no token
+    # a token names a word, never an article: an article's label read as a
+    # token is a new word, and an article's id is no token at all
     kb = KnowledgeBase()
-    kb.add_word("x")
     article = kb.add_article("doc1", [[[("x", 1)]]])
-    before = len(kb.nodes)
-    for token in ("doc1", article):
-        with pytest.raises(MissingNodeError):
-            kb.add_article("doc2", [[[("x", 1), (token, 1)]]])
-    assert len(kb.nodes) == before and kb.article_count == 1
-    assert kb.level_counts == [1, 1, 1, 1] and kb.df(kb.word_id("x")) == 1
+    with pytest.raises(TypeError, match="token 1 is not a str"):
+        kb.add_article("doc2", [[[("x", 1), (article, 1)]]])
+    assert len(kb.nodes) == 2 and kb.article_count == 1
+    second = kb.add_article("doc2", [[[("x", 1), ("doc1", 1)]]])
+    assert kb.word_id("doc1") == second - 1 != kb.article_id("doc1")
+    assert kb.level_counts == [2, 2, 2, 2] and kb.df(kb.word_id("x")) == 2
     check_kb(kb)
 
 
@@ -92,11 +91,53 @@ def test_run_lengths_must_add_up(runs):
     assert kb.article_count == 0 and kb.level_counts == [1, 0, 0, 0]
 
 
-def test_unknown_child_rejected():
+def test_unknown_words_come_in_with_their_article():
+    # new words take ids in order of first occurrence, before the article
     kb = KnowledgeBase()
-    with pytest.raises(MissingNodeError, match="unlisted word 'x'"):
-        kb.add_article("doc1", [[[("x", 1)]]])
-    assert kb.nodes == [] and kb.article_count == 0
+    kb.add_word("b")
+    article = kb.add_article("doc1", [[[("x", 2), ("b", 1)], [("y", 1), ("x", 1)]]])
+    assert [(node.id, node.label) for node in kb.nodes[:3]] == [(0, "b"), (1, "x"), (2, "y")]
+    assert article == 3 and list(kb.article(article).bag.items()) == [(1, 3), (0, 1), (2, 1)]
+    check_kb(kb)
+
+
+@pytest.mark.parametrize(
+    "label, title",
+    [(5, None), (True, None), (None, None), (("a",), None), ("d", 7)],
+)
+@pytest.mark.parametrize("how", ["add_article", "ingest_document"])
+def test_a_label_or_title_that_is_not_a_str_is_refused(c2, how, label, title):
+    nodes = list(c2.nodes)
+    with pytest.raises(TypeError, match="is not a str"):
+        if how == "add_article":
+            c2.add_article(label, [[[("x", 1), ("z", 1)]]], title)
+        else:
+            ingest_document(c2, RawDocument(label, "x z.", title))
+    assert c2.nodes == nodes
+    check_kb(c2)
+
+
+@pytest.mark.parametrize(
+    "label, runs, error",
+    [
+        ("d1", [[[("new", 1)]]], DuplicateDocumentError),
+        ("d", [[[("new", 1), ("a", 0)]]], ValueError),
+        ("d", [[[("new", 1.5)]]], ValueError),
+        ("d", [[[("new", 1), ("a", 2**31)]]], ValueError),
+        ("d", [], ValueError),  # an empty article
+        ("d", [[[("new", 1)]], []], ValueError),  # an empty paragraph
+        ("d", [[[("new", 1)], []]], ValueError),  # an empty sentence
+        ("d", [[[("new", 1), (5, 1)]]], TypeError),
+        ("d", [[[("new", 1), (["a"], 1)]]], TypeError),
+    ],
+)
+def test_a_refused_article_leaves_no_word(c2, label, runs, error):
+    words, nodes = c2.word_count, len(c2.nodes)
+    with pytest.raises(error):
+        c2.add_article(label, runs)
+    assert (c2.word_count, len(c2.nodes)) == (words, nodes)
+    assert c2.word_id("new") is None
+    check_kb(c2)
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.5, True, "2", 2**31])
@@ -452,7 +493,8 @@ def test_load_equals_build_node_for_node(tmp_path):
 def test_add_article_takes_what_runs_returns(tmp_path):
     # copying every node in id order, each article as add_article(label,
     # kb.runs(id), title), rebuilds the same knowledge base: a loaded one
-    # holds its words first, a built one interleaves them with the articles
+    # holds its words first, so they are copied by add_word; a built one
+    # interleaves them with the articles, so its articles alone bring them
     rng = random.Random(20261020)
     for trial in range(12):
         docs = random_corpus(rng, max_vocab=8 if trial % 2 else 200)
@@ -463,12 +505,13 @@ def test_add_article_takes_what_runs_returns(tmp_path):
         for kb in (built, load_index(str(path))):
             copy = KnowledgeBase()
             for node in kb.nodes:
-                if node.level == WORD:
-                    assert copy.add_word(node.label) == node.id
-                else:
+                if node.level == ARTICLE:
                     runs = kb.runs(node.id)
                     assert copy.add_article(node.label, runs, node.title) == node.id
+                elif kb is not built:
+                    assert copy.add_word(node.label) == node.id
             check_kb(copy)
+            assert [(n.id, n.label) for n in copy.nodes] == [(n.id, n.label) for n in kb.nodes]
             assert [(a.label, a.bag, a.length, a.runs) for a in copy.articles] == [
                 (a.label, a.bag, a.length, a.runs) for a in kb.articles
             ]
@@ -642,9 +685,9 @@ def test_load_refuses_an_empty_file(tmp_path):
         (2, b'"t":"word"', b'"t":"phrase"', "unknown record type 'phrase'"),
         (2, b',"w":1.0986122886681098', b"", "word record missing 'w'"),
         (2, b'"w":1.0986122886681098', b'"w":"1.1"', "word record has non-numeric weight"),
-        (5, b'"label":"d1"', b'"label":1', "article record has bad label/paragraphs"),
+        (5, b'"label":"d1"', b'"label":1', "malformed article structure (label 1 is not a str)"),
         (5, b'["a",1]', b'["x",1]', "article references unlisted word 'x'"),
-        (5, b'["a",1]', b'[1,1]', "article references unlisted word 1"),
+        (5, b'["a",1]', b'[1,1]', "malformed article structure (token 1 is not a str)"),
         (
             5,
             b'["a",1]',
