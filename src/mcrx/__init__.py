@@ -37,7 +37,6 @@ _EXPORTS = {
         "SENTENCE",
         "WORD",
         "Article",
-        "ArticleRuns",
         "KnowledgeBase",
         "Node",
         "TokenizationRules",

@@ -45,8 +45,8 @@ the reverse pass of similarity.QueryScorer, trace's per-member shares),
 is one math.fsum over the words the two bags share (_bag_sum).
 
 Sentences and paragraphs never modulate cross-document activation;
-trace reads an article's packed runs only to attribute its activation
-to them, by position (p2, p2.s3).
+trace reads an article's runs, through kb.runs, only to attribute its
+activation to them, by position (p2, p2.s3).
 """
 
 from __future__ import annotations
@@ -388,10 +388,9 @@ def trace(
             for word_id, count in sorted(article.bag.items(), key=lambda item: nodes[item[0]].label)
         ]
     else:
-        packed = article.runs
-        paragraphs = packed.nest(list(zip(packed.words, packed.counts)))
         members = []
-        for p, sentences in enumerate(paragraphs, start=1):
+        for p, paragraph in enumerate(kb.runs(article_id), start=1):
+            sentences = [[(kb.word_id(token), n) for token, n in runs] for runs in paragraph]
             if level == SENTENCE:
                 members.extend((None, (p, s), runs) for s, runs in enumerate(sentences, start=1))
             else:

@@ -4,10 +4,10 @@ Four levels: word=0, sentence=1, paragraph=2, article=3. Words and
 articles are nodes (kb.nodes, by id): a word is a Node, deduplicated by
 token (add_word); an article is one Article record holding all of its
 facts, also at kb.articles[ordinal]. Sentences and paragraphs are not
-nodes. An article's text structure is packed runs (ArticleRuns): four
-32-bit integer arrays holding the word id and count of every run of a
-repeated token, in text order, the number of runs in each sentence and
-the number of sentences in each paragraph. The same word may appear in
+nodes. An article's text structure is packed runs, four 32-bit integer
+arrays on its record: the word id and count of every run of a repeated
+token, in text order, the number of runs in each sentence and the
+number of sentences in each paragraph. The same word may appear in
 several runs, so the token order survives and top-down regeneration
 reproduces the ingested text exactly.
 
@@ -19,8 +19,9 @@ article's token bag and postings from them (kb.df(word_id) is read off
 the postings, which group each word's article ordinals by term
 frequency, each group a list that holds the article's own ordinal int, so
 every entry of one article is the same object and reading a group makes
-no new int); kb.runs(article_id) gives the same form back. Word weights
-are read through kb.weights alone, current after any insert.
+no new int). kb.runs(article_id) gives the same form back and is the one
+reader that nests the arrays; no other mcrx module reads them.
+Word weights are read through kb.weights alone, current after any insert.
 
 The knowledge base also keeps the tokenization rules its articles were
 segmented with (kb.tokenization); queries tokenize by the same rules.
@@ -121,50 +122,27 @@ class Node:
 
 
 @dataclass(slots=True)
-class ArticleRuns:
-    """An article's paragraphs of sentences of runs, stored flat.
-
-    A run is one word repeated count >= 1 times. words and counts hold
-    each run's word id and count in text order, sentence_runs the number
-    of runs in each sentence, paragraph_sentences the number of sentences
-    in each paragraph, each a 32-bit int array (array('i')), so every
-    value lies below 2**31.
-    """
-
-    words: array
-    counts: array
-    sentence_runs: array
-    paragraph_sentences: array
-
-    def nest(self, per_run: Sequence) -> list[list[list]]:
-        """Group per_run, one item per run, into paragraphs of sentences."""
-        sentences = []
-        start = 0
-        for size in self.sentence_runs:
-            sentences.append(per_run[start : start + size])
-            start += size
-        paragraphs = []
-        start = 0
-        for size in self.paragraph_sentences:
-            paragraphs.append(sentences[start : start + size])
-            start += size
-        return paragraphs
-
-
-@dataclass(slots=True)
 class Article:
     """An article: its packed runs and the facts derived from them.
 
     The same record is kb.nodes[id] and kb.articles[ordinal]; ordinal is
-    its place in insertion order, which the postings hold. bag maps word
-    id -> tf in first-occurrence order and length sums it. title is None
-    when the article has none.
+    its place in insertion order, which the postings hold. A run is one
+    word repeated count >= 1 times: words and counts hold each run's word
+    id and count in text order, sentence_runs the number of runs in each
+    sentence, paragraph_sentences the number of sentences in each
+    paragraph, each a 32-bit int array (array('i')), so every value lies
+    below 2**31; kb.runs nests them. bag maps word id -> tf in
+    first-occurrence order and length sums it. title is None when the
+    article has none.
     """
 
     id: int
     label: str
     ordinal: int
-    runs: ArticleRuns
+    words: array
+    counts: array
+    sentence_runs: array
+    paragraph_sentences: array
     bag: dict[int, int]
     length: int
     title: str | None
@@ -203,8 +181,8 @@ class KnowledgeBase:
     @property
     def level_counts(self) -> list[int]:
         """Words, sentences, paragraphs and articles, read off the tables."""
-        sentences = sum(len(article.runs.sentence_runs) for article in self.articles)
-        paragraphs = sum(len(article.runs.paragraph_sentences) for article in self.articles)
+        sentences = sum(len(article.sentence_runs) for article in self.articles)
+        paragraphs = sum(len(article.paragraph_sentences) for article in self.articles)
         return [self.word_count, sentences, paragraphs, self.article_count]
 
     def node(self, node_id: int) -> Node | Article:
@@ -306,14 +284,14 @@ class KnowledgeBase:
             for token in new:
                 self.add_word(token)
             words = list(map(word_ids.__getitem__, tokens))
-        packed = ArticleRuns(array("i", words), *arrays)  # every id is below 2**31
         bag = {}  # first-occurrence order
         for word_id, count in zip(words, counts):
             bag[word_id] = bag.get(word_id, 0) + count
         length = sum(counts)
 
         article_id, ordinal = len(self.nodes), len(self.articles)
-        article = Article(article_id, label, ordinal, packed, bag, length, title)
+        words = array("i", words)  # every word id is below 2**31
+        article = Article(article_id, label, ordinal, words, *arrays, bag, length, title)
         self.nodes.append(article)
         self.articles.append(article)
         self._article_ids[label] = article_id
@@ -329,10 +307,21 @@ class KnowledgeBase:
 
     def runs(self, article_id: int) -> list[list[list[tuple[str, int]]]]:
         """An article's paragraphs of sentences of (token, count) runs,
-        the form add_article takes."""
-        packed = self.article(article_id).runs
+        the form add_article takes; the one reader that nests its arrays."""
+        article = self.article(article_id)
         nodes = self.nodes
-        return packed.nest([(nodes[w].label, n) for w, n in zip(packed.words, packed.counts)])
+        runs = [(nodes[w].label, n) for w, n in zip(article.words, article.counts)]
+        sentences = []
+        start = 0
+        for size in article.sentence_runs:
+            sentences.append(runs[start : start + size])
+            start += size
+        paragraphs = []
+        start = 0
+        for size in article.paragraph_sentences:
+            paragraphs.append(sentences[start : start + size])
+            start += size
+        return paragraphs
 
     def set_attention(self, node_id: int, multiplier: float) -> None:
         """Set a node's attention multiplier; 1.0 restores the default.

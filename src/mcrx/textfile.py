@@ -40,15 +40,21 @@ def write_lines_atomic(path: str, lines: Iterable[str]) -> None:
 
     Each line is written as given, its line break included, as soon as it
     is produced, so no whole-file text is held. The lines go to a temporary
-    file beside the target, and os.replace then moves it onto the target.
-    If anything fails on the way, the temporary file is removed and the
-    old target is left as it was.
+    file in the target's directory, named by pid and random bytes alone so
+    that any legal target name leaves room for it; os.fsync puts its bytes
+    on disk, and os.replace then moves it onto the target, so after a crash
+    the target holds the old lines or all the new ones. If anything fails
+    on the way, the temporary file is removed and the old target is left
+    as it was.
     """
-    temp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    name = f".mcrx-{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    temp = os.path.join(os.path.dirname(path), name)
     try:
         with open(temp, "x", encoding="utf-8") as handle:
             for line in lines:
                 handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         try:

@@ -54,13 +54,12 @@ def check_kb(kb):
     for ordinal, article in enumerate(kb.articles):
         if article.ordinal != ordinal or kb.node(article.id) is not article:
             raise AssertionError(f"article {article.label!r} is off its ordinal or node slot")
-        packed = article.runs
-        if sum(packed.sentence_runs) != len(packed.words) or sum(
-            packed.paragraph_sentences
-        ) != len(packed.sentence_runs):
+        if sum(article.sentence_runs) != len(article.words) or sum(
+            article.paragraph_sentences
+        ) != len(article.sentence_runs):
             raise AssertionError(f"run lengths of article {article.id} do not add up")
         bag = {}
-        for word_id, count in zip(packed.words, packed.counts):
+        for word_id, count in zip(article.words, article.counts):
             if kb.node(word_id).level != WORD:
                 raise AssertionError(f"article {article.id} holds node {word_id}, not a word")
             bag[word_id] = bag.get(word_id, 0) + count

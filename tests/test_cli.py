@@ -330,6 +330,23 @@ def test_scl_demo_trivial(tmp_path, capsys):
     assert kb_path.exists()  # created with the default primitives
 
 
+def test_saves_under_a_250_byte_name_leave_no_temporary_file(tmp_path):
+    # a legal name may leave no room for a suffix: the temporary file's
+    # name must not grow with the target's
+    saves = tmp_path / "saves"
+    saves.mkdir()
+    index, actions = saves / ("b" * 250), saves / ("a" * 250)
+    build_c2(tmp_path)
+    corpus = tmp_path / "corpus"
+    for _ in range(2):  # a new file, then one replaced
+        assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
+        argv = ["scl-demo", "--kb", str(actions), "--start", "0,0", "--target", "2,1"]
+        assert main(argv) == 0
+    assert load_index(str(index)).article_count == 2
+    assert '"t":"comp"' in actions.read_text("utf-8")
+    assert sorted(p.name for p in saves.iterdir()) == [actions.name, index.name]
+
+
 def test_scl_demo_three_action_plan(tmp_path, capsys):
     kb_path = tmp_path / "actions.jsonl"
     code = main(["scl-demo", "--kb", str(kb_path), "--start", "0,0", "--target", "2,1"])

@@ -74,28 +74,33 @@ def test_only_textfile_opens_or_decodes_files():
     assert calls and all(call.startswith("textfile.py:") for call in calls), calls
 
 
+def attribute_sites(*names):
+    """file:line of each attribute named one of names in an mcrx module."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(SRC, "mcrx").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+
+
 def test_only_kb_reads_or_writes_word_weights():
     # every reader asks KnowledgeBase.weights, which is current after any insert
-    uses = []
-    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "weight":
-                uses.append(f"{path.name}:{node.lineno}")
+    uses = attribute_sites("weight")
     assert uses and all(use.startswith("kb.py:") for use in uses), uses
 
 
 def test_only_kb_calls_add_word():
     # words come in with their article: add_article checks it, then adds them
-    calls = []
-    for path in sorted(Path(SRC, "mcrx").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_word"
-            ):
-                calls.append(f"{path.name}:{node.lineno}")
+    calls = attribute_sites("add_word")
     assert calls and all(call.startswith("kb.py:") for call in calls), calls
+
+
+def test_only_kb_reads_an_articles_packed_runs():
+    # add_article writes the arrays, level_counts counts them and kb.runs
+    # nests them; trace and reconstruct ask kb.runs
+    uses = attribute_sites("words", "counts", "sentence_runs", "paragraph_sentences")
+    assert uses and all(use.startswith("kb.py:") for use in uses), uses
 
 
 LAZY = """

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import tracemalloc
 from array import array
@@ -12,7 +13,6 @@ from mcrx import (
     PARAGRAPH,
     SENTENCE,
     WORD,
-    ArticleRuns,
     KnowledgeBase,
     RawDocument,
     activate,
@@ -153,8 +153,8 @@ def test_runs_are_32_bit_arrays_and_posting_groups_lists():
     kb = KnowledgeBase()
     word = kb.add_word("x")
     article = kb.add_article("doc1", [[[("x", 2**31 - 1)]]])
-    packed = kb.article(article).runs
-    for values in (packed.words, packed.counts, packed.sentence_runs, packed.paragraph_sentences):
+    record = kb.article(article)
+    for values in (record.words, record.counts, record.sentence_runs, record.paragraph_sentences):
         assert (values.typecode, values.itemsize) == ("i", 4)
     assert kb.postings[word] == {2**31 - 1: [0]}
     assert type(kb.postings[word][2**31 - 1]) is list
@@ -449,11 +449,11 @@ def test_load_equals_build_node_for_node(tmp_path):
                 ARTICLE, b.label, b.ordinal, b.length, b.title
             )
             assert list(l.bag.items()) == [(to_loaded[w], n) for w, n in b.bag.items()]
-            assert l.runs == ArticleRuns(
-                array("i", [to_loaded[w] for w in b.runs.words]),
-                b.runs.counts,
-                b.runs.sentence_runs,
-                b.runs.paragraph_sentences,
+            assert (l.words, l.counts, l.sentence_runs, l.paragraph_sentences) == (
+                array("i", [to_loaded[w] for w in b.words]),
+                b.counts,
+                b.sentence_runs,
+                b.paragraph_sentences,
             )
 
         texts = [docs[label] for label in labels]
@@ -512,9 +512,7 @@ def test_add_article_takes_what_runs_returns(tmp_path):
                     assert copy.add_word(node.label) == node.id
             check_kb(copy)
             assert [(n.id, n.label) for n in copy.nodes] == [(n.id, n.label) for n in kb.nodes]
-            assert [(a.label, a.bag, a.length, a.runs) for a in copy.articles] == [
-                (a.label, a.bag, a.length, a.runs) for a in kb.articles
-            ]
+            assert copy.articles == kb.articles
             assert copy.postings == kb.postings
             assert copy.weights(copy.word_ids()) == kb.weights(kb.word_ids())
             again = tmp_path / f"{trial}-copy.mcrx"
@@ -533,6 +531,30 @@ def test_failed_save_keeps_old_index(tmp_path, monkeypatch, how):
         save_index(make_kb({"x": "a much longer corpus " * 50}), str(path))
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.mcrx"]
+
+
+def test_save_syncs_the_temporary_file_before_the_replace(tmp_path, monkeypatch):
+    # all or nothing after a crash too: the new bytes are on disk before
+    # the temporary file, beside the target, takes the target's name
+    path = tmp_path / "c.mcrx"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        assert os.path.samefile(os.path.dirname(os.path.abspath(src)), tmp_path)
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_index(make_kb({"d1": "a b", "d2": "b c"}), str(path))
+    inode = path.stat().st_ino
+    assert events == [("fsync", inode), ("replace", inode)]
     assert [p.name for p in tmp_path.iterdir()] == ["c.mcrx"]
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -344,6 +345,15 @@ def test_top_scores_every_candidate_tied_at_the_nth_place(monkeypatch):
     t, edge = 1 + eps, 1 - eps
     assert edge * (1 + eps) == t * (1 - eps)
     assert mcrx.similarity._within_reach([0.5, edge, t], 1) == [1, 2]
+
+
+def test_slack_meets_its_derivation_in_exact_arithmetic():
+    # the inequality beside QueryScorer._estimates, with u = 2**-53: a
+    # skipped candidate's percent is strictly below each of the n kept
+    u = Fraction(1, 2**53)
+    eps = Fraction(mcrx.similarity._SLACK)
+    errors = (1 + 8 * u) ** 2 * (1 + u) / ((1 - 8 * u) ** 2 * (1 - u))
+    assert 0 < eps < 1 and errors <= (1 + eps) / (1 - eps)
 
 
 def _near_tie_corpus(rng):
