@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .errors import NoCandidateError, UnknownLabelError
 
@@ -30,19 +29,23 @@ EXIT_TIME = "time"
 EXIT_EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class ExitCriteria:
-    """Loop budget; at least one bound must be set, and each set bound must
-    be able to trip: ValueError for a max_iterations that is not an int >= 1,
-    a max_seconds that is not a finite number >= 0 or a NaN score_threshold
-    (a bool is no number)."""
-
+class _ExitBounds(NamedTuple):
     max_iterations: int | None = None
     max_seconds: float | None = None
     score_threshold: float | None = None
 
-    def __post_init__(self):
-        iterations, seconds, threshold = self.max_iterations, self.max_seconds, self.score_threshold
+
+class ExitCriteria(_ExitBounds):
+    """Loop budget; at least one bound must be set, and each set bound must
+    be able to trip: ValueError for a max_iterations that is not an int >= 1,
+    a max_seconds that is not a finite number >= 0 or a NaN score_threshold
+    (a bool is no number). _make, and so _replace, run the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        iterations, seconds, threshold = self
         if iterations is seconds is threshold is None:
             raise ValueError("at least one exit bound must be set")
         if iterations is not None and (type(iterations) is not int or iterations < 1):
@@ -51,10 +54,14 @@ class ExitCriteria:
             raise ValueError(f"max_seconds {seconds!r} is not a finite number >= 0")
         if threshold is not None and (type(threshold) not in (int, float) or threshold != threshold):
             raise ValueError(f"score_threshold {threshold!r} is not a number")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Feedback:
+class Feedback(NamedTuple):
     """What the generator learns from the previous iteration."""
 
     iteration: int
@@ -63,14 +70,13 @@ class Feedback:
     best: Any
 
 
-@dataclass
-class LoopReport:
+class LoopReport(NamedTuple):
     best: Any
     best_score: float
     iterations: int
     exit_reason: str
-    history: list[tuple[Any, float]] = field(default_factory=list)
-    watch_log: list[tuple[int, str, float]] = field(default_factory=list)
+    history: list[tuple[Any, float]]
+    watch_log: list[tuple[int, str, float]]
 
 
 def run(
@@ -88,6 +94,7 @@ def run(
     """
     if watch and not hasattr(critic, "watch_values"):
         raise ValueError("watch labels given but the critic cannot read them")
+    max_iterations, max_seconds, threshold = exit_criteria
     started = time.monotonic()
     history: list[tuple[Any, float]] = []
     watch_log: list[tuple[int, str, float]] = []
@@ -96,17 +103,10 @@ def run(
     feedback: Feedback | None = None
     iterations = 0
     while True:
-        if (
-            exit_criteria.max_iterations is not None
-            and iterations >= exit_criteria.max_iterations
-        ):
+        if max_iterations is not None and iterations >= max_iterations:
             reason = EXIT_ITERATIONS
             break
-        if (
-            exit_criteria.max_seconds is not None
-            and iterations > 0
-            and time.monotonic() - started >= exit_criteria.max_seconds
-        ):
+        if max_seconds is not None and iterations > 0 and time.monotonic() - started >= max_seconds:
             reason = EXIT_TIME
             break
         candidate = generator(feedback)
@@ -124,10 +124,7 @@ def run(
             for label, value in critic.watch_values(tuple(watch)).items():
                 watch_log.append((iterations, label, value))
         feedback = Feedback(iterations, score, best_score, best)
-        if (
-            exit_criteria.score_threshold is not None
-            and score >= exit_criteria.score_threshold
-        ):
+        if threshold is not None and score >= threshold:
             reason = EXIT_THRESHOLD
             break
     return LoopReport(best, best_score, iterations, reason, history, watch_log)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     IndexFormatError,
@@ -45,8 +45,7 @@ def check_coordinates(point: tuple[int, int]) -> GridState:
     return (x, y)
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(NamedTuple):
     """A known action. A primitive has no children; a composite's
     flattening and net effect follow from its children's."""
 
@@ -56,15 +55,13 @@ class Action:
     net: Effect  # total displacement
 
 
-@dataclass(slots=True)
-class LearnResult:
+class LearnResult(NamedTuple):
     new_primitives: list[str]
     composite_id: str
     composite_created: bool
 
 
-@dataclass(slots=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     sequence: tuple[str, ...]
     composite_id: str | None
     composite_created: bool
@@ -262,7 +259,7 @@ def solve(
     if exit_criteria is None:
         exit_criteria = ExitCriteria(max_iterations=10000, score_threshold=100.0)
     elif exit_criteria.score_threshold is None:
-        exit_criteria = replace(exit_criteria, score_threshold=100.0)
+        exit_criteria = exit_criteria._replace(score_threshold=100.0)
 
     base_distance = manhattan(start, target)
 

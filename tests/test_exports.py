@@ -112,8 +112,9 @@ def loaded():
     return sorted(name for name in sys.modules if name.startswith("mcrx."))
 
 at_import = loaded()
+had_dataclasses = "dataclasses" in sys.modules
 assert mcrx.cli.main(sys.argv[1:]) == 0
-print(json.dumps([at_import, loaded()]))
+print(json.dumps([at_import, loaded(), "dataclasses" in sys.modules and not had_dataclasses]))
 """
 
 # what `import mcrx.cli` alone loads: the parser, the error types and text files
@@ -121,16 +122,17 @@ CLI_ONLY = ["mcrx.cli", "mcrx.errors", "mcrx.textfile"]
 
 
 def loaded_by(*argv):
-    """Run main(argv) in a fresh interpreter: the command's stdout, and the
-    mcrx modules loaded after `import mcrx.cli` and after the command."""
+    """Run main(argv) in a fresh interpreter: the command's stdout, the mcrx
+    modules loaded after `import mcrx.cli` and after the command, and whether
+    the command imported dataclasses."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     command = [sys.executable, "-c", LAZY, *map(str, argv)]
     completed = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert completed.returncode == 0, completed.stderr
     *output, modules = completed.stdout.splitlines()
-    at_import, after = json.loads(modules)
-    return "\n".join(output), at_import, after
+    at_import, after, imported_dataclasses = json.loads(modules)
+    return "\n".join(output), at_import, after, imported_dataclasses
 
 
 def build_two_docs(tmp_path):
@@ -148,7 +150,7 @@ def test_cli_query_loads_neither_scl_nor_seqdemo(tmp_path):
 
     corpus, index = build_two_docs(tmp_path)
     assert main(["build", "--corpus", str(corpus), "--index", str(index)]) == 0
-    output, at_import, after = loaded_by("query", "--index", index, "--doc", corpus / "d1.txt")
+    output, at_import, after, _ = loaded_by("query", "--index", index, "--doc", corpus / "d1.txt")
     assert "d2" in output
     for modules in (at_import, after):
         assert "mcrx.scl" not in modules and "mcrx.seqdemo" not in modules, modules
@@ -156,15 +158,30 @@ def test_cli_query_loads_neither_scl_nor_seqdemo(tmp_path):
 
 def test_each_cli_command_imports_only_what_it_runs(tmp_path):
     corpus, index = build_two_docs(tmp_path)
-    _, at_import, after = loaded_by("build", "--corpus", corpus, "--index", index)
+    argv = ("build", "--corpus", corpus, "--index", index)
+    _, at_import, after, imported_dataclasses = loaded_by(*argv)
     assert at_import == CLI_ONLY
     assert after == sorted([*CLI_ONLY, "mcrx.ingest", "mcrx.kb"])
+    assert imported_dataclasses  # kb's records are dataclasses: the probe sees it
     # the grid-world demo runs no index, activation or similarity code
     argv = ("scl-demo", "--kb", tmp_path / "actions", "--start", "0,0", "--target", "2,1")
-    output, at_import, after = loaded_by(*argv)
+    output, at_import, after, _ = loaded_by(*argv)
     assert "sequence\t" in output
     assert at_import == CLI_ONLY
     assert after == sorted([*CLI_ONLY, "mcrx.scl", "mcrx.seqdemo"])
+
+
+def test_scl_demo_never_imports_dataclasses(tmp_path):
+    # the loop's and the grid world's records are NamedTuples: importing
+    # dataclasses (inspect, ast, dis, tokenize) would cost each call ~6 ms
+    actions, demo = tmp_path / "actions", tmp_path / "demo.txt"
+    demo.write_text("0,0\n1,0\n1,1\n", "utf-8")
+    # a new action file, then a load, a learn and a save
+    for learn, printed in (((), "sequence\t"), (("--learn", demo), "learned composite")):
+        argv = ("scl-demo", "--kb", actions, *learn, "--start", "0,0", "--target", "2,1")
+        output, _, _, imported_dataclasses = loaded_by(*argv)
+        assert printed in output
+        assert not imported_dataclasses, argv
 
 
 # the names bench/benchtrace.py wraps as attributes of mcrx.cli

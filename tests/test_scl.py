@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -60,9 +59,25 @@ def test_exit_criteria_refuses_bounds_that_cannot_trip(bounds):
 
 def test_exit_criteria_accepts_finite_bounds():
     criteria = ExitCriteria(max_iterations=1, max_seconds=0, score_threshold=-1)
-    assert replace(criteria, score_threshold=100.0).score_threshold == 100.0
+    assert criteria._replace(score_threshold=100.0).score_threshold == 100.0
     assert ExitCriteria(max_seconds=0.5).max_seconds == 0.5
     assert ExitCriteria(score_threshold=float("inf")).score_threshold == float("inf")
+
+
+def test_exit_criteria_is_an_immutable_checked_record():
+    criteria = ExitCriteria(max_iterations=5)
+    # _replace (through _make) runs the constructor's checks again
+    with pytest.raises(ValueError):
+        criteria._replace(max_iterations=0)
+    with pytest.raises(ValueError):
+        ExitCriteria._make((None, None, None))
+    with pytest.raises(AttributeError):
+        criteria.max_iterations = 0
+    with pytest.raises(AttributeError):
+        criteria.extra = 1
+    assert criteria == ExitCriteria(max_iterations=5) and criteria != ExitCriteria(max_iterations=6)
+    assert hash(criteria) == hash(ExitCriteria(max_iterations=5))
+    assert criteria.max_iterations == 5
 
 
 def test_threshold_exit_on_first_candidate():

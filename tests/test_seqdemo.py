@@ -197,6 +197,8 @@ def test_action_kb_round_trip(tmp_path):
     assert set(loaded.known_ids()) == set(akb.known_ids())
     for action in akb:
         assert loaded.get(action.id) == action
+    # action records stay hashable: equal records, one set member
+    assert len({*akb, *loaded}) == len(akb.known_ids())
 
 
 @pytest.mark.parametrize("how", ["write", "replace"])

@@ -246,9 +246,9 @@ def _shuffled_kb(docs, rng):
     return kb
 
 
-def test_rank_bit_identical_to_reference_ranker():
+def _reference_cases():
+    """Seeded corpora with their queries and attention maps: (kb, queries, maps)."""
     rng = random.Random(2718)
-    compared = tied_cuts = 0
     for _ in range(8):
         docs = random_corpus(rng, max_docs=25, max_vocab=20, max_len=60)
         # identical texts under other labels: forward ties broken only by label
@@ -262,7 +262,13 @@ def test_rank_bit_identical_to_reference_ranker():
             " ".join(rng.choices(vocab, k=3) + ["unknownword"]),
             *rng.sample([article.id for article in kb.articles], 2),
         ]
-        for attention in _attention_maps(kb, rng):
+        yield kb, queries, _attention_maps(kb, rng)
+
+
+def test_rank_bit_identical_to_reference_ranker():
+    compared = tied_cuts = 0
+    for kb, queries, attention_maps in _reference_cases():
+        for attention in attention_maps:
             for query in queries:
                 cuts, tied = _cuts(kb, query, attention)
                 tied_cuts += tied
@@ -410,6 +416,89 @@ def test_bound_steps_aside_where_its_derivation_does_not_hold():
     assert _rows(rank(kb, "a b c", 3, 1, attention={d1: 1e-310})) == reference_rank(
         kb, "a b c", 3, 1, attention={d1: 1e-310}
     )
+
+
+U = 2.0**-53  # the unit roundoff of a float
+
+
+def _estimate_gaps(scorer, candidates):
+    """|raw~ - raw| / (u * raw) per candidate, or None where _estimates gives none."""
+    estimates = scorer._estimates(candidates)
+    if estimates is None:
+        return None
+    raws = [scorer.score(candidate).raw for candidate in candidates]
+    return [abs(estimate - raw) / (U * raw) for estimate, raw in zip(estimates, raws)]
+
+
+def test_estimates_are_within_15u_of_the_scored_raw():
+    # the derivation beside QueryScorer._estimates: raw~ and raw differ by
+    # about 14u to first order; 15u leaves room for the higher-order terms
+    checked = stepped_aside = 0
+    for kb, queries, attention_maps in _reference_cases():
+        for attention in attention_maps:
+            for query in queries:
+                try:
+                    scorer = QueryScorer(kb, query, attention)
+                except UnscorableQueryError:
+                    continue
+                gaps = _estimate_gaps(scorer, scorer.candidates(kb.article_count, False))
+                if gaps is None:
+                    stepped_aside += 1
+                    continue
+                assert max(gaps) <= 15, (query, attention)
+                checked += len(gaps)
+    assert checked > 1000 and stepped_aside > 0, (checked, stepped_aside)
+
+
+def _adversarial_corpus(rng):
+    """40 documents of 12, 20 or 24 tokens, none a power of two.
+
+    Each holds every query word a to d (so their weights are equal) one to
+    seven times, and its own filler words to its length. Documents of one
+    length whose tf_q * tf_d sums are equal tie before rounding, through
+    different terms.
+    """
+    docs = {}
+    for i in range(40):
+        counts = [1, 1, 1, 1]
+        for _ in range(rng.randint(0, 6)):
+            counts[rng.randrange(4)] += 1
+        tokens = [word for word, count in zip("abcd", counts) for _ in range(count)]
+        tokens += [f"f{i}x{j}" for j in range(rng.choice((12, 20, 24)) - len(tokens))]
+        rng.shuffle(tokens)
+        docs[f"d{i:02d}"] = " ".join(tokens)
+    return docs
+
+
+def test_top_is_every_candidate_scored_on_adversarial_near_ties():
+    """Multipliers 1 +- 2**-50 turn exact ties into near-ties at every place n;
+    top(k, n) is still all k candidates scored and sorted, bit for bit."""
+    near_one = (1 + 2.0**-50, 1 - 2.0**-50)
+    query = "a b b c c c d d d d"  # 10 tokens
+    near_ties = fragile = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        kb = make_kb(_adversarial_corpus(rng))
+        words = [kb.word_id(word) for word in "abcd"]
+        on_words = {word: rng.choice(near_one) for word in words}
+        on_articles = {
+            article.id: rng.choice(near_one) for article in rng.sample(kb.articles, 20)
+        }
+        k = kb.article_count
+        for attention in ({}, on_words, on_articles, {**on_words, **on_articles}):
+            scorer = QueryScorer(kb, query, attention)
+            candidates = scorer.candidates(k)
+            assert max(_estimate_gaps(scorer, candidates)) <= 15
+            scored = sorted(map(scorer.score, candidates), key=lambda r: (-r.percent, r.label))
+            raws = sorted(result.raw for result in scored)
+            near_ties += sum(a < b <= a * (1 + 2.0**-44) for a, b in zip(raws, raws[1:]))
+            estimates = dict(zip(candidates, scorer._estimates(candidates)))
+            for n in range(1, k):
+                assert _rows(QueryScorer(kb, query, attention).top(k, n)) == _rows(scored[:n])
+                # would ranking by raw~ alone, with no slack, lose a top-n result?
+                nth = sorted(estimates.values(), reverse=True)[n - 1]
+                fragile += any(estimates[r.article_id] < nth for r in scored[:n])
+    assert near_ties > 50 and fragile > 0, (near_ties, fragile)
 
 
 def test_score_bit_identical_to_reference_compare():
