@@ -25,16 +25,19 @@ every later word's terms are added. No article's sum exceeds bound, the
 sum of each word's largest term, so one division of bound settles that
 every sum divides into the float range; only when bound does not is the
 largest sum found and divided. collect returns those integers as an
-ActivationMap: an article's float value is made only when it is read,
-by one int / int division that rounds correctly, the same value
-math.fsum gives. Choosing the top k (ActivationMap.top) compares the
-integers and divides only the sums it may keep, and top_values hands
-those floats on, so a candidate's sum is divided once; iterating the
-whole map, as activate's callers do, divides every activated article's
-sum. The accumulator is local to the call: concurrent queries on one
-knowledge base share no collect state, and an interrupted pass leaves
-nothing behind (inserting articles while another thread queries is not
-supported; the first pass after an insert writes the word weights). An
+ActivationMap, after zeroing the sum of every article whose multiplier
+makes its value 0.0, so an article is activated exactly when its sum is
+not 0. An article's float value is made only when it is read, by one
+int / int division that rounds correctly, the same value math.fsum
+gives. Choosing the top k (ActivationMap.top_values) compares the
+integers and divides only the sums it may keep, and hands those floats
+on, so a candidate's sum is divided once; activate returns the whole map
+as a dict (ActivationMap.as_dict), which divides every activated
+article's sum. The accumulator is local to the call: concurrent queries
+on one knowledge base share no collect state, and an interrupted pass
+leaves nothing behind (inserting articles while another thread queries
+is not supported; the first pass after an insert writes the word
+weights). An
 exact sum past the float range, or an infinite word factor (finite
 attention multipliers near 1e308), raises UnscorableQueryError from
 collect itself. Because the sums are exactly rounded, activation values
@@ -53,9 +56,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import EmptyDocumentError, MissingNodeError, UnscorableQueryError
 from .ingest import tokenize
@@ -153,20 +155,18 @@ def _bag_sum(
     )
 
 
-class ActivationMap(Mapping):
-    """Article id -> forward activation, read off one query's integer sums.
+class ActivationMap:
+    """One query's forward activation, as collect's integer sums.
 
-    sums[ordinal] is an article's exact activation before its multiplier,
-    in units of 1/scale. A value is made when it is read, as
+    sums[ordinal] is an article's exact activation before its multiplier
+    m(d) = multipliers[ordinal], in units of 1/scale; it is 0 exactly when
+    the article is not activated. A value is made when it is read, as
     sums[ordinal] / scale * m(d): the int / int division is correctly
-    rounded, so it equals the math.fsum of the article's terms. Articles
-    whose value is 0.0 are absent (KeyError), and iteration follows
-    article insertion order; len, ==, get and the views behave as those
-    of a dict holding every value. Reading every item divides every
-    activated article's sum; top(k) divides only the sums it may keep.
+    rounded, so it equals the math.fsum of the article's terms. len counts
+    the activated articles, and == compares the fields.
     """
 
-    __slots__ = ("_kb", "sums", "scale", "_multipliers")
+    __slots__ = ("_kb", "sums", "scale", "multipliers")
 
     def __init__(
         self, kb: KnowledgeBase, sums: list[int], scale: int, multipliers: dict[int, float]
@@ -174,45 +174,37 @@ class ActivationMap(Mapping):
         self._kb = kb
         self.sums = sums
         self.scale = scale
-        self._multipliers = multipliers  # article ordinal -> m(d)
+        self.multipliers = multipliers  # article ordinal -> m(d), activated articles only
 
-    def __getitem__(self, article_id: int) -> float:
-        try:
-            value = self.value(self._kb.article(article_id))
-        except (MissingNodeError, ValueError):
-            raise KeyError(article_id) from None
-        if value == 0.0:
-            raise KeyError(article_id)
-        return value
-
-    def value(self, article: Article) -> float:
-        """An article record's value, 0.0 for one absent from the map."""
-        ordinal = article.ordinal
-        if ordinal < len(self.sums):
-            return self.sums[ordinal] / self.scale * self._multipliers.get(ordinal, 1.0)
-        return 0.0  # inserted after the collect
-
-    def __iter__(self) -> Iterator[int]:
-        scale, multipliers, articles = self.scale, self._multipliers, self._kb.articles
-        # a nonzero sum is at least one unit, 1/scale >= 2**-1074, so its
-        # value is 0.0 only through a multiplier: no other sum is divided
-        for ordinal, units in enumerate(self.sums):
-            if units and (
-                ordinal not in multipliers or units / scale * multipliers[ordinal] != 0.0
-            ):
-                yield articles[ordinal].id
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivationMap):
+            return NotImplemented
+        fields = attrgetter("sums", "scale", "multipliers")
+        return fields(self) == fields(other)
 
     def __len__(self) -> int:
-        sums, scale = self.sums, self.scale
-        count = len(sums) - sums.count(0)
-        for ordinal, multiplier in self._multipliers.items():
-            units = sums[ordinal]
-            if units and units / scale * multiplier == 0.0:
-                count -= 1
-        return count
+        return len(self.sums) - self.sums.count(0)
 
-    def top(self, k: int) -> list[int]:
-        """The ids of the k largest values, ties broken by label.
+    def value(self, article: Article) -> float:
+        """An article record's value, 0.0 for one that is not activated."""
+        ordinal = article.ordinal
+        if ordinal < len(self.sums):
+            return self.sums[ordinal] / self.scale * self.multipliers.get(ordinal, 1.0)
+        return 0.0  # inserted after the collect
+
+    def as_dict(self) -> dict[int, float]:
+        """Article id -> value of every activated article, in insertion order."""
+        scale, multipliers, articles = self.scale, self.multipliers, self._kb.articles
+        return {
+            articles[ordinal].id: units / scale * multipliers.get(ordinal, 1.0)
+            for ordinal, units in enumerate(self.sums)
+            if units
+        }
+
+    def top_values(self, k: int) -> list[tuple[Article, float, float]]:
+        """The k largest values, ties broken by label, as (article record,
+        value before its multiplier, value) triples; value gives the same
+        float, dividing again.
 
         A value without a multiplier is monotone in its sum. So with m
         the number of multiplied articles and t the (k+m)-th largest sum,
@@ -224,16 +216,9 @@ class ActivationMap(Mapping):
         divided and sorted. ValueError for a k that is not an int (a bool
         is not) or is below 1.
         """
-        return [article.id for article, _, _ in self.top_values(k)]
-
-    def top_values(self, k: int) -> list[tuple[Article, float, float]]:
-        """top(k) as (article record, value before its multiplier, value) triples.
-
-        value gives the same float, dividing again.
-        """
         if type(k) is not int or k < 1:
             raise ValueError("need int k >= 1")
-        sums, scale, multipliers = self.sums, self.scale, self._multipliers
+        sums, scale, multipliers = self.sums, self.scale, self.multipliers
         least = 1
         if k + len(multipliers) < len(sums):
             t = heapq.nlargest(k + len(multipliers), sums)[-1]
@@ -245,9 +230,7 @@ class ActivationMap(Mapping):
         values = []
         for ordinal in kept:
             pre = sums[ordinal] / scale
-            value = pre * multipliers.get(ordinal, 1.0)
-            if value != 0.0:
-                values.append((articles[ordinal], pre, value))
+            values.append((articles[ordinal], pre, pre * multipliers.get(ordinal, 1.0)))
         values.sort(key=lambda item: (-item[2], item[0].label))
         return values[:k]
 
@@ -273,11 +256,10 @@ def collect(
 ) -> ActivationMap:
     """Collect word activation up to the article layer via posting lists.
 
-    Returns an ActivationMap over one exact integer sum per article;
-    articles with zero activation are absent from it, the others follow
-    article insertion order. The sum is exact, so no split of the terms
-    could change it: workers is accepted for compatibility and the
-    collection runs in one pass, weighing words by kb.weights, current after
+    Returns an ActivationMap over one exact integer sum per article
+    ordinal, 0 for an article whose value is 0.0. The sum is exact, so no
+    split of the terms could change it: workers is accepted for
+    compatibility and the collection runs in one pass, weighing words by kb.weights, current after
     any insert. UnscorableQueryError for an infinite factor or a sum past
     the float range.
     """
@@ -332,9 +314,15 @@ def collect(
     multipliers = {}
     for node_id, multiplier in attention.items():
         try:
-            multipliers[kb.article(node_id).ordinal] = multiplier
+            ordinal = kb.article(node_id).ordinal
         except (MissingNodeError, ValueError):
-            pass  # a word's multiplier, already in its factor
+            continue  # a word's multiplier, already in its factor
+        # the one presence rule: a value of 0.0 (an m(d) of 0, or an
+        # underflow) zeroes the sum, and only a nonzero value keeps its m(d)
+        if sums[ordinal] / scale * multiplier == 0.0:
+            sums[ordinal] = 0
+        else:
+            multipliers[ordinal] = multiplier
     return ActivationMap(kb, sums, scale, multipliers)
 
 
@@ -352,8 +340,9 @@ def collect_on_bag(
 def activate(
     kb: KnowledgeBase, source: Source, attention: dict[int, float] | None = None
 ) -> dict[int, float]:
-    """Article activation map for a source (emit + collect)."""
-    return collect(kb, emit(kb, source), attention)
+    """Article id -> activation of every activated article, for a source
+    (emit + collect), in article insertion order."""
+    return collect(kb, emit(kb, source), attention).as_dict()
 
 
 def trace(

@@ -25,7 +25,7 @@ from .errors import (
     UnscorableQueryError,
     VersionMismatchError,
 )
-from .textfile import read_utf8, utf8_lines
+from .textfile import read_utf8
 
 if TYPE_CHECKING:
     from .kb import KnowledgeBase
@@ -84,12 +84,7 @@ def _coords(value: str) -> tuple[int, int]:
     from . import seqdemo
 
     try:
-        x, y = value.split(",")
-        point = (int(x), int(y))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected X,Y, got {value!r}") from exc
-    try:
-        return seqdemo.check_coordinates(point)
+        return seqdemo.check_coordinates(seqdemo.parse_pair(value))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -276,7 +271,7 @@ def cmd_scl_demo(args: argparse.Namespace) -> None:
             _failing("unreadable", "cannot read demonstration: ", OSError),
             _failing("invalid demonstration", "invalid demonstration: ", InvalidDemonstrationError),
         ):
-            learned = seqdemo.learn_demonstration(akb, _read_demo(args.learn))
+            learned = seqdemo.learn_demonstration(akb, seqdemo.read_demonstration(args.learn))
         for label in learned.new_primitives:
             print(f"learned primitive {label}")
         if learned.composite_created:
@@ -298,23 +293,6 @@ def cmd_scl_demo(args: argparse.Namespace) -> None:
     if missing or len(akb.known_ids()) > known:
         with _failing("unreadable", "cannot write action kb: ", OSError):
             seqdemo.save_actions(akb, args.kb)
-
-
-def _read_demo(path: str) -> list[tuple[int, int]]:
-    """The X,Y states of a demonstration file, one per non-blank line."""
-    states = []
-    for line_no, raw in utf8_lines(path, name_file=True):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            x, y = stripped.split(",")
-            states.append((int(x), int(y)))
-        except ValueError as exc:
-            raise InvalidDemonstrationError(
-                f"line {line_no}: expected X,Y, got {stripped!r}"
-            ) from exc
-    return states
 
 
 def cmd_stats(args: argparse.Namespace) -> None:

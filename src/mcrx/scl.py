@@ -184,7 +184,7 @@ def watch_read(scorer: QueryScorer, labels: tuple[str, ...] | list[str]) -> dict
             continue
         article_id = kb.article_id(label)
         if article_id is not None:
-            values[label] = scorer.forward_map.get(article_id, 0.0)
+            values[label] = scorer.forward_map.value(kb.article(article_id))
             continue
         raise UnknownLabelError(f"label {label!r} resolves to no node")
     return values

@@ -22,7 +22,7 @@ from .errors import (
     MissingNodeError,
     NoActionsError,
 )
-from .textfile import json_records, write_lines_atomic
+from .textfile import json_records, utf8_lines, write_lines_atomic
 from .scl import EXIT_THRESHOLD, ExitCriteria, Feedback, LoopReport, run
 
 GridState = tuple[int, int]
@@ -43,6 +43,29 @@ def check_coordinates(point: tuple[int, int]) -> GridState:
     if type(x) is not int or type(y) is not int or max(abs(x), abs(y)) > COORD_LIMIT:
         raise ValueError(f"coordinates {point!r} are not ints within +-2**53")
     return (x, y)
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """An "X,Y" text as a pair of ints; ValueError "expected X,Y" otherwise."""
+    try:
+        x, y = text.split(",")
+        return (int(x), int(y))
+    except ValueError:
+        raise ValueError(f"expected X,Y, got {text!r}") from None
+
+
+def read_demonstration(path: str) -> list[GridState]:
+    """The X,Y states of a demonstration file, one per non-blank line;
+    InvalidDemonstrationError names a line parse_pair refuses."""
+    states = []
+    for line_no, text in utf8_lines(path, name_file=True):
+        stripped = text.strip()
+        if stripped:
+            try:
+                states.append(parse_pair(stripped))
+            except ValueError as exc:
+                raise InvalidDemonstrationError(f"line {line_no}: {exc}") from exc
+    return states
 
 
 class Action(NamedTuple):

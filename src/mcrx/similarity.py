@@ -2,10 +2,12 @@
 
 The forward pass activates the whole corpus from the query and the
 best-activated articles become candidates. The forward values stay
-collect's exact integer sums (activation.ActivationMap): a heap finds
-the cut on the integers, and only the articles at or above it, plus
-those with an article multiplier, are divided into floats and sorted;
-the candidates' estimates and scores read those floats back.
+collect's exact integer sums (activation.ActivationMap), where an
+article is activated exactly when its sum is not 0: a heap finds the cut
+on the integers, and only the articles at or above it, plus the
+activated ones with an article multiplier, are divided into floats and
+sorted (ActivationMap.top_values); the candidates' estimates and scores
+read those floats back.
 Each candidate is then re-scored in reverse (its own emission collected
 on the query's token bag) by activation._bag_sum, straight from the
 article's bag and length: one exact sum over the words the article and

@@ -1,16 +1,18 @@
-"""Mutation check of the scoring contract's hand-derived bounds.
+"""Mutation check of the scoring contract's hand-derived bounds and
+of collect's presence rule.
 
 Each mutant loosens or drops one bound that a derivation in the source
-justifies. For each, the script copies the repository to a temporary
-directory, applies the one edit there, runs the tier-1 suite on the copy
-and reports the mutant killed (some test failed) or survived (every test
-passed). The working tree is never edited. Run from anywhere:
+justifies, or lets a value of 0.0 count as an activated article. For
+each, the script copies the repository to a temporary directory, applies
+the one edit there, runs the tier-1 suite on the copy and reports the
+mutant killed (some test failed) or survived (every test passed). The
+working tree is never edited. Run from anywhere:
 
     python tests/mutants.py            # the whole tier-1 suite
     python tests/mutants.py tests/     # any pytest arguments instead
 
-A survivor is a bound the suite cannot tell from a looser one. The exit
-status is 1 when a mutant survives or no longer applies, else 0.
+A survivor is a bound or rule the suite cannot tell from a looser one.
+The exit status is 1 when a mutant survives or no longer applies, else 0.
 """
 
 from __future__ import annotations
@@ -69,6 +71,25 @@ MUTANTS = [
         "src/mcrx/similarity.py",
         "if not (reverse <= _HUGE and low <= raw <= high):",
         "if False:",
+    ),
+    (
+        "collect keeps a multiplied article whose value is 0.0",
+        "src/mcrx/activation.py",
+        "if sums[ordinal] / scale * multiplier == 0.0:",
+        "if False:",
+    ),
+    (
+        "collect keeps an article whose multiplier underflows its value",
+        "src/mcrx/activation.py",
+        "if sums[ordinal] / scale * multiplier == 0.0:",
+        "if multiplier == 0.0:",
+    ),
+    ("as_dict keeps a zero sum", "src/mcrx/activation.py", "            if units\n", ""),
+    (
+        "__len__ counts zero sums",
+        "src/mcrx/activation.py",
+        "return len(self.sums) - self.sums.count(0)",
+        "return len(self.sums)",
     ),
 ]
 

@@ -89,7 +89,8 @@ def test_collect_c2(c2):
 
 def test_collect_zero_attention_empty_map(c2):
     attention = {c2.word_id(token): 0.0 for token in ("a", "b", "c")}
-    assert collect(c2, emit(c2, "a b"), attention) == {}
+    forward = collect(c2, emit(c2, "a b"), attention)
+    assert forward.as_dict() == {} and len(forward) == 0
 
 
 def test_asymmetry_c3(c3):
@@ -504,7 +505,7 @@ def test_collect_equals_fsum_oracle():
                     collect(kb, emission, attention)
                 continue
             got = collect(kb, emission, attention)
-            assert list(got.items()) == list(oracle.items())
+            assert list(got.as_dict().items()) == list(oracle.items())
             checked += 1
     assert checked > 300 and unscorable > 0
 
@@ -545,7 +546,7 @@ def test_collect_visits_the_commonest_word_first_and_skips_muted_ones():
             attention = {order[0]: 0.0} if rng.random() < 0.5 else {rng.choice(order): 3.0}
             got, visited = collect_and_order(kb, emission, attention)
             assert visited == [w for w in order if attention.get(w, 1.0) != 0.0]
-            assert list(got.items()) == list(fsum_collect(kb, emission, attention).items())
+            assert list(got.as_dict().items()) == list(fsum_collect(kb, emission, attention).items())
             muted_first += attention.get(order[0]) == 0.0 and len(visited) > 0
     assert muted_first > 50
 
@@ -564,7 +565,7 @@ def test_collect_words_tied_on_weight_visit_in_bag_order():
         emission = emit(kb, " ".join(rng.choices(vocab, k=rng.randint(2, 8))))
         got, visited = collect_and_order(kb, emission, {})
         assert visited == list(emission.bag)
-        assert list(got.items()) == list(fsum_collect(kb, emission, {}).items())
+        assert list(got.as_dict().items()) == list(fsum_collect(kb, emission, {}).items())
 
 
 def test_collect_single_word_queries():
@@ -578,7 +579,7 @@ def test_collect_single_word_queries():
                 emission = emit(kb, query)
                 got, visited = collect_and_order(kb, emission, {})
                 assert visited == [word_id]
-                assert list(got.items()) == list(fsum_collect(kb, emission, {}).items())
+                assert list(got.as_dict().items()) == list(fsum_collect(kb, emission, {}).items())
 
 
 @pytest.mark.parametrize(
@@ -602,7 +603,7 @@ def test_collect_bound_past_float_range(texts, scorable):
         math.fsum([factor * 2, factor * 2])  # the bound
     oracle = fsum_collect(kb, emission, attention)
     if scorable:
-        got = collect(kb, emission, attention)
+        got = collect(kb, emission, attention).as_dict()
         assert list(got.items()) == list(oracle.items())
         assert got[kb.article_id("d1")] == math.fsum([factor * 2, factor])
     else:
@@ -625,44 +626,49 @@ def test_infinite_word_factor_is_unscorable():
 
 
 
-def test_collect_result_is_a_read_only_map_like_a_dict():
-    kb = KnowledgeBase()
-    for label, text in (("d3", "a b"), ("d1", "b c"), ("d2", "x"), ("d4", "a c")):
-        ingest_document(kb, RawDocument(label, text))
-    d1, d2, d3, d4 = (kb.article_id(label) for label in ("d1", "d2", "d3", "d4"))
-    emission = emit(kb, "a b b b")
-    got = collect(kb, emission, {})
-    oracle = fsum_collect(kb, emission, {})
-    # insertion order, not label order; d2 shares no word with the query
-    assert list(got) == [d3, d1, d4] == list(oracle)
-    assert list(got.items()) == list(oracle.items())
-    assert list(got.values()) == list(oracle.values())
-    assert got == oracle and oracle == got and dict(got) == oracle
-    assert got != {**oracle, d2: 1.0} and got != {}
-    assert len(got) == 3 and got
-    assert got[d1] == oracle[d1] and got.get(d1) == oracle[d1]
-    # kb.nodes[-1] is d4, which is present: a negative key must not reach it
-    assert kb.nodes[-1].id == d4
-    absent_keys = (d2, kb.word_id("a"), -1, len(kb.nodes), 10**6, "d1", None, (d1,))
-    for absent in absent_keys:
-        assert absent not in got and got.get(absent) is None and got.get(absent, 0.0) == 0.0
-        with pytest.raises(KeyError):
-            got[absent]
-    # a value of 0.0, from a zero multiplier or an underflowing one, is absent
-    assert 0.0 < got[d4] < 0.5
-    zeroed = collect(kb, emission, {d1: 0.0, d4: 5e-324})
-    assert zeroed == {d3: got[d3]}
-    assert list(zeroed) == [d3] and len(zeroed) == 1
-    for gone in (d1, d4):
-        assert gone not in zeroed and zeroed.get(gone) is None
-        with pytest.raises(KeyError):
-            zeroed[gone]
-    empty = collect(kb, emission, {kb.word_id("a"): 0.0, kb.word_id("b"): 0.0})
-    assert empty == {} and {} == empty and not empty and len(empty) == 0
-    assert list(empty.items()) == [] and empty.get(d3) is None
-    assert not activate(kb, "a b b b", {d1: 0.0, d3: 0.0, d4: 0.0})
-    with pytest.raises(TypeError):
-        got[d1] = 1.0  # read-only
+def test_collect_decides_presence_once_by_a_nonzero_sum():
+    """An article is activated exactly when its sum is not 0; len, as_dict and value agree.
+
+    Article multipliers of 0.0, or ones that underflow a value (5e-324,
+    1e-300, or 0.5 on a subnormal value), zero the article's sum in
+    collect itself. The counts are taken against a collect run with the
+    word multipliers only, whose sums no article multiplier zeroes.
+    """
+    rng = random.Random(2511)
+    seen = dict.fromkeys(("zeroed", "underflow", "subnormal", "out_of_label_order"), 0)
+    for _ in range(50):
+        docs, kb = repeated_corpus(rng), KnowledgeBase()
+        for doc in rng.sample(docs, len(docs)):
+            ingest_document(kb, doc)  # insertion order is not label order
+        word_ids, articles = list(kb.word_ids()), kb.articles
+        for _ in range(4):
+            words = {}
+            if rng.random() < 0.5:  # subnormal word factors, scale up to 2**1074
+                for word_id in rng.sample(word_ids, rng.randint(1, len(word_ids))):
+                    words[word_id] = rng.choice((5e-324, 4e-320, 1e-310))
+            attention = dict(words)
+            for article in rng.sample(articles, rng.randint(0, len(articles))):
+                attention[article.id] = rng.choice((0.0, 5e-324, 1e-300, 0.5, 3.0))
+            query = " ".join(rng.choices([kb.nodes[w].label for w in word_ids], k=5))
+            emission = emit(kb, query)
+            got = collect(kb, emission, attention)
+            values = got.as_dict()
+            assert list(values.items()) == list(fsum_collect(kb, emission, attention).items())
+            assert 0.0 not in values.values() and len(got) == len(values)
+            for article in articles:
+                assert (got.sums[article.ordinal] == 0) == (got.value(article) == 0.0)
+                assert (got.value(article) != 0.0) == (article.id in values)
+            assert all(collect(kb, emission, attention, workers=w) == got for w in (2, 4, 8))
+            plain = collect(kb, emission, words)
+            assert (got == plain) == (got.sums == plain.sums and not got.multipliers)
+            for article in articles:
+                units, m = plain.sums[article.ordinal], attention.get(article.id)
+                seen["zeroed"] += bool(units) and m == 0.0
+                seen["underflow"] += bool(units) and bool(m) and article.id not in values
+            seen["subnormal"] += any(0.0 < v < sys.float_info.min for v in values.values())
+            labels = [kb.nodes[a].label for a in values]
+            seen["out_of_label_order"] += labels != sorted(labels)
+    assert all(count > 20 for count in seen.values()), seen
 
 
 @pytest.mark.parametrize(
@@ -729,7 +735,11 @@ def tie_corpus(rng):
 
 
 def test_top_equals_sorting_the_full_map():
-    """ActivationMap.top(k) and candidates(k) against sorting every item, with ==."""
+    """ActivationMap.top_values(k) and candidates(k) against sorting every item, with ==.
+
+    underflow and zeroed_in_top read the sums of a collect run with the
+    word multipliers only: collect zeroes the sums they look for.
+    """
     rng = random.Random(4099)
     seen = dict.fromkeys(("float_ties_at_cut", "zeroed_in_top", "subnormal", "underflow"), 0)
     checked = 0
@@ -756,16 +766,19 @@ def test_top_equals_sorting_the_full_map():
                 continue
             checked += 1
             forward = scorer.forward_map
-            ranked = sorted(forward.items(), key=lambda item: (-item[1], nodes[item[0]].label))
+            values = forward.as_dict()
+            ranked = sorted(values.items(), key=lambda item: (-item[1], nodes[item[0]].label))
             full = [article_id for article_id, _ in ranked]
             sums = forward.sums
+            words = {node: m for node, m in attention.items() if node not in ordinal}
+            plain = collect(kb, scorer.emission, words).sums
             seen["subnormal"] += any(0.0 < value < sys.float_info.min for _, value in ranked)
             seen["underflow"] += any(
-                sums[ordinal[a]] and attention.get(a) != 0.0 and a not in forward
+                plain[ordinal[a]] and attention.get(a) != 0.0 and a not in values
                 for a in articles
             )
             for k in range(1, len(articles) + 3):
-                assert forward.top(k) == full[:k]
+                assert [article.id for article, _, _ in forward.top_values(k)] == full[:k]
                 assert scorer.candidates(k, exclude_self=False) == full[:k]
                 assert scorer.candidates(k) == [a for a in full[:k] if a != query]
                 if k < len(ranked):
@@ -773,14 +786,14 @@ def test_top_equals_sorting_the_full_map():
                     seen["float_ties_at_cut"] += (
                         value == below and sums[ordinal[a]] < sums[ordinal[b]]
                     )
-                sums_top = sorted(articles, key=lambda a: -sums[ordinal[a]])[:k]
+                sums_top = sorted(articles, key=lambda a: -plain[ordinal[a]])[:k]
                 seen["zeroed_in_top"] += any(attention.get(a) == 0.0 for a in sums_top)
     assert checked > 250 and all(count > 20 for count in seen.values()), (checked, seen)
 
 
 # a per-call attention= map, passed to each entry point that takes one
 ENTRY_POINTS = {
-    "collect": lambda kb, q, d, m: collect(kb, emit(kb, q), m).items(),
+    "collect": lambda kb, q, d, m: collect(kb, emit(kb, q), m).as_dict().items(),
     "collect_on_bag": lambda kb, q, d, m: collect_on_bag(kb, emit(kb, q), kb.article(d).bag, m),
     "trace": lambda kb, q, d, m: trace(kb, q, d, SENTENCE, 5, m),
     "activate": lambda kb, q, d, m: activate(kb, q, m).items(),
@@ -874,5 +887,5 @@ def test_activation_map_reads_an_article_inserted_after_the_collect_as_zero():
     assert len(forward) == 2
     late = kb.add_article("d3", [[[("b", 1)]]])
     assert forward.value(kb.article(late)) == 0.0
-    assert late not in forward and forward.get(late) is None
+    assert late not in forward.as_dict()
     assert len(forward) == 2

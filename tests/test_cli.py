@@ -1316,6 +1316,17 @@ def test_scl_demo_demonstration_line_not_x_comma_y_exit_6(tmp_path, capsys):
     assert err == "error: invalid demonstration: line 4: expected X,Y, got '1,x'\n"
 
 
+@pytest.mark.parametrize("text", ["1,x", "1", "1,2,3", "1;2", ",", "x,1"])
+def test_demonstration_lines_and_coordinate_flags_refuse_alike(tmp_path, capsys, text):
+    code, out, err = learn_demo(tmp_path, capsys, f"0,0\n{text}\n".encode())
+    assert (code, out) == (6, "")
+    assert err == f"error: invalid demonstration: line 2: expected X,Y, got {text!r}\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scl-demo", "--kb", str(tmp_path / "k"), "--start", text, "--target", "0,0"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument --start: expected X,Y, got {text!r}\n")
+
+
 DEMO = "0,0\n0,1\n\n1,1\n2,1\n"
 
 

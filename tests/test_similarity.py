@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -107,7 +108,7 @@ def test_rank_parameter_validation(c2):
             scorer.top(k, n)
     for k in (2.5, "3", True, None):
         with pytest.raises(ValueError, match="int"):
-            scorer.forward_map.top(k)
+            scorer.forward_map.top_values(k)
         with pytest.raises(ValueError, match="int"):
             scorer.candidates(k)
 
@@ -228,7 +229,7 @@ def _cuts(kb, query, attention):
         forward = QueryScorer(kb, query, attention).forward_map
     except UnscorableQueryError:
         return [1, 5], 0
-    values = sorted(forward.values(), reverse=True)
+    values = sorted(forward.as_dict().values(), reverse=True)
     # k such that the k-th and (k+1)-th activations tie
     tied = [i + 1 for i in range(len(values) - 1) if values[i] == values[i + 1]][:2]
     cuts = {1, 3, max(1, len(values) - 1), max(1, len(values)), len(values) + 5, *tied}
@@ -448,6 +449,43 @@ def test_estimates_are_within_15u_of_the_scored_raw():
                 assert max(gaps) <= 15, (query, attention)
                 checked += len(gaps)
     assert checked > 1000 and stepped_aside > 0, (checked, stepped_aside)
+
+
+def test_estimates_and_scores_are_within_8u_of_the_exact_value():
+    # the derivation beside QueryScorer._estimates, in exact arithmetic:
+    # with X = sum_w tf_q * m(w) * wt(w) * tf_d over the rounded floats m(w)
+    # and wt(w), and f the forward value score reads, raw~ and
+    # percent * self_raw / 100 are each within 8u of V = X / len_d * log1p(f)
+    u = Fraction(1, 2**53)
+    checked, worst = 0, Fraction(0)
+    for kb, queries, attention_maps in _reference_cases():
+        for attention in attention_maps:
+            for query in queries:
+                try:
+                    scorer = QueryScorer(kb, query, attention)
+                except UnscorableQueryError:
+                    continue
+                candidates = scorer.candidates(kb.article_count, False)
+                estimates = scorer._estimates(candidates)
+                if estimates is None:
+                    continue
+                query_bag, weights = scorer.emission.bag, scorer.weights
+                factors = {
+                    w: tf * Fraction(scorer.attention.get(w, 1.0)) * Fraction(weights[w])
+                    for w, tf in query_bag.items()
+                }
+                self_raw = Fraction(scorer.self_raw)
+                for candidate, estimate in zip(candidates, estimates):
+                    article = kb.article(candidate)
+                    result = scorer.score(candidate)
+                    x = sum(factors[w] * tf for w, tf in article.bag.items() if w in factors)
+                    exact = x / article.length * Fraction(math.log1p(result.forward))
+                    for approx in (estimate, Fraction(result.percent) * self_raw / 100):
+                        gap = abs(Fraction(approx) - exact) / (u * exact)
+                        assert gap <= 8, (query, attention, candidate, float(gap))
+                        worst = max(worst, gap)
+                    checked += 1
+    assert checked > 1000 and worst > 0, (checked, float(worst))
 
 
 def _adversarial_corpus(rng):
