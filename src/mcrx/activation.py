@@ -6,13 +6,13 @@ then runs word -> article over posting lists:
 
     A(d) = m(d) * sum_w e(w) * m(w) * wt(w) * tf_d(w)
 
-with m(.) the attention multipliers: kb.attention, or a per-call
-attention= map checked as kb.set_attention checks a multiplier
-(KnowledgeBase.attention_snapshot), so every term is >= 0. Emission
-normalization makes the metric length-asymmetric on purpose: a short
-text activates a long superset document more strongly than the reverse. activate is emit
-followed by collect; scoring a query against a target, in both
-directions, is similarity.QueryScorer's alone.
+with m(.) the attention multipliers, so every term is >= 0: kb.attention, or a
+per-call attention= map checked once per query as kb.set_attention checks a
+multiplier, split by level into a read-only Attention record that a pass handed
+it uses unchecked (KnowledgeBase.attention_snapshot). Emission normalization
+makes the metric length-asymmetric on purpose: a short text activates a long
+superset document more strongly than the reverse. activate is emit followed by
+collect; scoring a query against a target, both ways, is similarity.QueryScorer's.
 
 Each word's postings group article ordinals by term frequency, so a
 word's term factor * tf is computed once per group. Collection sums the
@@ -59,9 +59,9 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
-from .errors import EmptyDocumentError, MissingNodeError, UnscorableQueryError
+from .errors import EmptyDocumentError, UnscorableQueryError
 from .ingest import tokenize
-from .kb import ARTICLE, SENTENCE, WORD, Article, KnowledgeBase
+from .kb import ARTICLE, SENTENCE, WORD, Article, Attention, KnowledgeBase
 
 Source = int | str  # article node id, or raw text
 
@@ -130,7 +130,7 @@ def _bag_sum(
     bag: dict[int, int],
     length: int,
     other: dict[int, int],
-    attention: dict[int, float],
+    attention: Attention,
 ) -> float:
     """A bag's emission, tf/length per word, collected on another bag.
 
@@ -142,14 +142,15 @@ def _bag_sum(
     """
     if length == 0:
         raise EmptyDocumentError("source is empty after segmentation")
+    words = attention.per_word
     if len(bag) <= len(other):
         return exact_sum(
-            tf / length * attention.get(w, 1.0) * weights[w] * other[w]
+            tf / length * words.get(w, 1.0) * weights[w] * other[w]
             for w, tf in bag.items()
             if w in other
         )
     return exact_sum(
-        bag[w] / length * attention.get(w, 1.0) * weights[w] * tf
+        bag[w] / length * words.get(w, 1.0) * weights[w] * tf
         for w, tf in other.items()
         if w in bag
     )
@@ -251,7 +252,7 @@ def _least_rounding_to(t: int, scale: int) -> int:
 def collect(
     kb: KnowledgeBase,
     emission: Emission,
-    attention: dict[int, float] | None = None,
+    attention: dict[int, float] | Attention | None = None,
     workers: int = 1,
 ) -> ActivationMap:
     """Collect word activation up to the article layer via posting lists.
@@ -264,10 +265,10 @@ def collect(
     the float range.
     """
     attention = kb.attention_snapshot(attention)
-    bag, length = emission.bag, emission.length
+    bag, length, words = emission.bag, emission.length, attention.per_word
     factors = []  # (wt(w), word id, e(w) * m(w) * wt(w)); zero factors drop out
     for word_id, weight in kb.weights(bag).items():
-        factor = bag[word_id] / length * attention.get(word_id, 1.0) * weight
+        factor = bag[word_id] / length * words.get(word_id, 1.0) * weight
         if factor != 0.0:
             factors.append((weight, word_id, factor))
     # the commonest word first: wt(w) = ln(1 + D/df) falls as df grows, and
@@ -312,11 +313,7 @@ def collect(
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
     multipliers = {}
-    for node_id, multiplier in attention.items():
-        try:
-            ordinal = kb.article(node_id).ordinal
-        except (MissingNodeError, ValueError):
-            continue  # a word's multiplier, already in its factor
+    for ordinal, multiplier in attention.per_article.items():
         # the one presence rule: a value of 0.0 (an m(d) of 0, or an
         # underflow) zeroes the sum, and only a nonzero value keeps its m(d)
         if sums[ordinal] / scale * multiplier == 0.0:
@@ -330,7 +327,7 @@ def collect_on_bag(
     kb: KnowledgeBase,
     emission: Emission,
     bag: dict[int, int],
-    attention: dict[int, float] | None = None,
+    attention: dict[int, float] | Attention | None = None,
 ) -> float:
     """Collect an emission against one explicit token bag."""
     attention = kb.attention_snapshot(attention)
@@ -338,7 +335,7 @@ def collect_on_bag(
 
 
 def activate(
-    kb: KnowledgeBase, source: Source, attention: dict[int, float] | None = None
+    kb: KnowledgeBase, source: Source, attention: dict[int, float] | Attention | None = None
 ) -> dict[int, float]:
     """Article id -> activation of every activated article, for a source
     (emit + collect), in article insertion order."""
@@ -351,7 +348,7 @@ def trace(
     article_id: int,
     level: int,
     top_n: int,
-    attention: dict[int, float] | None = None,
+    attention: dict[int, float] | Attention | None = None,
 ) -> list[TraceEntry]:
     """Attribute a document's activation to its words, sentences or paragraphs.
 

@@ -39,8 +39,10 @@ import json
 import math
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     DuplicateDocumentError,
@@ -147,6 +149,12 @@ class Article:
     length: int
     title: str | None
     level = ARTICLE
+
+
+class Attention(NamedTuple):
+    """A query's checked multipliers split by level, as read-only views (attention_snapshot)."""
+    per_word: Mapping[int, float]  # word id -> m(w)
+    per_article: Mapping[int, float]  # article ordinal -> m(d)
 
 
 class KnowledgeBase:
@@ -336,17 +344,22 @@ class KnowledgeBase:
         else:
             self.attention[node_id] = multiplier
 
-    def attention_snapshot(self, attention: dict | None = None) -> dict[int, float]:
-        """A query's attention map, isolated from later rule changes: a copy
-        of kb.attention, or of attention with each key and multiplier
-        checked as set_attention checks them (MissingNodeError for a key
-        that is not an int node id, ValueError for a bad multiplier)."""
-        if attention is None:
-            return dict(self.attention)
-        return {
-            self.node(key).id: check_multiplier(value, f"node {key}")
-            for key, value in attention.items()
-        }
+    def attention_snapshot(self, attention: Mapping | Attention | None = None) -> Attention:
+        """A query's attention as a read-only Attention record split by level, over
+        private copies of kb.attention or of a per-call map, whose keys and multipliers
+        are checked once per query, here, as set_attention checks them (MissingNodeError,
+        ValueError). A record passed back is returned as it is, with no second check."""
+        if isinstance(attention, Attention):
+            return attention
+        words, articles = {}, {}
+        for key, value in (dict(self.attention) if attention is None else attention).items():
+            node = self.node(key)
+            multiplier = value if attention is None else check_multiplier(value, f"node {key}")
+            if node.level == ARTICLE:
+                articles[node.ordinal] = multiplier
+            else:
+                words[key] = multiplier
+        return Attention(MappingProxyType(words), MappingProxyType(articles))
 
 
 def compute_weights(kb: KnowledgeBase) -> None:

@@ -144,7 +144,7 @@ def apply_rules(
     from .kb import check_multiplier
 
     rules = {label: check_multiplier(value, f"rule {label!r}") for label, value in rules.items()}
-    updated = kb.attention_snapshot()
+    updated = dict(kb.attention)
     applied = 0
     unresolved = []
     for label, multiplier in rules.items():
@@ -179,7 +179,7 @@ def watch_read(scorer: QueryScorer, labels: tuple[str, ...] | list[str]) -> dict
         word_id = kb.word_id(label)
         if word_id is not None:
             emission = scorer.emission.bag.get(word_id, 0) / scorer.emission.length
-            multiplier = scorer.attention.get(word_id, 1.0)
+            multiplier = scorer.attention.per_word.get(word_id, 1.0)
             values[label] = emission * multiplier * kb.weights((word_id,))[word_id]
             continue
         article_id = kb.article_id(label)

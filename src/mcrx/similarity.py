@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .activation import Source, _bag_sum, collect, collect_on_bag, emit
 from .errors import EmptyIndexError, UnscorableQueryError
-from .kb import Article, KnowledgeBase, render_real
+from .kb import Article, Attention, KnowledgeBase, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
@@ -96,7 +96,7 @@ class QueryScorer:
     """
 
     def __init__(
-        self, kb: KnowledgeBase, query: Source, attention: dict[int, float] | None = None
+        self, kb: KnowledgeBase, query: Source, attention: dict[int, float] | Attention | None = None
     ):
         if kb.article_count == 0:
             raise EmptyIndexError("the index holds no documents")
@@ -198,32 +198,31 @@ class QueryScorer:
     # covers the higher-order terms. Strictly below, so no label can bring
     # a skipped candidate back, and ties at t are all scored.
     #
-    # The precondition, checked here: every query word's m(w) and
-    # m(w) * wt(w) are 0 or at least 2**-1000 times the longest length
-    # in play, so every factor and term on either side is a normal float;
-    # every reverse estimate is at most 2**1000, so no reverse term or sum
-    # overflows; and every raw~ is within a factor 2**1000 of both 1 and
-    # self_raw, so raw and percent stay normal and finite. When it
-    # fails, every candidate is scored: today's results and today's
-    # UnscorableQueryErrors.
+    # The precondition, checked here: every query word's m(w) is 0 or at least
+    # 2**-1000 times the longest length in play, so as wt(w) = ln(1 + D/df) >=
+    # ln 2, every factor and term on either side is 0 or a normal float; every
+    # reverse estimate is at most 2**1000, so no reverse term or sum overflows;
+    # and every raw~ is at least 2**-1000 times both 1 and self_raw, so raw and
+    # percent stay normal. Neither overflows: raw~ < 2**1000 * log1p(2**1024),
+    # and raw / self_raw < 710 * len_q / log1p(s) < 2**600, as a reverse term is
+    # at most len_q times its self term and s, the self activation, exceeds
+    # 2**-537 for self_raw = s * log1p(s) > 0. Else all candidates are scored.
     def _estimates(self, candidates: list[int]) -> list[float] | None:
         """raw~ per candidate, ids that candidates gave, or None where the bound does not hold."""
-        attention, emission = self.attention, self.emission
+        attention, emission = self.attention.per_word, self.emission
         kept = [self._kept[c] for c in candidates]
         floor = _TINY * max(emission.length, max(item[0].length for item in kept))
-        for word_id, weight in self.weights.items():
-            m = attention.get(word_id, 1.0)
-            if not (m == 0.0 or weight == 0.0 or (m >= floor and m * weight >= floor)):
+        for word_id in self.weights:
+            if 0.0 < attention.get(word_id, 1.0) < floor:
                 return None
         low = _TINY * max(1.0, self.self_raw)
-        high = _HUGE * min(1.0, self.self_raw)
         length, log1p = emission.length, math.log1p
         estimates = []
         # forward is the float score reads
         for article, pre, forward in kept:
             reverse = pre * length / article.length
             raw = reverse * log1p(forward)
-            if not (reverse <= _HUGE and low <= raw <= high):
+            if not (reverse <= _HUGE and low <= raw):
                 return None
             estimates.append(raw)
         return estimates
@@ -247,7 +246,7 @@ def rank(
     k: int = DEFAULT_CANDIDATES,
     n: int = DEFAULT_RESULTS,
     exclude_self: bool = True,
-    attention: dict[int, float] | None = None,
+    attention: dict[int, float] | Attention | None = None,
 ) -> list[RankedResult]:
     """Ranked retrieval for one query.
 

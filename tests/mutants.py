@@ -1,12 +1,13 @@
-"""Mutation check of the scoring contract's hand-derived bounds and
-of collect's presence rule.
+"""Mutation check of the scoring contract's hand-derived bounds, of
+collect's presence rule and of the index loader's word-record refusal.
 
 Each mutant loosens or drops one bound that a derivation in the source
-justifies, or lets a value of 0.0 count as an activated article. For
-each, the script copies the repository to a temporary directory, applies
-the one edit there, runs the tier-1 suite on the copy and reports the
-mutant killed (some test failed) or survived (every test passed). The
-working tree is never edited. Run from anywhere:
+justifies, lets a value of 0.0 count as an activated article, or lets a
+malformed word record through. For each, the script copies the
+repository to a temporary directory, applies the one edit there, runs
+the tier-1 suite on the copy and reports the mutant killed (some test
+failed) or survived (every test passed). The working tree is never
+edited. Run from anywhere:
 
     python tests/mutants.py            # the whole tier-1 suite
     python tests/mutants.py tests/     # any pytest arguments instead
@@ -63,14 +64,20 @@ MUTANTS = [
     (
         "drop _estimates' factor precondition",
         "src/mcrx/similarity.py",
-        "if not (m == 0.0 or weight == 0.0 or (m >= floor and m * weight >= floor)):",
+        "if 0.0 < attention.get(word_id, 1.0) < floor:",
         "if False:",
     ),
     (
         "drop _estimates' range precondition",
         "src/mcrx/similarity.py",
-        "if not (reverse <= _HUGE and low <= raw <= high):",
+        "if not (reverse <= _HUGE and low <= raw):",
         "if False:",
+    ),
+    (
+        "_estimates' low bound divides by self_raw (2**-1000 / max(1, self_raw))",
+        "src/mcrx/similarity.py",
+        "low = _TINY * max(1.0, self.self_raw)",
+        "low = _TINY / max(1.0, self.self_raw)",
     ),
     (
         "collect keeps a multiplied article whose value is 0.0",
@@ -83,6 +90,12 @@ MUTANTS = [
         "src/mcrx/activation.py",
         "if sums[ordinal] / scale * multiplier == 0.0:",
         "if multiplier == 0.0:",
+    ),
+    (
+        "_load_word refuses a word record only when tok, df and df >= 1 are all bad",
+        "src/mcrx/kb.py",
+        "if not isinstance(token, str) or type(df) is not int or df < 1:",
+        "if not isinstance(token, str) and type(df) is not int and df < 1:",
     ),
     ("as_dict keeps a zero sum", "src/mcrx/activation.py", "            if units\n", ""),
     (

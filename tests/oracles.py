@@ -161,7 +161,7 @@ def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
     each candidate's bag and length summed on the query bag. Returns
     (label, percent, raw, reverse, forward) rows, best n by percent.
     """
-    attention = kb.attention_snapshot() if attention is None else dict(attention)
+    attention = dict(kb.attention) if attention is None else dict(attention)
     emission = emit(kb, query)
     query_bag, query_length = emission.bag, emission.length
     forward = {}
@@ -196,7 +196,7 @@ def reference_compare(kb, a, b, attention=None):
     emission collected on a's bag, with no multiplier. Returns (forward,
     reverse, raw, percent), percent against a's self score.
     """
-    attention = kb.attention_snapshot() if attention is None else dict(attention)
+    attention = dict(kb.attention) if attention is None else dict(attention)
 
     def directional(source, destination, multiply):
         if isinstance(destination, int):

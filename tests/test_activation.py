@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mcrx.kb
 from mcrx import (
     ARTICLE,
     PARAGRAPH,
@@ -879,6 +880,30 @@ def test_per_call_attention_equals_the_same_rules_applied():
                 if entry in ("collect", "activate"):
                     expected, got = list(expected), list(got)
                 assert got == expected, (entry, rules, query)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_per_call_attention_is_checked_once_per_query(entry, monkeypatch):
+    """One check per key however many passes run; a record passed back skips it."""
+    kb = make_kb({"d1": "a b", "d2": "b c", "d3": "a c c"})
+    d2 = kb.article_id("d2")
+    attention = {kb.word_id("a"): 0.5, kb.word_id("c"): 3.0, kb.article_id("d1"): 2.0, d2: 0.25}
+    checked = []
+    check = mcrx.kb.check_multiplier
+
+    def counted(value, name):
+        checked.append(name)
+        return check(value, name)
+
+    monkeypatch.setattr(mcrx.kb, "check_multiplier", counted)
+    run = ENTRY_POINTS[entry]
+    expected = run(kb, "a b c", d2, attention)
+    assert sorted(checked) == sorted(f"node {key}" for key in attention)
+    record = kb.attention_snapshot(attention)
+    checked.clear()
+    assert kb.attention_snapshot(record) is record
+    assert run(kb, "a b c", d2, record) == expected
+    assert checked == []
 
 
 def test_activation_map_reads_an_article_inserted_after_the_collect_as_zero():

@@ -1372,3 +1372,23 @@ def test_scl_demo_cr_only_action_file_exit_1(tmp_path, capsys):
     code, captured = scl_demo_exit(tmp_path, capsys, ACTIONS.replace("\n", "\r").encode())
     assert code == 1
     assert captured.err == "error: cannot load action kb: line 1: invalid record (Extra data)\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"tok":"a"', '"tok":5'), *(('"df":1', f'"df":{df}') for df in ("0", "true", "1.0", '"1"'))],
+)
+def test_query_on_an_index_with_a_bad_word_record_exit_1(tmp_path, capsys, old, new):
+    index = build_c2(tmp_path)
+    lines = index.read_text("utf-8").splitlines()
+    assert old in lines[1]  # line 2 is word a's record
+    lines[1] = lines[1].replace(old, new)
+    index.write_text("\n".join(lines) + "\n", "utf-8")
+    doc = tmp_path / "q.txt"
+    doc.write_text("a b")
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--doc", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "cannot load index: line 2: word record has bad tok/df" in captured.err

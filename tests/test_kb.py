@@ -194,6 +194,26 @@ def test_set_attention_rejects_non_finite(c2, multiplier):
     assert c2.attention == {word: 2.0}
 
 
+def test_attention_snapshot_is_a_read_only_record_split_by_level(c2):
+    a, d2 = c2.word_id("a"), c2.article_id("d2")
+    attention = {a: 0.5, d2: 2.0}
+    record = c2.attention_snapshot(attention)
+    assert record.per_word == {a: 0.5}
+    assert record.per_article == {c2.article(d2).ordinal: 2.0}
+    for level in record:
+        with pytest.raises(TypeError):
+            level[a] = 3.0
+    # private copies: later changes to the map or the rules do not reach it
+    attention[a] = 3.0
+    c2.set_attention(a, 4.0)
+    assert record.per_word == {a: 0.5}
+    assert c2.attention_snapshot(record) is record
+    stored = c2.attention_snapshot()
+    assert (stored.per_word, stored.per_article) == ({a: 4.0}, {})
+    c2.set_attention(a, 1.0)
+    assert stored.per_word == {a: 4.0}
+
+
 def test_attention_zero_silences_word(c2):
     for token in ("a", "b", "c"):
         c2.set_attention(c2.word_id(token), 0.0)
@@ -707,6 +727,11 @@ def test_load_refuses_an_empty_file(tmp_path):
         (2, b'"t":"word"', b'"t":"phrase"', "unknown record type 'phrase'"),
         (2, b',"w":1.0986122886681098', b"", "word record missing 'w'"),
         (2, b'"w":1.0986122886681098', b'"w":"1.1"', "word record has non-numeric weight"),
+        (2, b'"tok":"a"', b'"tok":5', "word record has bad tok/df"),
+        (2, b'"df":1', b'"df":0', "word record has bad tok/df"),
+        (2, b'"df":1', b'"df":true', "word record has bad tok/df"),
+        (2, b'"df":1', b'"df":1.0', "word record has bad tok/df"),
+        (2, b'"df":1', b'"df":"1"', "word record has bad tok/df"),
         (5, b'"label":"d1"', b'"label":1', "malformed article structure (label 1 is not a str)"),
         (5, b'["a",1]', b'["x",1]', "article references unlisted word 'x'"),
         (5, b'["a",1]', b'[1,1]', "malformed article structure (token 1 is not a str)"),

@@ -238,6 +238,7 @@ def test_apply_rules_resolves_article_labels(c2):
     applied, unresolved = apply_rules(c2, {"d2": 0.25})
     assert applied == 1 and unresolved == []
     assert c2.attention[c2.article_id("d2")] == 0.25
+    assert type(c2.attention) is dict  # the stored rules stay a plain node-id map
 
 
 def test_rule_reversibility(c2):

@@ -419,6 +419,55 @@ def test_bound_steps_aside_where_its_derivation_does_not_hold():
     )
 
 
+def test_bound_holds_for_self_scores_far_from_1():
+    """Word multipliers from 1e-140 to 1e299 put self_raw far from 1 either way.
+
+    With a at 1e150 and b at 1e-140, every b document's raw~ is above
+    2**-1000 but below 2**-1000 * self_raw: its percent underflows to a tie
+    at 0.0 that labels break, and b0, the longest, has the least raw~. So
+    top scores every candidate; a lower bound of 2**-1000 / self_raw would
+    skip b0 and b1. At 1e299 each raw~ passes 2**1000 and stays bounded.
+    """
+    docs = {"a1": "a x", **{f"b{i}": " ".join(["b"] + ["y"] * (9 - i)) for i in range(10)}}
+    kb = make_kb(docs)
+    a, b = kb.word_id("a"), kb.word_id("b")
+    cases = [({a: 1e150, b: 1e-140}, False), ({a: 1e-140, b: 1e-140}, True)]
+    cases.append(({a: 1e299, b: 1e299}, True))
+    for attention, bound in cases:
+        scorer = QueryScorer(kb, "a b", attention)
+        assert not 2.0**-400 < scorer.self_raw < 2.0**400
+        estimates = scorer._estimates(scorer.candidates(11))
+        assert (estimates is not None) == bound
+        for n in range(1, 12):
+            expected = reference_rank(kb, "a b", 11, n, attention=attention)
+            assert _rows(rank(kb, "a b", 11, n, attention=attention)) == expected
+    assert max(estimates) > 2.0**1000  # at 1e299
+    tied = reference_rank(kb, "a b", 11, 3, attention=cases[0][0])
+    assert [row[:2] for row in tied] == [("a1", 100.0), ("b0", 0.0), ("b1", 0.0)]
+
+
+def test_bound_holds_for_a_multiplier_in_the_band_below_floor_over_ln2():
+    """m(w) in [floor, floor / wt(w)) for a word in every document (wt = ln 2).
+
+    m(w) * wt(w) is below floor, yet every term stays a normal float (the
+    derivation beside _estimates), so the bound applies and top agrees
+    with scoring every candidate.
+    """
+    docs = {"a1": "a c", "a2": "a a c z", "a3": "a c z z", "a4": "a c c z"}
+    kb = make_kb({**docs, **{f"n{i}": "c z z" for i in range(4)}})
+    c = kb.word_id("c")
+    floor = mcrx.similarity._TINY * 4  # the longest of the query and the top 4
+    attention = {c: 1.25 * floor}
+    scorer = QueryScorer(kb, "a c", attention)
+    candidates = scorer.candidates(4)
+    assert {kb.nodes[i].label for i in candidates} == set(docs)
+    assert attention[c] * scorer.weights[c] < floor
+    assert scorer._estimates(candidates) is not None
+    for n in (1, 2, 3):
+        expected = reference_rank(kb, "a c", 4, n, attention=attention)
+        assert _rows(rank(kb, "a c", 4, n, attention=attention)) == expected
+
+
 U = 2.0**-53  # the unit roundoff of a float
 
 
@@ -471,7 +520,7 @@ def test_estimates_and_scores_are_within_8u_of_the_exact_value():
                     continue
                 query_bag, weights = scorer.emission.bag, scorer.weights
                 factors = {
-                    w: tf * Fraction(scorer.attention.get(w, 1.0)) * Fraction(weights[w])
+                    w: tf * Fraction(scorer.attention.per_word.get(w, 1.0)) * Fraction(weights[w])
                     for w, tf in query_bag.items()
                 }
                 self_raw = Fraction(scorer.self_raw)
