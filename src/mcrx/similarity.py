@@ -1,13 +1,16 @@
 """Asymmetric document similarity: candidates, combination, ranking.
 
 The forward pass activates the whole corpus from the query and the
-best-activated articles become candidates. The forward values stay
-collect's exact integer sums (activation.ActivationMap), where an
-article is activated exactly when its sum is not 0: a heap finds the cut
-on the integers, and only the articles at or above it, plus the
-activated ones with an article multiplier, are divided into floats and
-sorted (ActivationMap.top_values); the candidates' estimates and scores
-read those floats back.
+best-activated articles become candidates. It sums in floats
+(activation.collect), where an article is activated exactly when its
+float sum is not 0.0; those sums only choose, and no reported value
+comes from them. A heap finds the cut on the float sums, widened by the
+band that bounds each sum's error, and ActivationMap.top_articles sorts
+the articles that can reach it, summing exactly (math.fsum) only those
+whose bands overlap a neighbour's, so the candidates and their (-value,
+label) order are those of the exact values. The candidates' estimates
+read the float sums back, and a scored candidate's forward value is its
+exact sum.
 Each candidate is then re-scored in reverse (its own emission collected
 on the query's token bag) by activation._bag_sum, straight from the
 article's bag and length: one exact sum over the words the article and
@@ -22,12 +25,13 @@ With X = sum_w tf_q * m(w) * wt(w) * tf_d over the words a candidate
 shares with the query, collect's sum before m(d) is pre = X / len_q and
 the reverse pass is X / len_d. So raw~ = pre * len_q / len_d *
 ln(1 + forward) estimates each candidate's raw score from numbers the
-forward pass already holds, and is off by a few roundings only. The
-slack that covers them is derived beside QueryScorer._estimates; a
-candidate whose raw~ cannot reach the n-th largest raw~ within it
-provably ranks below n scored ones and is never scored. Where the
-derivation's precondition fails (an intermediate underflow, or a bound
-past the float range), every candidate is scored.
+forward pass already holds, and is off by a few roundings and the float
+sums' band only. The slack that covers them, widened by twice that band,
+is derived beside QueryScorer._estimates; a candidate whose raw~ cannot
+reach the n-th largest raw~ within it provably ranks below n scored ones
+and is never scored. Where the derivation's precondition fails (an
+intermediate underflow, or a bound past the float range), every
+candidate is scored.
 
 QueryScorer is the one place a (query, target) pair is scored: rank,
 the solution-critic loop's DocumentCritic and `mcrx compare` all read
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 from .activation import Source, _bag_sum, collect, collect_on_bag, emit
 from .errors import EmptyIndexError, UnscorableQueryError
-from .kb import Article, Attention, KnowledgeBase, render_real
+from .kb import Attention, KnowledgeBase, render_real
 
 DEFAULT_CANDIDATES = 100
 DEFAULT_RESULTS = 10
@@ -109,9 +113,6 @@ class QueryScorer:
         self.self_activation = collect_on_bag(
             kb, self.emission, self.emission.bag, self.attention
         )
-        # article id -> (its record, forward value before its multiplier,
-        # forward value) for each candidate so far
-        self._kept: dict[int, tuple[Article, float, float]] = {}
         if self.self_activation == 0.0:
             raise UnscorableQueryError(self.emission.unknown_words)
         self.self_raw = combine(self.self_activation, self.self_activation)
@@ -123,12 +124,10 @@ class QueryScorer:
 
         Raises ValueError for k < 1.
         """
-        top = self.forward_map.top_values(k)
+        top = [article.id for article in self.forward_map.top_articles(k)]
         if exclude_self and self.source_article is not None:
-            top = [item for item in top if item[0].id != self.source_article]
-        # score and _estimates read these floats back instead of dividing again
-        self._kept.update((item[0].id, item) for item in top)
-        return [article.id for article, _, _ in top]
+            top = [article_id for article_id in top if article_id != self.source_article]
+        return top
 
     def score(self, target: Source) -> RankedResult:
         """Score an article id or a text against the query.
@@ -144,8 +143,7 @@ class QueryScorer:
             article = kb.article(target)
             article_id, label, title = target, article.label, kb.title(target)
             bag, length = article.bag, article.length
-            kept = self._kept.get(target)
-            forward = self.forward_map.value(article) if kept is None else kept[2]
+            forward = self.forward_map.value(article)
         else:
             emission = emit(kb, target)
             article_id, label, title = None, "", ""
@@ -172,31 +170,39 @@ class QueryScorer:
         if len(candidates) > n + 1:
             estimates = self._estimates(candidates)
             if estimates is not None:
-                candidates = [candidates[i] for i in _within_reach(estimates, n)]
+                # the slack derived beside _estimates, widened by the float sums' band
+                slack = _SLACK + 2 * self.forward_map.band
+                candidates = [candidates[i] for i in _within_reach(estimates, n, slack)]
         results = [self.score(c) for c in candidates]
         results.sort(key=lambda result: (-result.percent, result.label))
         return results[:n]
 
-    # raw~ = pre * len_q / len_d * log1p(f) against score's raw =
-    # reverse * log1p(f). f is the forward value score uses, so log1p(f)
-    # is the same float on both sides and its own error cancels. Without
-    # underflow or overflow each rounding errs by a factor (1 + d), |d| <= u
-    # = 2**-53, and every term is >= 0, so a sum of rounded terms errs by
-    # at most its worst term's factor. Against V = X / len_d * log1p(f):
+    # raw~ = pre~ * len_q / len_d * log1p(f~) against score's raw =
+    # reverse * log1p(f), f the forward value score uses. pre~ is collect's
+    # float sum, and f~ is pre~ too, or f itself for an article with a
+    # multiplier. Without underflow or overflow each rounding errs by a factor
+    # (1 + d), |d| <= u = 2**-53, and every term is >= 0, so a sum of rounded
+    # terms errs by at most its worst term's factor. Against V = X / len_d *
+    # log1p(f), log1p exact:
     #   - a forward term tf_q/len_q * m(w) * wt(w) * tf_d and a reverse
     #     term tf_d/len_d * m(w) * wt(w) * tf_q carry 4 roundings each;
-    #   - the exact sums add one each: pre's int / int, reverse's fsum;
+    #   - pre~ is within gamma < w of the exact sum of its terms, w the
+    #     forward map's band (activation._band); reverse's fsum adds one;
     #   - raw~ adds 3 (* len_q, / len_d, * log1p), raw 1 (combine), and
-    #     percent = 100 * (raw / self_raw) 2 more.
-    # So raw~ and raw are within about 14u of each other, and raw~ and
-    # percent * self_raw / 100 are each within 8u of V. A candidate is
-    # skipped when fl(raw~ * (1 + eps)) < fl(t * (1 - eps)), t the n-th
-    # largest raw~ (2 more roundings). Its percent is then strictly below
-    # that of each candidate whose raw~ reaches t, at least n of them, when
-    #   (1 + 8u)**2 * (1 + u) / ((1 - 8u)**2 * (1 - u)) <= (1 + eps) / (1 - eps),
-    # that is 34u <= 2 eps to first order: eps >= 17u. eps = 2**-48 = 32u
-    # covers the higher-order terms. Strictly below, so no label can bring
-    # a skipped candidate back, and ties at t are all scored.
+    #     percent = 100 * (raw / self_raw) 2 more;
+    #   - f~ lies within w / (1 - w) of f, and log1p(x) / x falls as x grows,
+    #     so the exact log1p(f~) does too; math.log1p is faithful (within one
+    #     ulp, 2u) on either side. Where f~ is f (w = 0, or a multiplier) the
+    #     two calls give one float and this term cancels.
+    # So raw~ is within a = 9u + 2w of V, and percent * self_raw / 100 within
+    # b = 10u. A candidate is skipped when fl(raw~ * (1 + eps)) < fl(t * (1 -
+    # eps)), t the n-th largest raw~ (2 more roundings). Its percent is then
+    # strictly below that of each candidate whose raw~ reaches t, at least n
+    # of them, when
+    #   (1 + a)(1 + b)(1 + u) / ((1 - a)(1 - b)(1 - u)) <= (1 + eps) / (1 - eps),
+    # that is a + b + u <= eps to first order: eps >= 20u + 2w. eps = 2**-48 +
+    # 2w = 32u + 2w covers the higher-order terms. Strictly below, so no label
+    # can bring a skipped candidate back, and ties at t are all scored.
     #
     # The precondition, checked here: every query word's m(w) is 0 or at least
     # 2**-1000 times the longest length in play, so as wt(w) = ln(1 + D/df) >=
@@ -209,17 +215,19 @@ class QueryScorer:
     # 2**-537 for self_raw = s * log1p(s) > 0. Else all candidates are scored.
     def _estimates(self, candidates: list[int]) -> list[float] | None:
         """raw~ per candidate, ids that candidates gave, or None where the bound does not hold."""
-        attention, emission = self.attention.per_word, self.emission
-        kept = [self._kept[c] for c in candidates]
-        floor = _TINY * max(emission.length, max(item[0].length for item in kept))
+        attention, emission, forward_map = self.attention.per_word, self.emission, self.forward_map
+        articles = [self.kb.nodes[c] for c in candidates]
+        floor = _TINY * max(emission.length, max(article.length for article in articles))
         for word_id in self.weights:
             if 0.0 < attention.get(word_id, 1.0) < floor:
                 return None
         low = _TINY * max(1.0, self.self_raw)
         length, log1p = emission.length, math.log1p
+        sums, multipliers = forward_map.sums, forward_map.multipliers
         estimates = []
-        # forward is the float score reads
-        for article, pre, forward in kept:
+        for article in articles:
+            pre = sums[article.ordinal]
+            forward = pre if article.ordinal not in multipliers else forward_map.value(article)
             reverse = pre * length / article.length
             raw = reverse * log1p(forward)
             if not (reverse <= _HUGE and low <= raw):
@@ -228,10 +236,10 @@ class QueryScorer:
         return estimates
 
 
-def _within_reach(estimates: list[float], n: int) -> list[int]:
-    """Indexes of the estimates that can reach the n-th largest, ties included."""
-    reach = heapq.nlargest(n, estimates)[-1] * (1 - _SLACK)
-    return [i for i, raw in enumerate(estimates) if raw * (1 + _SLACK) >= reach]
+def _within_reach(estimates: list[float], n: int, slack: float) -> list[int]:
+    """Indexes of the estimates that can reach the n-th largest within slack, ties included."""
+    reach = heapq.nlargest(n, estimates)[-1] * (1 - slack)
+    return [i for i, raw in enumerate(estimates) if raw * (1 + slack) >= reach]
 
 
 def check_cut(k: int, n: int) -> None:

@@ -7,8 +7,10 @@ instead of the best-first planner. The exceptions are reference_rank
 and reference_compare, which tokenize with the library's own emit and
 sum each directional activation as one plain math.fsum per article or
 text (directional_sum), so that rank and QueryScorer.score can be
-compared with them bit for bit, and check_kb, which rebuilds a
-knowledge base's derived tables from its stored runs.
+compared with them bit for bit; exact_forward, which sums the same
+float terms as rationals and rounds each sum once, and exact_forward_sum,
+one such rational sum of a forward map's terms; and check_kb, which
+rebuilds a knowledge base's derived tables from its stored runs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
+from fractions import Fraction
 
 from mcrx.activation import emit
 from mcrx.errors import UnscorableQueryError
@@ -150,6 +153,43 @@ def directional_sum(kb, bag, length, other, attention):
         )
     except OverflowError as exc:
         raise UnscorableQueryError() from exc
+
+
+def exact_forward(kb, query, attention=None):
+    """Article id -> forward value of every activated article, in exact arithmetic.
+
+    Each article's float terms count/len_q * m(w) * wt(w) * tf_d are summed
+    as Fractions and rounded once to the nearest float, then multiplied by
+    m(d); a value of 0.0 is no activation. UnscorableQueryError when a term
+    is infinite or a sum rounds past the float range, as float(Fraction)
+    rounds it.
+    """
+    attention = dict(kb.attention) if attention is None else dict(attention)
+    emission = emit(kb, query)
+    weights = kb.weights(emission.bag)
+    values = {}
+    for article in kb.articles:
+        terms = [
+            count / emission.length * attention.get(word, 1.0) * weights[word] * article.bag[word]
+            for word, count in emission.bag.items()
+            if word in article.bag
+        ]
+        if not all(math.isfinite(term) for term in terms):
+            raise UnscorableQueryError()
+        try:
+            pre = float(sum(map(Fraction, terms), Fraction(0)))
+        except OverflowError as exc:
+            raise UnscorableQueryError() from exc
+        value = pre * attention.get(article.id, 1.0)
+        if value != 0.0:
+            values[article.id] = value
+    return values
+
+
+def exact_forward_sum(forward, article):
+    """The exact sum, as a Fraction, of an article's float terms factor * tf_d in a forward map."""
+    bag = article.bag
+    return sum((Fraction(f * bag[w]) for w, f in forward.factors.items() if w in bag), Fraction(0))
 
 
 def reference_rank(kb, query, k, n, exclude_self=True, attention=None):
